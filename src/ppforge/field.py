@@ -9,8 +9,17 @@ increasing order of the integer c_0 + c_1*p + ... + c_{n-1}*p^{n-1} built
 from the non-leading coefficients, so two fields with equal (p, n) are
 interchangeable.
 
-A Field is immutable after construction.  The lookup tables it caches are
-built lazily and are idempotent, so sharing a Field between workers is safe.
+A Field is immutable after construction apart from idempotent caches (the
+primitive element, roots of unity), so sharing a Field between workers is
+safe.  For q <= VECTOR_MAX_Q it builds its lookup tables when constructed.
+
+Arithmetic has four tiers, chosen by q:
+  q <= SCALAR_LIST_MAX_Q   scalar add, mul and neg read nested-list tables;
+  q <= TABLE_MAX_Q         q x q numpy add/mul tables serve column arithmetic;
+  q <= VECTOR_MAX_Q        exp/log and digit columns; scalar mul is one
+                           exp/log lookup;
+  beyond                   digit-vector arithmetic only (_add_slow, _mul_slow).
+On every table field, inv and pow are single exp/log lookups.
 """
 
 import functools
@@ -175,7 +184,7 @@ class Field:
     """A concrete F_{p^n} with canonical modulus and integer element encoding."""
 
     __slots__ = ("p", "n", "q", "modulus", "_omega", "_tables", "_mu_cache",
-                 "_add_list", "_mul_list", "_neg_list", "_inv_list")
+                 "_add_list", "_mul_list", "_neg_list", "_exp_list", "_log_list")
 
     def __init__(self, p: int, n: int = 1):
         if not isinstance(p, int) or not is_prime(p):
@@ -195,8 +204,9 @@ class Field:
         self._add_list = None
         self._mul_list = None
         self._neg_list = None
-        self._inv_list = None
-        if q <= SCALAR_LIST_MAX_Q:
+        self._exp_list = None
+        self._log_list = None
+        if q <= VECTOR_MAX_Q:
             self.tables()
 
     # -- identity ----------------------------------------------------------
@@ -238,10 +248,6 @@ class Field:
 
     def units(self) -> range:
         return range(1, self.q)
-
-    def in_prime_subfield(self, a: int) -> bool:
-        """True iff a lies in F_p, i.e. all higher digits vanish."""
-        return 0 <= a < self.p
 
     # -- arithmetic ---------------------------------------------------------
     # Hot paths trust their inputs to be indices in [0, q).
@@ -285,6 +291,12 @@ class Field:
         t = self._mul_list
         if t is not None:
             return t[a][b]
+        exp = self._exp_list
+        if exp is not None:
+            if a and b:
+                log = self._log_list
+                return exp[(log[a] + log[b]) % (self.q - 1)]
+            return 0
         return self._mul_slow(a, b)
 
     def _mul_slow(self, a, b):
@@ -312,18 +324,24 @@ class Field:
     def inv(self, a: int) -> int:
         if a == 0:
             raise FieldError("inversion of zero")
-        t = self._inv_list
-        if t is not None:
-            return t[a]
+        exp = self._exp_list
+        if exp is not None:
+            return exp[-self._log_list[a] % (self.q - 1)]
         return self.pow(a, self.q - 2)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
-        """a^e by square-and-multiply; e is any non-negative integer."""
+        """a^e for any non-negative integer e, with 0^0 = 1; one exp/log
+        lookup on table fields, square-and-multiply beyond."""
         if e < 0:
             raise FieldError("negative exponent")
+        exp = self._exp_list
+        if exp is not None:
+            if a:
+                return exp[self._log_list[a] * e % (self.q - 1)]
+            return 0 if e else 1
         result, base = 1, a
         while e:
             if e & 1:
@@ -332,20 +350,18 @@ class Field:
             e >>= 1
         return result
 
-    def frobenius(self, a: int, times: int = 1) -> int:
-        """a^(p^times)."""
-        for _ in range(times):
-            a = self.pow(a, self.p)
-        return a
-
     # -- multiplicative structure -------------------------------------------
 
     def primitive_element(self) -> int:
-        """Least-index element of multiplicative order q-1; cached."""
+        """Least-index element of multiplicative order q-1; cached.
+
+        For n > 1 the indices below p are F_p itself, whose orders divide
+        p-1 < q-1, so the search starts at p.
+        """
         if self._omega is None:
             m = self.q - 1
             rs = prime_divisors(m)
-            for a in self.units():
+            for a in range(self.p if self.n > 1 else 1, self.q):
                 if all(self.pow(a, m // r) != 1 for r in rs):
                     self._omega = a
                     break
@@ -389,7 +405,8 @@ class Field:
     # -- tables --------------------------------------------------------------
 
     def tables(self) -> "FieldTables":
-        """Numpy lookup machinery for exhaustive evaluation (lazy, cached)."""
+        """Numpy lookup machinery for exhaustive evaluation (cached; built at
+        construction for q <= VECTOR_MAX_Q)."""
         if self._tables is None:
             t = FieldTables(self)
             self._tables = t
@@ -397,7 +414,8 @@ class Field:
                 self._add_list = t.add.tolist()
                 self._mul_list = t.mul.tolist()
                 self._neg_list = t.neg_col.tolist()
-                self._inv_list = t.inv_col.tolist()
+            self._log_list = t.log.tolist()
+            self._exp_list = t.exp.tolist()
         return self._tables
 
     def modulus_text(self) -> str:
@@ -412,6 +430,31 @@ class Field:
                 v = "x" if e == 1 else f"x^{e}"
                 terms.append(v if c == 1 else f"{c}*{v}")
         return "+".join(terms) if terms else "0"
+
+
+def _exp_digits(field: Field) -> np.ndarray:
+    """Digit vectors of w^0 .. w^(q-2) for the primitive element w, one row each.
+
+    Multiplication by w is an F_p-linear map M on digit vectors, so row i is
+    M^i applied to the digits of 1.  The rows come in ceil(log2(q-1))
+    doubling steps: rows [len, 2 len) are rows [0, len) times (M^len)^T
+    mod p, then M^len <- (M^len)^2 mod p.  Entries stay below p, so every
+    product sum is below n * p^2 <= q * p < 2^63.
+    """
+    p, n, q = field.p, field.n, field.q
+    omega = field.primitive_element()
+    # row j of M^T: the digits of w * t^j
+    step_t = np.array([field.coeffs(field._mul_slow(omega, p ** j)) for j in range(n)],
+                      dtype=np.int64)
+    out = np.zeros((q - 1, n), dtype=np.int64)
+    out[0, 0] = 1
+    size = 1
+    while size < q - 1:
+        k = min(size, q - 1 - size)
+        np.remainder(out[:k] @ step_t, p, out=out[size:size + k])
+        step_t = step_t @ step_t % p
+        size += k
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -438,13 +481,13 @@ class FieldTables:
     """Vectorized lookup tables over one field.
 
     Always present (q <= 2^16): base-p digit matrix, exp/log for the cyclic
-    group F_q^*, negation and inversion columns.  For q <= TABLE_MAX_Q the
+    group F_q^*, and the negation column.  For q <= TABLE_MAX_Q the
     full q x q addition and multiplication tables are also materialized.
     All arrays are exact integer data; callers must not mutate them.
     """
 
     __slots__ = ("field", "q", "digits", "pvec", "exp", "log", "neg_col",
-                 "inv_col", "add", "mul", "addf", "mulf", "_pow_cache")
+                 "add", "mul", "addf", "mulf", "_pow_cache")
 
     def __init__(self, field: Field):
         q, p, n = field.q, field.p, field.n
@@ -456,33 +499,29 @@ class FieldTables:
         idx = np.arange(q, dtype=np.int64)
         self.digits = (idx[:, None] // self.pvec[None, :]) % p
 
-        omega = field.primitive_element()
-        exp = np.empty(max(q - 1, 1), dtype=np.int64)
-        cur = 1
-        for i in range(q - 1):
-            exp[i] = cur
-            cur = field._mul_slow(cur, omega)
-        self.exp = exp
+        self.exp = exp = _exp_digits(field) @ self.pvec
         log = np.zeros(q, dtype=np.int64)
-        log[exp[: q - 1]] = np.arange(q - 1, dtype=np.int64)
+        log[exp] = np.arange(q - 1, dtype=np.int64)
         self.log = log
 
         self.neg_col = ((p - self.digits) % p) @ self.pvec
-        inv_col = np.zeros(q, dtype=np.int64)
-        if q > 1:
-            inv_col[1:] = exp[(q - 1 - log[1:]) % (q - 1)]
-        self.inv_col = inv_col
 
         if q <= TABLE_MAX_Q:
-            mul = exp[np.add.outer(log, log) % (q - 1)].astype(np.int32)
+            log32 = log.astype(np.int32)
+            mul = exp.astype(np.int32)[np.add.outer(log32, log32) % (q - 1)]
             mul[0, :] = 0
             mul[:, 0] = 0
             self.mul = mul
-            add = np.empty((q, q), dtype=np.int32)
-            step = max(1, (1 << 22) // (q * n))
-            for lo in range(0, q, step):
-                hi = min(lo + step, q)
-                add[lo:hi] = ((self.digits[lo:hi, None, :] + self.digits[None, :, :]) % p) @ self.pvec
+            # add = sum_i p^i * ((a_i + b_i) mod p), one digit at a time: over
+            # p^(k+1) elements, add(a, b) = p^k * add_1(a_k, b_k) + add_k(a mod
+            # p^k, b mod p^k), a broadcast sum over axes (a_k, a mod p^k, ...)
+            r = np.arange(p, dtype=np.int32)
+            add1 = np.add.outer(r, r)
+            add1[add1 >= p] -= p
+            add = add1
+            for k in range(1, n):
+                m = p ** k
+                add = (m * add1[:, None, :, None] + add[None, :, None, :]).reshape(m * p, m * p)
             self.add = add
             self.addf = add.reshape(-1)
             self.mulf = mul.reshape(-1)

@@ -1,7 +1,12 @@
 """Command-line surface: exit codes, JSON schema, and determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import ppforge
 from ppforge.cli import main
 
 
@@ -23,6 +28,16 @@ def test_field_info(capsys):
     code, out, _ = run_cli(capsys, "field-info", "3^2")
     rec = json_lines(out)[0]
     assert rec["modulus"] == "x^2+1" and rec["primitive_element"] == 4
+
+
+def test_field_info_large_extension_is_quick():
+    # the primitive-element search skips F_p, whose orders divide p-1 < q-1
+    env = {**os.environ, "PYTHONPATH": str(Path(ppforge.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "ppforge", "field-info", "1000003^3"],
+                          capture_output=True, text=True, timeout=10, env=env)
+    assert proc.returncode == 0, proc.stderr
+    rec = json_lines(proc.stdout)[0]
+    assert rec["q"] == 1000003 ** 3 and rec["primitive_element"] == 1000009
 
 
 def test_field_info_bad_field(capsys):

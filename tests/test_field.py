@@ -1,9 +1,13 @@
 """Field construction, encoding, arithmetic, and multiplicative structure."""
 
+import random
+
 import pytest
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_add, gf_irreducible_p, gf_mul, gf_rem
 
 from ppforge.errors import FieldError
-from ppforge.field import divisors, is_prime, make_field, parse_field
+from ppforge.field import VECTOR_MAX_Q, divisors, is_prime, make_field, parse_field
 
 
 # --- test-local oracle: exhaustive irreducibility by trial division ---------
@@ -217,3 +221,72 @@ def test_divisors():
     assert divisors(1) == [1]
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(26) == [1, 2, 13, 26]
+
+
+# --- every arithmetic tier against digit arithmetic and sympy --------------
+# One field per tier: nested lists (343), q x q numpy tables (1024), exp/log
+# lists (2187, 63001, 65536) and digit arithmetic beyond the tables (177147).
+
+TIER_FIELDS = [(7, 3), (2, 10), (3, 7), (251, 2), (2, 16), (3, 11)]
+
+
+def _pow_ref(fld, a, e):
+    result, base = 1, a
+    while e:
+        if e & 1:
+            result = fld._mul_slow(result, base)
+        base = fld._mul_slow(base, base)
+        e >>= 1
+    return result
+
+
+def _gf(fld, a):
+    """sympy's dense form: big-endian coefficient list."""
+    return list(reversed(fld.coeffs(a)))
+
+
+def _from_gf(fld, poly):
+    return fld.element([int(c) for c in reversed(poly)])
+
+
+@pytest.mark.parametrize("p,n", TIER_FIELDS)
+def test_arithmetic_tiers_match_references(p, n):
+    fld = make_field(p, n)
+    q = fld.q
+    mod = list(reversed(fld.modulus))
+    assert gf_irreducible_p(mod, p, ZZ)
+    rng = random.Random(q)
+    ds = divisors(q - 1)
+    pairs = [(0, 0), (0, 1), (1, 0), (q - 1, 0)]
+    pairs += [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
+    for a, b in pairs:
+        ab = fld._mul_slow(a, b)
+        assert fld.mul(a, b) == ab == _from_gf(fld, gf_rem(gf_mul(_gf(fld, a), _gf(fld, b), p, ZZ), mod, p, ZZ))
+        assert fld.add(a, b) == fld._add_slow(a, b) == _from_gf(fld, gf_add(_gf(fld, a), _gf(fld, b), p, ZZ))
+        e = rng.randrange(3 * q)
+        assert fld.pow(a, e) == _pow_ref(fld, a, e)
+        assert fld.pow(a, 0) == 1
+        if a:
+            assert fld._mul_slow(a, fld.inv(a)) == 1
+            d = rng.choice(ds)
+            assert fld.is_dth_power(a, d) == (_pow_ref(fld, a, (q - 1) // d) == 1)
+
+
+@pytest.mark.parametrize("p,n", [pn for pn in TIER_FIELDS if pn[0] ** pn[1] <= VECTOR_MAX_Q])
+def test_exp_table_matches_sequential_walk(p, n):
+    fld = make_field(p, n)
+    omega = fld.primitive_element()
+    walk, cur = [], 1
+    for _ in range(fld.q - 1):
+        walk.append(cur)
+        cur = fld._mul_slow(cur, omega)
+    assert cur == 1
+    assert fld.tables().exp.tolist() == walk
+
+
+@pytest.mark.parametrize("p,n,omega", [(7, 3, 22), (2, 10, 2), (3, 7, 5), (251, 2, 256), (2, 16, 3)])
+def test_primitive_element_tier_fields(p, n, omega):
+    fld = make_field(p, n)
+    assert fld.primitive_element() == omega
+    assert fld.multiplicative_order(omega) == fld.q - 1
+    assert all(fld.multiplicative_order(a) < fld.q - 1 for a in range(1, omega))
