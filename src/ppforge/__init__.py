@@ -15,8 +15,9 @@ from .cyclotomic import (HermiteFamily, HermiteParams, Theorem1Params,
                          cofactor_of, fhat_on_mu_d, hermite_family,
                          lemma_check, theorem1_check, theorem1_generate,
                          theorem1_poly)
-from .errors import (FieldError, OracleBoundError, PPForgeError,
-                     PolyParseError, ScopeError, UnknownSuiteError)
+from .errors import (ExpansionTooLargeError, FieldError, OracleBoundError,
+                     PPForgeError, PolyParseError, ScopeError,
+                     UnknownSuiteError)
 from .field import Field, divisors, is_prime, make_field, parse_field
 from .oracle import (DEFAULT_MAX_Q, SAMPLE_SEED, SUITE_NAMES,
                      EquivalenceReport, is_permutation, run_equivalence_suite,

@@ -9,6 +9,10 @@ class FieldError(PPForgeError, ValueError):
     """Bad field parameters or an invalid element/coefficient."""
 
 
+class ExpansionTooLargeError(FieldError):
+    """A dense expansion that would exceed the expansion guard."""
+
+
 class PolyParseError(PPForgeError, ValueError):
     """Polynomial or field text that does not match the grammar."""
 

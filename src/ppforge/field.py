@@ -19,10 +19,12 @@ Arithmetic has four tiers, chosen by q:
   q <= VECTOR_MAX_Q        exp/log and digit columns; scalar mul is one
                            exp/log lookup;
   beyond                   digit-vector arithmetic only (_add_slow, _mul_slow).
-On every table field, inv and pow are single exp/log lookups.
+On every table field, inv and pow are single exp/log lookups; above the
+nested-list tier, scalar add in characteristic 2 is XOR of the indices.
 """
 
 import functools
+from itertools import compress
 
 import numpy as np
 
@@ -256,6 +258,8 @@ class Field:
         t = self._add_list
         if t is not None:
             return t[a][b]
+        if self.p == 2:
+            return a ^ b
         return self._add_slow(a, b)
 
     def _add_slow(self, a, b):
@@ -482,12 +486,14 @@ class FieldTables:
 
     Always present (q <= 2^16): base-p digit matrix, exp/log for the cyclic
     group F_q^*, and the negation column.  For q <= TABLE_MAX_Q the
-    full q x q addition and multiplication tables are also materialized.
-    All arrays are exact integer data; callers must not mutate them.
+    full q x q addition and multiplication tables are also materialized;
+    above it, odd p gets the packed digit encoding `spread` that eval_col
+    sums in.  All arrays are exact integer data; callers must not mutate
+    them.
     """
 
     __slots__ = ("field", "q", "digits", "pvec", "exp", "log", "neg_col",
-                 "add", "mul", "addf", "mulf", "_pow_cache")
+                 "add", "mul", "addf", "mulf", "spread", "_pow_cache")
 
     def __init__(self, field: Field):
         q, p, n = field.q, field.p, field.n
@@ -527,21 +533,29 @@ class FieldTables:
             self.mulf = mul.reshape(-1)
         else:
             self.add = self.mul = self.addf = self.mulf = None
+        self.spread = None
+        if self.addf is None and p > 2:
+            # spread[x] = sum_i digit_i(x) * 2^(b*i): a sum of such words adds
+            # the digits of its terms slot by slot, without carries while each
+            # slot stays below 2^b
+            self.spread = self.digits @ (1 << (_spread_bits(n) * np.arange(n, dtype=np.int64)))
         self._pow_cache: dict = {}
 
     # -- column helpers ------------------------------------------------------
 
     def pow_col(self, e: int) -> np.ndarray:
-        """Values a^e for every a, exact for any e >= 0; cached per exponent."""
+        """Values a^e for every a, exact for any e >= 0.  Cached per exponent
+        on fields with q x q tables only, so the cache never outgrows them."""
         if e == 0:
             return np.ones(self.q, dtype=np.int64)
         q = self.q
         re = (e - 1) % (q - 1) + 1
         col = self._pow_cache.get(re)
         if col is None:
-            col = self.exp[(self.log * re) % (q - 1)].copy()
+            col = self.exp[(self.log * re) % (q - 1)]
             col[0] = 0
-            self._pow_cache[re] = col
+            if self.mulf is not None:
+                self._pow_cache[re] = col
         return col
 
     def mul_cols(self, x, y) -> np.ndarray:
@@ -576,19 +590,49 @@ class FieldTables:
     def eval_col(self, coeffs) -> np.ndarray:
         """Value table of the dense polynomial with the given index coefficients.
 
-        Exact: each monomial is evaluated through exp/log power columns and the
-        terms are accumulated digit-wise mod p.
+        Exact.  Only the nonzero coefficients are visited; each term is c
+        times an exp/log power column.  The terms are summed through the add
+        table where there is one, by XOR of indices in characteristic 2, and
+        otherwise in the packed `spread` encoding, reduced mod p digit-wise
+        once at the end (and whenever another term could overflow a slot).
         """
         q = self.q
-        acc = None
-        for e, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            term = self.scalar_mul(c, self.pow_col(e))
-            if acc is None:
-                acc = self.digits[term].astype(np.int64)
-            else:
-                acc += self.digits[term]
-        if acc is None:
+        terms = (self.scalar_mul(coeffs[e], self.pow_col(e))
+                 for e in compress(range(len(coeffs)), coeffs))
+        first = next(terms, None)
+        if first is None:
             return np.zeros(q, dtype=np.int64)
-        return (acc % self.field.p) @ self.pvec
+        if self.addf is not None:
+            acc = first
+            for term in terms:
+                acc = self.addf[acc * q + term]
+            return acc.astype(np.int64)  # a copy: `first` may be a cached column
+        if self.spread is None:  # p = 2: addition is XOR of the indices
+            acc = first.copy()
+            for term in terms:
+                acc ^= term
+            return acc
+        spread = self.spread
+        # terms a slot can hold: each adds a digit of at most p-1
+        room = ((1 << _spread_bits(self.field.n)) - 1) // (self.field.p - 1)
+        acc = spread[first]
+        held = 1
+        for term in terms:
+            if held == room:
+                acc = spread[self._unspread(acc)]
+                held = 1
+            acc += spread[term]
+            held += 1
+        return self._unspread(acc)
+
+    def _unspread(self, packed: np.ndarray) -> np.ndarray:
+        """Indices whose digits are the packed slot sums reduced mod p."""
+        n = self.field.n
+        b = _spread_bits(n)
+        slots = (packed[:, None] >> (b * np.arange(n, dtype=np.int64))) & ((1 << b) - 1)
+        return (slots % self.field.p) @ self.pvec
+
+
+def _spread_bits(n: int) -> int:
+    """Bits per digit slot of the packed encoding: n slots fill 63 bits."""
+    return 63 // n

@@ -15,8 +15,9 @@ integer index of a field element.  Whitespace is ignored everywhere.
 
 import re
 from dataclasses import dataclass
+from itertools import compress
 
-from .errors import FieldError, PolyParseError, ScopeError
+from .errors import ExpansionTooLargeError, FieldError, PolyParseError, ScopeError
 from .field import Field
 
 # expansion guard: refuse composed/substituted polynomials beyond this length
@@ -31,9 +32,9 @@ class FqPoly:
     def __init__(self, field: Field, coeffs=()):
         cs = list(coeffs)
         q = field.q
-        for c in cs:
-            if not 0 <= c < q:
-                raise FieldError(f"coefficient {c} out of range for q={q}")
+        if cs and (min(cs) < 0 or max(cs) >= q):
+            bad = next(c for c in cs if not 0 <= c < q)
+            raise FieldError(f"coefficient {bad} out of range for q={q}")
         while cs and cs[-1] == 0:
             cs.pop()
         self.field = field
@@ -146,10 +147,9 @@ class FqPoly:
             return self
         length = (len(self.coeffs) - 1) * m + 1
         if length > _MAX_DENSE_LEN:
-            raise FieldError("substituted polynomial too large to expand")
+            raise ExpansionTooLargeError("substituted polynomial too large to expand")
         out = [0] * length
-        for e, c in enumerate(self.coeffs):
-            out[e * m] = c
+        out[::m] = self.coeffs
         return FqPoly(self.field, out)
 
     def compose(self, inner: "FqPoly"):
@@ -159,7 +159,7 @@ class FqPoly:
         for c in reversed(self.coeffs):
             acc = acc * inner + FqPoly.constant(f, c)
             if len(acc.coeffs) > _MAX_DENSE_LEN:
-                raise FieldError("composition too large to expand")
+                raise ExpansionTooLargeError("composition too large to expand")
         return acc
 
     def divmod(self, other: "FqPoly"):
@@ -184,19 +184,18 @@ class FqPoly:
 
         Exponents e > 0 map to ((e-1) mod (q-1)) + 1, never to 0, so the
         behaviour at x = 0 is preserved (x^(q-1) and 1 differ there);
-        exponent 0 is kept.  Like terms are merged.
+        exponent 0 is kept.  Like terms are merged.  Below degree q this is
+        the identity, so the polynomial itself is returned.
         """
-        q = self.field.q
-        acc: dict[int, int] = {}
-        f = self.field
-        for e, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            re = 0 if e == 0 else (e - 1) % (q - 1) + 1
-            prev = acc.get(re, 0)
-            acc[re] = f.add(prev, c)
-        deg = max((e for e, c in acc.items() if c), default=-1)
-        return FqPoly(f, [acc.get(e, 0) for e in range(deg + 1)])
+        f, cs = self.field, self.coeffs
+        q = f.q
+        if len(cs) <= q:
+            return self
+        out = list(cs[:q])
+        for e in compress(range(q, len(cs)), cs[q:]):
+            re = (e - 1) % (q - 1) + 1
+            out[re] = f.add(out[re], cs[e])
+        return FqPoly(f, out)
 
 
 class AdditivePoly:
@@ -353,18 +352,21 @@ def parse_poly(field: Field, text: str) -> FqPoly:
     deg = max((e for e, c in acc.items() if c), default=-1)
     if deg + 1 > _MAX_DENSE_LEN:
         raise PolyParseError("polynomial too large")
-    return FqPoly(field, [acc.get(e, 0) for e in range(deg + 1)])
+    out = [0] * (deg + 1)
+    for e, c in acc.items():
+        if c:
+            out[e] = c
+    return FqPoly(field, out)
 
 
 def format_poly(f: FqPoly) -> str:
     """Canonical text form: descending exponents, '*' products, no spaces."""
     if f.is_zero():
         return "0"
+    cs = f.coeffs
     terms = []
-    for e in range(f.degree, -1, -1):
-        c = f.coeffs[e]
-        if not c:
-            continue
+    for e in compress(range(len(cs) - 1, -1, -1), reversed(cs)):
+        c = cs[e]
         if e == 0:
             terms.append(str(c))
         else:

@@ -92,6 +92,19 @@ def test_check_theorem1_scope_error(capsys):
     assert code == 2 and "scope" in err
 
 
+def test_check_beyond_expansion_guard_answers(capsys):
+    # (q-1)/d is about 3e17, far past the expansion guard; the conditions do
+    # not need the polynomial, so the check still answers
+    for argv in (("theorem1", "--d", "3", "--u", "1", "--k", "0", "--b", "1"),
+                 ("lemma", "--d", "3", "--u", "1", "--h", "x+1")):
+        code, out, err = run_cli(capsys, "check", argv[0], "1000003^3", *argv[1:], "--oracle")
+        rec = json_lines(out)[0]
+        assert code == 0, err
+        assert rec["verdict"] is True and all(c["holds"] for c in rec["conditions"])
+        assert rec["polynomial"] is None and rec["oracle"] == "skipped"
+        assert "too large to expand" in rec["note"]
+
+
 def test_check_lemma(capsys):
     code, out, _ = run_cli(capsys, "check", "lemma", "7",
                            "--d", "2", "--u", "1", "--h", "x+3", "--oracle")

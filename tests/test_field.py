@@ -2,12 +2,14 @@
 
 import random
 
+import numpy as np
 import pytest
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_irreducible_p, gf_mul, gf_rem
 
 from ppforge.errors import FieldError
-from ppforge.field import VECTOR_MAX_Q, divisors, is_prime, make_field, parse_field
+from ppforge.field import (TABLE_MAX_Q, VECTOR_MAX_Q, divisors, is_prime, make_field,
+                           parse_field)
 
 
 # --- test-local oracle: exhaustive irreducibility by trial division ---------
@@ -290,3 +292,44 @@ def test_primitive_element_tier_fields(p, n, omega):
     assert fld.primitive_element() == omega
     assert fld.multiplicative_order(omega) == fld.q - 1
     assert all(fld.multiplicative_order(a) < fld.q - 1 for a in range(1, omega))
+
+
+# --- eval_col: sparse terms, summed per tier (add table, XOR, packed digits) --
+
+EVAL_FIELDS = [(7, 3), (2, 10), (3, 7), (251, 2), (2, 16), (4099, 1)]
+
+
+def _eval_ref(fld, coeffs, a):
+    """sum c * a^e in scalar Field arithmetic (pinned above per tier)."""
+    acc = 0
+    for e, c in coeffs:
+        acc = fld.add(acc, fld.mul(c, fld.pow(a, e)))
+    return acc
+
+
+@pytest.mark.parametrize("p,n", EVAL_FIELDS)
+def test_eval_col_matches_scalar_sum(p, n):
+    fld = make_field(p, n)
+    q = fld.q
+    T = fld.tables()
+    rng = random.Random(f"eval_col/{q}")
+    points = [0, 1] + [rng.randrange(q) for _ in range(254)]
+
+    def sparse(length, count):
+        cs = [0] * length
+        for _ in range(count):
+            cs[rng.randrange(length)] = rng.randrange(1, q)
+        return tuple(cs)
+
+    polys = [(), (rng.randrange(1, q),), sparse(3 * q, 6), sparse(q + 7, 2) + (1,)]
+    if (p, n) == (3, 7):
+        # past the 255 terms a packed slot holds; at a = 1 every term is q-1,
+        # whose digits are all p-1, so skipping renormalisation would carry
+        polys += [sparse(q, 400), (q - 1,) * 400]
+    for cs in polys:
+        col = T.eval_col(cs)
+        assert col.dtype == np.int64 and col.shape == (q,)
+        terms = [(e, c) for e, c in enumerate(cs) if c]
+        assert [int(col[a]) for a in points] == [_eval_ref(fld, terms, a) for a in points]
+    if q > TABLE_MAX_Q:
+        assert not T._pow_cache

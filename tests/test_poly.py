@@ -3,10 +3,13 @@ the all-ones family, the trace, and the text grammar."""
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ppforge.errors import FieldError, PolyParseError, ScopeError
 from ppforge.field import divisors, make_field
+from ppforge.oracle import value_table
 from ppforge.poly import (AdditivePoly, CyclotomicForm, FqPoly,
                           additive_commutes, expand_cyclotomic, format_poly,
                           h_d_poly, parse_additive, parse_poly, to_additive,
@@ -198,3 +201,30 @@ def test_format_examples():
     assert format_poly(FqPoly.zero(F7)) == "0"
     assert format_poly(FqPoly.monomial(F7, 1, 5)) == "x^5"
     assert format_poly(FqPoly.constant(F7, 4)) == "4"
+
+
+PROPERTY_FIELDS = [F7, F9, make_field(2, 10), make_field(3, 7), make_field(251, 2)]
+
+
+@st.composite
+def sparse_polys(draw):
+    """Up to 6 terms with exponents up to 3q, so most are unreduced."""
+    fld = draw(st.sampled_from(PROPERTY_FIELDS))
+    terms = draw(st.dictionaries(st.integers(0, 3 * fld.q), st.integers(0, fld.q - 1),
+                                 max_size=6))
+    cs = [0] * (max(terms, default=-1) + 1)
+    for e, c in terms.items():
+        cs[e] = c
+    return FqPoly(fld, cs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_polys())
+def test_sparse_poly_properties(f):
+    assert parse_poly(f.field, format_poly(f)) == f
+    g = f.reduce_exponents()
+    assert g.degree < f.field.q
+    vals = value_table(f)
+    assert np.array_equal(vals, value_table(g))
+    # eval_col reduces exponents itself, through its power columns
+    assert np.array_equal(vals, f.field.tables().eval_col(f.coeffs))
