@@ -4,7 +4,8 @@ checks, family generation, and the self-test harness.
 Output is line-delimited JSON with a schema_version tag; --pretty switches
 to a human-readable rendering.  Exit codes: 0 success, 2 usage/parse/scope
 error, 3 expectation mismatch.  The brute-force bound resolves as CLI flag
-> PPFORGE_MAX_Q environment variable > 65536.
+> PPFORGE_MAX_Q environment variable > oracle.DEFAULT_MAX_Q (the vectorized
+bound field.VECTOR_MAX_Q = 2^16).
 """
 
 import argparse
@@ -42,7 +43,12 @@ def _resolve_max_q(args) -> int:
     if getattr(args, "max_q", None) is not None:
         return args.max_q
     env = os.environ.get("PPFORGE_MAX_Q")
-    return int(env) if env else DEFAULT_MAX_Q
+    if not env:
+        return DEFAULT_MAX_Q
+    try:
+        return int(env)
+    except ValueError:
+        raise PPForgeError(f"PPFORGE_MAX_Q={env!r} is not an integer") from None
 
 
 def _record(fld: Field, construction: str, parameters: dict,
@@ -320,10 +326,13 @@ def cmd_selftest(args) -> int:
 def _parse_range(text: str):
     """"N" or "A..B" (inclusive)."""
     s = str(text)
-    if ".." in s:
-        lo, hi = s.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    return (int(s),)
+    try:
+        if ".." in s:
+            lo, hi = s.split("..", 1)
+            return range(int(lo), int(hi) + 1)
+        return (int(s),)
+    except ValueError:
+        raise PPForgeError(f'range {s!r} is not "N" or "A..B"') from None
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,10 @@ from .cyclotomic import (HermiteParams, Theorem1Params, _g_and_g1,
                          hermite_family, lemma_check, theorem1_check)
 from .errors import OracleBoundError, UnknownSuiteError
 from .field import VECTOR_MAX_Q, Field, divisors, parse_field
-from .poly import (AdditivePoly, CyclotomicForm, FqPoly, h_d_poly, trace_poly)
+from .poly import (AdditivePoly, CyclotomicForm, FqPoly, additive_commutes, h_d_poly,
+                   trace_poly)
 
-DEFAULT_MAX_Q = 65536
+DEFAULT_MAX_Q = VECTOR_MAX_Q
 SAMPLE_SEED = 1009
 
 
@@ -46,14 +47,17 @@ def value_table(f: FqPoly) -> np.ndarray:
     return np.fromiter((f.eval(a) for a in fld.elements()), dtype=np.int64, count=fld.q)
 
 
+def _perm_col(vals: np.ndarray, q: int) -> bool:
+    return bool(np.bincount(vals, minlength=q).max() == 1)
+
+
 def is_permutation(f: FqPoly, *, max_q: int = DEFAULT_MAX_Q) -> bool:
     """Brute force: true iff the value table has q distinct entries."""
     q = f.field.q
     if q > max_q:
         raise OracleBoundError(f"q={q} exceeds the brute-force bound {max_q}")
     if q <= VECTOR_MAX_Q:
-        vals = value_table(f)
-        return bool(np.bincount(vals, minlength=q).max() == 1)
+        return _perm_col(value_table(f), q)
     seen = set()
     for a in f.field.elements():
         v = f.eval(a)
@@ -61,10 +65,6 @@ def is_permutation(f: FqPoly, *, max_q: int = DEFAULT_MAX_Q) -> bool:
             return False
         seen.add(v)
     return True
-
-
-def _perm_col(vals: np.ndarray, q: int) -> bool:
-    return bool(np.bincount(vals, minlength=q).max() == 1)
 
 
 def _perm_mask_rows(vals: np.ndarray, q: int) -> np.ndarray:
@@ -208,335 +208,254 @@ def example_h_corpus(fld: Field, seed, count: int = 10) -> list:
 
 
 # ---------------------------------------------------------------------------
-# suite runners
-
-def _oracle_ready(fld: Field, max_q: int) -> bool:
-    return fld.q <= max_q and fld.q <= VECTOR_MAX_Q
-
+# suites
+#
+# A suite is a generator cases(fld, seed, T, **options) that walks its grid
+# on one field.  T is the field's tables, or None beyond the brute-force
+# bound.  It yields (construction, params, verdict, truth): a tuple named
+# after the suite is one case, with truth the oracle's verdict (None beyond
+# the bound); any other name is a structural invariant, yielded with the
+# orientation (theorem_verdict, oracle_verdict) of the record it makes when
+# the two differ.  Counting, comparing and recording belong to the driver.
 
 def _additive_col(T, X: AdditivePoly) -> np.ndarray:
     return T.eval_col(X.expand().reduce_exponents().coeffs)
 
 
-def _run_lemma(fld, seed, max_q, rep, h_corpus=None):
+def _lemma_cases(fld, seed, T, h_corpus=None):
     q = fld.q
-    use_oracle = _oracle_ready(fld, max_q)
-    T = fld.tables() if use_oracle else None
     for d in divisors(q - 1):
         hs = h_corpus if h_corpus is not None else lemma_h_corpus(fld, d, seed)
         m = (q - 1) // d
         for hpos, h in enumerate(hs):
-            w = T.eval_col(h.substituted_power(m).reduce_exponents().coeffs) if use_oracle else None
+            h_text = h.text()
+            w = None if T is None else T.eval_col(h.substituted_power(m).reduce_exponents().coeffs)
             for u in range(1, q):
                 verdict = lemma_check(CyclotomicForm(u, d, h)).verdict
-                rep.cases_run += 1
-                if not use_oracle:
-                    rep.oracle_skipped += 1
-                    continue
-                vals = T.mul_cols(T.pow_col(u), w)
-                otrue = _perm_col(vals, q)
-                if verdict != otrue:
-                    rep.record(fld, "lemma",
-                               {"d": d, "u": u, "h": h.text(), "h_pos": hpos},
-                               verdict, otrue)
+                truth = None if T is None else _perm_col(T.mul_cols(T.pow_col(u), w), q)
+                yield "lemma", {"d": d, "u": u, "h": h_text, "h_pos": hpos}, verdict, truth
 
 
-def _run_theorem1(fld, seed, max_q, rep, g0s=None):
+def _theorem1_cases(fld, seed, T, g0s=None):
     q = fld.q
-    ds = [d for d in divisors(q - 1) if d > 2]
-    if not ds:
-        rep.skipped_fields.append(fld.designation())
-        return
     if g0s is None:
         g0s = theorem1_g0_corpus(fld, seed)
-    use_oracle = _oracle_ready(fld, max_q)
-    T = fld.tables() if use_oracle else None
     b_all = np.arange(q, dtype=np.int64)
-    for d in ds:
+    for d in (d for d in divisors(q - 1) if d > 2):
         m = (q - 1) // d
         mu_not1 = np.array(fld.mu_d(d)[1:], dtype=np.int64)
-        powm = T.pow_col(m) if use_oracle else None
+        powm = None if T is None else T.pow_col(m)
         for g0pos, g0 in enumerate(g0s):
+            g0_text = g0.text()
             g, _ = _g_and_g1(fld, d, g0)
-            if use_oracle:
+            if T is not None:
                 w = T.eval_col(g.substituted_power(m).reduce_exponents().coeffs)
-                g_mu = T.eval_col(g.coeffs)[mu_not1] if len(mu_not1) else None
+                g_mu = T.eval_col(g.coeffs)[mu_not1]
             for u in range(1, q):
-                if use_oracle:
+                if T is not None:
                     powu = T.pow_col(u)
                     v2 = T.mul_cols(powu, w)
-                    powu_mu = powu[mu_not1] if len(mu_not1) else None
                 for k in range(d):
-                    if not use_oracle:
-                        for b in range(q):
-                            theorem1_check(Theorem1Params(d, u, k, b, g0))
-                        rep.cases_run += q
-                        rep.oracle_skipped += q
-                        continue
-                    e1 = u + k * m
-                    v1 = T.pow_col(e1)
-                    vals = T.add_cols(T.mul_cols(b_all[:, None], v1[None, :]), v2[None, :])
-                    perm = _perm_mask_rows(vals, q)
-                    for b in range(q):
+                    truths = [None] * q
+                    if T is not None:
+                        v1 = T.pow_col(u + k * m)
+                        truths = _perm_mask_rows(
+                            T.add_cols(T.mul_cols(b_all[:, None], v1[None, :]), v2[None, :]),
+                            q).tolist()
+                    for b, truth in enumerate(truths):
                         verdict = theorem1_check(Theorem1Params(d, u, k, b, g0)).verdict
-                        if verdict != bool(perm[b]):
-                            rep.record(fld, "theorem1",
-                                       {"d": d, "u": u, "k": k, "b": b,
-                                        "g0": g0.text(), "g0_pos": g0pos},
-                                       verdict, bool(perm[b]))
-                    rep.cases_run += q
+                        yield ("theorem1",
+                               {"d": d, "u": u, "k": k, "b": b, "g0": g0_text, "g0_pos": g0pos},
+                               verdict, truth)
+                    if T is None:
+                        continue
                     # induced map collapses to b^((q-1)/d) * z^(u+k(q-1)/d)
-                    # away from 1; verify the law on the whole grid
-                    if len(mu_not1):
-                        powk_mu = T.pow_col(k)[mu_not1]
-                        inner = T.add_cols(T.mul_cols(b_all[1:, None], powk_mu[None, :]),
-                                           g_mu[None, :])
-                        lhs = T.mul_cols(powu_mu[None, :], powm[inner])
-                        rhs = T.mul_cols(powm[b_all[1:, None]], v1[mu_not1][None, :])
-                        if not np.array_equal(lhs, rhs):
-                            bad_b, bad_z = np.argwhere(lhs != rhs)[0]
-                            rep.record(fld, "fhat_monomial_law",
-                                       {"d": d, "u": u, "k": k,
-                                        "b": int(bad_b) + 1,
-                                        "zeta": int(mu_not1[bad_z]),
-                                        "g0": g0.text()},
-                                       True, False)
+                    # away from 1; verify the law on the whole grid, yielding
+                    # only a broken law since its witness costs a search
+                    inner = T.add_cols(T.mul_cols(b_all[1:, None], T.pow_col(k)[mu_not1][None, :]),
+                                       g_mu[None, :])
+                    lhs = T.mul_cols(powu[mu_not1][None, :], powm[inner])
+                    rhs = T.mul_cols(powm[b_all[1:, None]], v1[mu_not1][None, :])
+                    if not np.array_equal(lhs, rhs):
+                        bad_b, bad_z = np.argwhere(lhs != rhs)[0]
+                        yield ("fhat_monomial_law",
+                               {"d": d, "u": u, "k": k, "b": int(bad_b) + 1,
+                                "zeta": int(mu_not1[bad_z]), "g0": g0_text},
+                               True, False)
 
 
-def _run_proposition(fld, seed, max_q, rep):
+class _AdditiveCache:
+    """Caches shared by the proposition and corollary2 suites.
+
+    col(X) is the value column of an additive polynomial.  g_on_image(B, g,
+    image) returns, once per (B, g), g on im B as a dict for the criteria
+    and, within the oracle bound, the column g(B(x)) for the oracle.
+    """
+
+    def __init__(self, T):
+        self.T = T
+        self._cols = {}
+        self._g = {}
+
+    def col(self, X: AdditivePoly) -> np.ndarray:
+        c = self._cols.get(X)
+        if c is None:
+            c = self._cols[X] = _additive_col(self.T, X)
+        return c
+
+    def commutes(self, A: AdditivePoly, B: AdditivePoly) -> bool:
+        if self.T is None:
+            return additive_commutes(A, B)
+        ca, cb = self.col(A), self.col(B)
+        return np.array_equal(ca[cb], cb[ca])
+
+    def g_on_image(self, B: AdditivePoly, g: FqPoly, image) -> tuple:
+        hit = self._g.get((B, g))
+        if hit is None:
+            gi = {gamma: g.eval(gamma) for gamma in image}
+            gcol = None
+            if self.T is not None:
+                lut = np.zeros(self.T.q, dtype=np.int64)
+                lut[list(gi)] = list(gi.values())
+                gcol = lut[self.col(B)]
+            hit = self._g[(B, g)] = gi, gcol
+        return hit
+
+
+def _proposition_cases(fld, seed, T):
     q = fld.q
-    use_oracle = _oracle_ready(fld, max_q)
-    T = fld.tables() if use_oracle else None
     As = additive_poly_corpus(fld, seed)
     gs = arbitrary_g_corpus(fld, seed)
-    acols = {A: _additive_col(T, A) for A in As} if use_oracle else {}
+    a_texts = [A.expand().text() for A in As]
+    g_texts = [g.text() for g in gs]
+    cache = _AdditiveCache(T)
     for bpos, B in enumerate(As):
-        bcol = acols[B] if use_oracle else None
-        gi_by_g: dict = {}
-        gcol_by_g: dict = {}
-        pos = None
-        checked_rank = False
         for apos, A in enumerate(As):
             data = subgroup_data(A, B)
             data_swap = subgroup_data(A, B, preimage="greatest")
-            if not checked_rank:
-                checked_rank = True
-                if len(data.kernel) * len(data.image) != q:
-                    rep.record(fld, "rank_nullity",
-                               {"B": B.expand().text(), "kernel": len(data.kernel),
-                                "image": len(data.image)}, True, False)
-            if use_oracle and pos is None:
-                im_arr = np.array(data.image, dtype=np.int64)
-                pos = np.zeros(q, dtype=np.int64)
-                pos[im_arr] = np.arange(len(data.image), dtype=np.int64)
+            if apos == 0:
+                yield ("rank_nullity",
+                       {"B": a_texts[bpos], "kernel": len(data.kernel), "image": len(data.image)},
+                       True, len(data.kernel) * len(data.image) == q)
             for gpos, g in enumerate(gs):
-                gi = gi_by_g.get(g)
-                if gi is None:
-                    gi = {gamma: g.eval(gamma) for gamma in data.image}
-                    gi_by_g[g] = gi
+                gi, gcol = cache.g_on_image(B, g, data.image)
                 tr = AdditiveTriple(A, B, g)
-                rpt = proposition_check(tr, data=data, g_on_image=gi)
-                rpt_swap = proposition_check(tr, data=data_swap, g_on_image=gi)
-                rep.cases_run += 1
+                verdict = proposition_check(tr, data=data, g_on_image=gi).verdict
+                swapped = proposition_check(tr, data=data_swap, g_on_image=gi).verdict
                 params = {"A_pos": apos, "B_pos": bpos, "g_pos": gpos,
-                          "A": A.expand().text(), "B": B.expand().text(),
-                          "g": g.text()}
-                if rpt_swap.verdict != rpt.verdict:
-                    rep.record(fld, "right_inverse_swap", params,
-                               rpt.verdict, rpt_swap.verdict)
-                if not use_oracle:
-                    rep.oracle_skipped += 1
-                    continue
-                gcol = gcol_by_g.get(g)
-                if gcol is None:
-                    g_im = np.array([gi[gamma] for gamma in data.image], dtype=np.int64)
-                    gcol = g_im[pos[bcol]]
-                    gcol_by_g[g] = gcol
-                fvals = T.add_cols(acols[A], gcol)
-                otrue = _perm_col(fvals, q)
-                if rpt.verdict != otrue:
-                    rep.record(fld, "proposition", params, rpt.verdict, otrue)
-                if otrue:
+                          "A": a_texts[apos], "B": a_texts[bpos], "g": g_texts[gpos]}
+                yield "right_inverse_swap", params, verdict, swapped
+                truth = None if T is None else _perm_col(T.add_cols(cache.col(A), gcol), q)
+                yield "proposition", params, verdict, truth
+                if truth:
                     nec = necessary_conditions_check(tr, data=data, g_on_image=gi)
-                    if not nec.verdict:
-                        rep.record(fld, "corollary1", params, nec.verdict, otrue)
+                    yield "corollary1", params, nec.verdict, truth
 
 
-def _run_corollary2(fld, seed, max_q, rep):
+def _corollary2_cases(fld, seed, T):
     q = fld.q
-    use_oracle = _oracle_ready(fld, max_q)
-    T = fld.tables() if use_oracle else None
     As = additive_poly_corpus(fld, seed)
     gs = arbitrary_g_corpus(fld, seed)
-    col_cache: dict = {}
-
-    def col(X):
-        c = col_cache.get(X)
-        if c is None:
-            c = _additive_col(T, X)
-            col_cache[X] = c
-        return c
-
-    from .poly import additive_commutes
-    pairs = []
-    for A in As:
-        for B in As:
-            if use_oracle:
-                ca, cb = col(A), col(B)
-                if np.array_equal(ca[cb], cb[ca]):
-                    pairs.append((A, B))
-            elif additive_commutes(A, B):
-                pairs.append((A, B))
-    tr_poly_b = trace_poly(fld)
+    cache = _AdditiveCache(T)
+    pairs = [(A, B) for A in As for B in As if cache.commutes(A, B)]
+    trace_b = trace_poly(fld)
     seen = set(pairs)
-    for A in prime_field_additive_corpus(fld):
-        if (A, tr_poly_b) not in seen:
-            pairs.append((A, tr_poly_b))
-
-    pos_by_B: dict = {}
-    gcol_by_Bg: dict = {}
-    gi_by_Bg: dict = {}
+    pairs += [(A, trace_b) for A in prime_field_additive_corpus(fld) if (A, trace_b) not in seen]
+    texts = {X: X.expand().text() for X in set(itertools.chain.from_iterable(pairs))}
+    g_texts = [g.text() for g in gs]
     for ppos, (A, B) in enumerate(pairs):
         data = subgroup_data(A, B)
-        bcol = col(B) if use_oracle else None
-        if use_oracle:
-            pos = pos_by_B.get(B)
-            if pos is None:
-                im_arr = np.array(data.image, dtype=np.int64)
-                pos = np.zeros(q, dtype=np.int64)
-                pos[im_arr] = np.arange(len(data.image), dtype=np.int64)
-                pos_by_B[B] = pos
         for gpos, g in enumerate(gs):
-            gi = gi_by_Bg.get((B, g))
-            if gi is None:
-                gi = {gamma: g.eval(gamma) for gamma in data.image}
-                gi_by_Bg[(B, g)] = gi
-            tr = AdditiveTriple(A, B, g)
-            rpt = commuting_criterion_check(tr, data=data, g_on_image=gi,
-                                            verified_commuting=True)
-            rep.cases_run += 1
-            if not use_oracle:
-                rep.oracle_skipped += 1
-                continue
-            gcol = gcol_by_Bg.get((B, g))
-            if gcol is None:
-                g_im = np.array([gi[gamma] for gamma in data.image], dtype=np.int64)
-                gcol = g_im[pos_by_B[B][bcol]]
-                gcol_by_Bg[(B, g)] = gcol
-            fvals = T.add_cols(col(A), gcol)
-            otrue = _perm_col(fvals, q)
-            if rpt.verdict != otrue:
-                rep.record(fld, "corollary2",
-                           {"pair_pos": ppos, "g_pos": gpos,
-                            "A": A.expand().text(), "B": B.expand().text(),
-                            "g": g.text()},
-                           rpt.verdict, otrue)
+            gi, gcol = cache.g_on_image(B, g, data.image)
+            rpt = commuting_criterion_check(AdditiveTriple(A, B, g), data=data,
+                                            g_on_image=gi, verified_commuting=True)
+            truth = None if T is None else _perm_col(T.add_cols(cache.col(A), gcol), q)
+            yield ("corollary2",
+                   {"pair_pos": ppos, "g_pos": gpos,
+                    "A": texts[A], "B": texts[B], "g": g_texts[gpos]},
+                   rpt.verdict, truth)
 
 
-def _run_trace_theorem(fld, seed, max_q, rep):
-    if fld.n == 1:
-        rep.skipped_fields.append(fld.designation())
-        return
+def _trace_theorem_cases(fld, seed, T):
     p, q = fld.p, fld.q
-    use_oracle = _oracle_ready(fld, max_q)
-    T = fld.tables() if use_oracle else None
     As = prime_field_additive_corpus(fld)
     hs = prime_coeff_poly_corpus(fld, 2)
     gs = trace_g_corpus(fld, seed)
-    if use_oracle:
+    h_texts = [h.text() for h in hs]
+    g_texts = [g.text() for g in gs]
+    if T is not None:
         bcol = _additive_col(T, trace_poly(fld))
-        gcolB = {g: np.array([g.eval(c) for c in range(p)], dtype=np.int64)[bcol]
-                 for g in gs}
+
+        def on_trace(f):  # the column f(B(x)); B(x) lies in F_p
+            return np.array([f.eval(c) for c in range(p)], dtype=np.int64)[bcol]
+
+        gcols = [on_trace(g) for g in gs]
     for apos, A in enumerate(As):
-        acol = _additive_col(T, A) if use_oracle else None
+        a_text = A.expand().text()
+        acol = None if T is None else _additive_col(T, A)
         for hpos, h in enumerate(hs):
-            if use_oracle:
-                hcolB = np.array([h.eval(c) for c in range(p)], dtype=np.int64)[bcol]
-                hacol = T.mul_cols(hcolB, acol)
+            hacol = None if T is None else T.mul_cols(on_trace(h), acol)
             for gpos, g in enumerate(gs):
-                rpt = trace_theorem_check(TraceTheoremParams(g, A, h))
-                rep.cases_run += 1
-                if not use_oracle:
-                    rep.oracle_skipped += 1
-                    continue
-                fvals = T.add_cols(gcolB[g], hacol)
-                otrue = _perm_col(fvals, q)
-                if rpt.verdict != otrue:
-                    rep.record(fld, "trace_theorem",
-                               {"A_pos": apos, "h_pos": hpos, "g_pos": gpos,
-                                "A": A.expand().text(), "h": h.text(), "g": g.text()},
-                               rpt.verdict, otrue)
+                verdict = trace_theorem_check(TraceTheoremParams(g, A, h)).verdict
+                truth = None if T is None else _perm_col(T.add_cols(gcols[gpos], hacol), q)
+                yield ("trace_theorem",
+                       {"A_pos": apos, "h_pos": hpos, "g_pos": gpos,
+                        "A": a_text, "h": h_texts[hpos], "g": g_texts[gpos]},
+                       verdict, truth)
 
 
-def _run_hermite(fld, seed, max_q, rep):
+def _hermite_cases(fld, seed, T):
     q = fld.q
-    if q % 2 == 0:
-        rep.skipped_fields.append(fld.designation())
-        return
-    use_oracle = _oracle_ready(fld, max_q)
-    T = fld.tables() if use_oracle else None
-    s = (q - 1) // 2
     good_coeffs = [a for a in fld.units() if fld.is_dth_power(fld.add(a, a), 2)]
     good_exps = [i for i in range(1, q) if math.gcd(i, q - 1) == 1]
-    if use_oracle:
-        sq_mask = np.asarray(T.pow_col(s)) == 1
+    if T is not None:
+        sq_mask = np.asarray(T.pow_col((q - 1) // 2)) == 1
         ns_mask = ~sq_mask
         ns_mask[0] = False
-    for a in good_coeffs:
-        for b in good_coeffs:
-            for i in good_exps:
-                for j in good_exps:
-                    fam = hermite_family(HermiteParams(fld, a, b, i, j))
-                    rep.cases_run += 1
-                    params = {"a": a, "b": b, "i": i, "j": j}
-                    if not fam.sufficient.verdict:
-                        rep.record(fld, "hermite_sufficient", params, True, False)
-                    if not use_oracle:
-                        rep.oracle_skipped += 1
-                        continue
-                    vals = T.eval_col(fam.poly.coeffs)
-                    if not _perm_col(vals, q):
-                        rep.record(fld, "hermite", params, True, False)
-                    on_sq = T.scalar_mul(fam.square_coeff, T.pow_col(i))
-                    on_ns = T.scalar_mul(fam.nonsquare_coeff, T.pow_col(j))
-                    piecewise = (vals[0] == 0
-                                 and np.array_equal(vals[sq_mask], on_sq[sq_mask])
-                                 and np.array_equal(vals[ns_mask], on_ns[ns_mask]))
-                    if not piecewise:
-                        rep.record(fld, "hermite_piecewise", params, True, False)
+    for a, b, i, j in itertools.product(good_coeffs, good_coeffs, good_exps, good_exps):
+        fam = hermite_family(HermiteParams(fld, a, b, i, j))
+        params = {"a": a, "b": b, "i": i, "j": j}
+        yield "hermite_sufficient", params, True, fam.sufficient.verdict
+        if T is None:
+            yield "hermite", params, True, None
+            continue
+        vals = T.eval_col(fam.poly.coeffs)
+        yield "hermite", params, True, _perm_col(vals, q)
+        on_sq = T.scalar_mul(fam.square_coeff, T.pow_col(i))
+        on_ns = T.scalar_mul(fam.nonsquare_coeff, T.pow_col(j))
+        piecewise = (vals[0] == 0
+                     and np.array_equal(vals[sq_mask], on_sq[sq_mask])
+                     and np.array_equal(vals[ns_mask], on_ns[ns_mask]))
+        yield "hermite_piecewise", params, True, piecewise
 
 
-def _run_example_family(fld, seed, max_q, rep):
-    if fld.n != 2 or fld.p == 2:
-        rep.skipped_fields.append(fld.designation())
-        return
-    q = fld.q
-    use_oracle = _oracle_ready(fld, max_q)
-    T = fld.tables() if use_oracle else None
+def _example_family_cases(fld, seed, T):
     for hpos, h in enumerate(example_h_corpus(fld, seed)):
         f = example_family(fld, h)
-        rep.cases_run += 1
         params = {"h": h.text(), "h_pos": hpos, "poly": f.text()}
-        if hpos == 0 and f.degree != 2 * fld.p:
-            rep.record(fld, "example_degree", params, True, False)
-        if not use_oracle:
-            rep.oracle_skipped += 1
-            continue
-        if not _perm_col(T.eval_col(f.coeffs), q):
-            rep.record(fld, "example_family", params, True, False)
+        if hpos == 0:
+            yield "example_degree", params, True, f.degree == 2 * fld.p
+        yield ("example_family", params, True,
+               None if T is None else _perm_col(T.eval_col(f.coeffs), fld.q))
 
 
-SUITE_RUNNERS = {
-    "lemma": _run_lemma,
-    "theorem1": _run_theorem1,
-    "proposition": _run_proposition,
-    "corollary2": _run_corollary2,
-    "trace_theorem": _run_trace_theorem,
-    "hermite": _run_hermite,
-    "example_family": _run_example_family,
+def _always(fld) -> bool:
+    return True
+
+
+# name -> (applies, cases): applies(fld) states the suite's hypotheses on
+# the field; fields where it is false are skipped and listed in the report
+SUITES = {
+    "lemma": (_always, _lemma_cases),
+    "theorem1": (lambda fld: any(d > 2 for d in divisors(fld.q - 1)), _theorem1_cases),
+    "proposition": (_always, _proposition_cases),
+    "corollary2": (_always, _corollary2_cases),
+    "trace_theorem": (lambda fld: fld.n > 1, _trace_theorem_cases),
+    "hermite": (lambda fld: fld.q % 2 == 1, _hermite_cases),
+    "example_family": (lambda fld: fld.n == 2 and fld.p != 2, _example_family_cases),
 }
 
-SUITE_NAMES = tuple(SUITE_RUNNERS)
+SUITE_NAMES = tuple(SUITES)
 
 DEFAULT_SUITE_FIELDS = {
     "lemma": ("2^2", "5", "7", "2^3", "3^2", "11", "13", "2^4", "5^2", "3^3"),
@@ -557,15 +476,15 @@ def run_equivalence_suite(suite: str, fields=None, seed=SAMPLE_SEED,
     objects or "p^n" strings.  Fields outside a suite's hypotheses are
     skipped and listed in the report.  Cases on fields beyond the
     brute-force bound are condition-checked only and counted in
-    oracle_skipped.  Keyword options are forwarded to the runner (e.g.
+    oracle_skipped.  Keyword options are forwarded to the suite (e.g.
     h_corpus for the lemma suite to restrict its h grid).
     """
     name = str(suite).replace("-", "_")
     if name == "example":
         name = "example_family"
-    runner = SUITE_RUNNERS.get(name)
-    if runner is None:
+    if name not in SUITES:
         raise UnknownSuiteError(f"unknown suite {suite!r}; known: {', '.join(SUITE_NAMES)}")
+    applies, cases = SUITES[name]
     if fields is None:
         fields = DEFAULT_SUITE_FIELDS[name]
     field_objs = [f if isinstance(f, Field) else parse_field(str(f)) for f in fields]
@@ -575,6 +494,17 @@ def run_equivalence_suite(suite: str, fields=None, seed=SAMPLE_SEED,
                             fields=[f.designation() for f in field_objs])
     t0 = time.perf_counter()
     for fld in field_objs:
-        runner(fld, seed, max_q, rep, **options)
+        if not applies(fld):
+            rep.skipped_fields.append(fld.designation())
+            continue
+        T = fld.tables() if fld.q <= min(max_q, VECTOR_MAX_Q) else None
+        for construction, params, verdict, truth in cases(fld, seed, T, **options):
+            if construction == name:
+                rep.cases_run += 1
+                if truth is None:
+                    rep.oracle_skipped += 1
+                    continue
+            if verdict != truth:
+                rep.record(fld, construction, params, verdict, truth)
     rep.elapsed = time.perf_counter() - t0
     return rep

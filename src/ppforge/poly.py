@@ -20,8 +20,15 @@ from itertools import compress
 from .errors import ExpansionTooLargeError, FieldError, PolyParseError, ScopeError
 from .field import Field
 
-# expansion guard: refuse composed/substituted polynomials beyond this length
+# expansion guard: refuse dense polynomials built by monomial, shift,
+# substitution or composition beyond this length
 _MAX_DENSE_LEN = 1_000_000
+
+
+def _check_dense_len(length: int):
+    if length > _MAX_DENSE_LEN:
+        raise ExpansionTooLargeError(
+            f"dense polynomial of length {length} too large to expand")
 
 
 class FqPoly:
@@ -60,7 +67,10 @@ class FqPoly:
 
     @classmethod
     def monomial(cls, field, c, e):
-        return cls(field, (0,) * e + (c,)) if c else cls(field)
+        if not c:
+            return cls(field)
+        _check_dense_len(e + 1)
+        return cls(field, (0,) * e + (c,))
 
     # -- basics ---------------------------------------------------------------
 
@@ -137,6 +147,7 @@ class FqPoly:
         """Multiply by x^k."""
         if not self.coeffs:
             return self
+        _check_dense_len(k + len(self.coeffs))
         return FqPoly(self.field, (0,) * k + self.coeffs)
 
     def substituted_power(self, m: int):
@@ -146,8 +157,7 @@ class FqPoly:
         if not self.coeffs:
             return self
         length = (len(self.coeffs) - 1) * m + 1
-        if length > _MAX_DENSE_LEN:
-            raise ExpansionTooLargeError("substituted polynomial too large to expand")
+        _check_dense_len(length)
         out = [0] * length
         out[::m] = self.coeffs
         return FqPoly(self.field, out)
@@ -158,8 +168,7 @@ class FqPoly:
         acc = FqPoly(f)
         for c in reversed(self.coeffs):
             acc = acc * inner + FqPoly.constant(f, c)
-            if len(acc.coeffs) > _MAX_DENSE_LEN:
-                raise ExpansionTooLargeError("composition too large to expand")
+            _check_dense_len(len(acc.coeffs))
         return acc
 
     def divmod(self, other: "FqPoly"):

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ppforge
 from ppforge.cli import main
 
@@ -103,6 +105,35 @@ def test_check_beyond_expansion_guard_answers(capsys):
         assert rec["verdict"] is True and all(c["holds"] for c in rec["conditions"])
         assert rec["polynomial"] is None and rec["oracle"] == "skipped"
         assert "too large to expand" in rec["note"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("lemma", "--d", "2", "--u", str(10 ** 12), "--h", "x"),
+    ("theorem1", "--d", "3", "--u", "1", "--k", str(10 ** 12), "--b", "1"),
+])
+def test_check_huge_exponent_hits_the_guard_before_allocating(capsys, argv):
+    code, out, err = run_cli(capsys, "check", argv[0], "7", *argv[1:], "--oracle")
+    rec = json_lines(out)[0]
+    assert code == 0, err
+    assert rec["polynomial"] is None and rec["oracle"] == "skipped"
+    assert "too large to expand" in rec["note"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("theorem1", "7", "--d", "3", "--u", "x"),
+    ("hermite", "7", "--i", "1.."),
+    ("hermite", "7", "--i", "..3"),
+])
+def test_generate_malformed_range_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, "generate", *argv)
+    assert code == 2 and out == ""
+    assert f"range {argv[-1]!r}" in err
+
+
+def test_malformed_max_q_environment_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("PPFORGE_MAX_Q", "abc")
+    code, _, err = run_cli(capsys, "verify", "7", "x")
+    assert code == 2 and "PPFORGE_MAX_Q='abc'" in err
 
 
 def test_check_lemma(capsys):

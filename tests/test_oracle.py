@@ -1,5 +1,5 @@
 """Brute-force oracle contract, its vector/scalar consistency, and the
-suite-runner machinery."""
+suite driver, including its power to catch a broken criterion."""
 
 import math
 import random
@@ -7,13 +7,15 @@ import random
 import numpy as np
 import pytest
 
+from ppforge import oracle
 from ppforge.cyclotomic import Theorem1Params, theorem1_poly
 from ppforge.errors import OracleBoundError, UnknownSuiteError
-from ppforge.field import divisors, make_field
-from ppforge.oracle import (additive_poly_corpus, is_permutation,
+from ppforge.field import VECTOR_MAX_Q, divisors, make_field
+from ppforge.oracle import (SUITE_NAMES, additive_poly_corpus, is_permutation,
                             lemma_h_corpus, run_equivalence_suite,
                             theorem1_g0_corpus, value_table)
 from ppforge.poly import FqPoly, additive_commutes, parse_poly
+from ppforge.report import ConditionReport
 
 F7 = make_field(7)
 F9 = make_field(3, 2)
@@ -119,11 +121,76 @@ def test_inapplicable_fields_are_skipped():
     assert rep3.skipped_fields == ["2^2"] and rep3.cases_run == 0
 
 
-def test_oracle_skipped_counting():
-    rep = run_equivalence_suite("lemma", fields=["7"], max_q=3,
-                                h_corpus=[FqPoly.one(F7)])
-    assert rep.oracle_skipped == rep.cases_run == len(divisors(6)) * 6
+# (suite, fields, options, fields outside the suite's hypotheses)
+SKIPPED_GRIDS = {
+    "lemma": (["7"], {"h_corpus": [FqPoly.one(F7)]}, []),
+    "theorem1": (["3", "7"], {}, ["3"]),
+    "proposition": (["5"], {}, []),
+    "corollary2": (["5"], {}, []),
+    "trace_theorem": (["5", "2^3"], {}, ["5"]),
+    "hermite": (["2^2", "7"], {}, ["2^2"]),
+    "example_family": (["7", "3^2"], {}, ["7"]),
+}
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_oracle_skipped_counting(suite):
+    fields, options, skipped = SKIPPED_GRIDS[suite]
+    rep = run_equivalence_suite(suite, fields=fields, max_q=3, **options)
+    assert rep.cases_run > 0
+    assert rep.oracle_skipped == rep.cases_run
+    assert rep.skipped_fields == skipped
     assert rep.passed()    # nothing to compare, nothing to disagree
+    if suite == "lemma":
+        assert rep.cases_run == len(divisors(6)) * 6
+
+
+def _dropping(criterion, index):
+    """The criterion with its index-th condition left out of the verdict."""
+    def mutant(*args, **kwargs):
+        report = criterion(*args, **kwargs)
+        return ConditionReport.build(
+            c for i, c in enumerate(report.conditions) if i != index)
+    return mutant
+
+
+# (suite, criterion, condition index, field); theorem1's b!=0 (index 2) is
+# left out on purpose, see test_theorem1_b_nonzero_is_covered_by_condition_4
+MUTANTS = (
+    [("lemma", "lemma_check", i, "7") for i in range(2)]
+    + [("theorem1", "theorem1_check", i, "7") for i in (0, 1, 3)]
+    + [("trace_theorem", "trace_theorem_check", i, "2^3") for i in range(3)]
+    + [("corollary2", "commuting_criterion_check", i, "2^2") for i in range(2)]
+    + [("proposition", "proposition_check", 0, "2")])
+
+
+@pytest.mark.parametrize("suite,criterion,index,field", MUTANTS)
+def test_harness_catches_a_dropped_condition(monkeypatch, suite, criterion, index, field):
+    monkeypatch.setattr(oracle, criterion, _dropping(getattr(oracle, criterion), index))
+    rep = run_equivalence_suite(suite, fields=[field])
+    assert rep.disagreements
+    assert {d.construction for d in rep.disagreements} == {suite}
+
+
+def test_theorem1_b_nonzero_is_covered_by_condition_4(monkeypatch):
+    # condition 4 is recorded false whenever b = 0, so dropping b!=0 changes
+    # no verdict: the grid cannot show that condition's necessity
+    monkeypatch.setattr(oracle, "theorem1_check", _dropping(oracle.theorem1_check, 2))
+    assert run_equivalence_suite("theorem1", fields=["7"]).passed()
+
+
+def test_scalar_oracle_tier_beyond_the_vector_bound():
+    fld = make_field(65537)
+    assert fld.q > VECTOR_MAX_Q
+    cube = FqPoly.monomial(fld, 1, 3)
+    assert is_permutation(cube, max_q=70000)            # gcd(3, 65536) = 1
+    assert not is_permutation(FqPoly.monomial(fld, 1, 2), max_q=70000)
+    vals = value_table(cube)
+    assert len(vals) == fld.q
+    for a in (0, 1, 2, 3, 40000, 65536):
+        assert vals[a] == pow(a, 3, 65537)
+    with pytest.raises(OracleBoundError):
+        is_permutation(cube)
 
 
 def test_report_json_shape_excludes_elapsed():

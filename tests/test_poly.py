@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ppforge.errors import FieldError, PolyParseError, ScopeError
+from ppforge.errors import ExpansionTooLargeError, FieldError, PolyParseError, ScopeError
 from ppforge.field import divisors, make_field
 from ppforge.oracle import value_table
 from ppforge.poly import (AdditivePoly, CyclotomicForm, FqPoly,
@@ -175,6 +175,19 @@ def test_compose_and_divmod():
         assert rem.is_zero() and quot == g0
     with pytest.raises(FieldError):
         g.divmod(FqPoly.zero(F9))
+
+
+def test_expansion_guard_refuses_before_allocating():
+    # a length of 10^12 would need terabytes; the guard must trip first
+    x = FqPoly.x(F7)
+    with pytest.raises(ExpansionTooLargeError):
+        FqPoly.monomial(F7, 1, 10 ** 12)
+    with pytest.raises(ExpansionTooLargeError):
+        x.shifted(10 ** 12)
+    with pytest.raises(ExpansionTooLargeError):
+        x.substituted_power(10 ** 12)
+    assert FqPoly.monomial(F7, 0, 10 ** 12).is_zero()
+    assert FqPoly.zero(F7).shifted(10 ** 12).is_zero()
 
 
 def test_parse_format_round_trip():
