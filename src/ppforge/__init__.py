@@ -13,8 +13,8 @@ from .additive import (AdditiveTriple, SubgroupData, TraceTheoremParams,
                        triple_poly)
 from .cyclotomic import (HermiteFamily, HermiteParams, Theorem1Params,
                          cofactor_of, fhat_on_mu_d, hermite_family,
-                         lemma_check, theorem1_check, theorem1_generate,
-                         theorem1_poly)
+                         hermite_sufficient, lemma_check, theorem1_check,
+                         theorem1_generate, theorem1_poly)
 from .errors import (ExpansionTooLargeError, FieldError, OracleBoundError,
                      PPForgeError, PolyParseError, ScopeError,
                      UnknownSuiteError)

@@ -50,7 +50,8 @@ class SubgroupData:
     right_inverse maps each value in im B to a preimage (least index by
     default); a_of_right_inverse caches A applied to those preimages, and
     a_kernel_image is the subgroup A(ker B).  coset_reps holds the least
-    index of each coset of A(ker B), ascending.
+    index of each coset of A(ker B), ascending.  a_on_image is A on im B,
+    in image order.
     """
 
     kernel: tuple
@@ -59,6 +60,7 @@ class SubgroupData:
     a_kernel_image: tuple
     coset_reps: tuple
     a_of_right_inverse: dict
+    a_on_image: tuple
 
 
 def subgroup_data(A: AdditivePoly, B: AdditivePoly, *, preimage: str = "least") -> SubgroupData:
@@ -89,7 +91,9 @@ def subgroup_data(A: AdditivePoly, B: AdditivePoly, *, preimage: str = "least") 
             reps.append(x)
             seen.update(field.add(x, s) for s in a_kernel_image)
     a_of_rinv = {gamma: A.eval(rinv[gamma]) for gamma in image}
-    return SubgroupData(tuple(kernel), image, rinv, a_kernel_image, tuple(reps), a_of_rinv)
+    a_on_image = tuple(A.eval(gamma) for gamma in image)
+    return SubgroupData(tuple(kernel), image, rinv, a_kernel_image, tuple(reps), a_of_rinv,
+                        a_on_image)
 
 
 def _fhat_values(tr: AdditiveTriple, data: SubgroupData, g_on_image=None) -> list:
@@ -157,8 +161,8 @@ def commuting_criterion_check(tr: AdditiveTriple, *, data: SubgroupData = None,
     c1 = data.a_kernel_image == data.kernel
     if g_on_image is None:
         g_on_image = {gamma: tr.g.eval(gamma) for gamma in data.image}
-    vals = sorted(field.add(tr.A.eval(gamma), tr.B.eval(g_on_image[gamma]))
-                  for gamma in data.image)
+    vals = sorted(field.add(a_gamma, tr.B.eval(g_on_image[gamma]))
+                  for gamma, a_gamma in zip(data.image, data.a_on_image))
     c2 = vals == list(data.image)
     return ConditionReport.build((
         Condition(COR2_A_PERM, c1),
@@ -180,6 +184,12 @@ def triple_poly(tr: AdditiveTriple) -> FqPoly:
 def _trace_kernel(field: Field) -> tuple:
     B = trace_poly(field)
     return tuple(x for x in field.elements() if B.eval(x) == 0)
+
+
+@functools.lru_cache(maxsize=256)
+def _permutes_trace_kernel(A: AdditivePoly) -> bool:
+    kernel = _trace_kernel(A.field)
+    return sorted(A.eval(beta) for beta in kernel) == list(kernel)
 
 
 @dataclass(frozen=True)
@@ -226,9 +236,7 @@ def trace_theorem_check(tp: TraceTheoremParams) -> ConditionReport:
     if field.n == 1:
         raise ScopeError("the trace criterion needs a proper extension (n >= 2)")
     B = trace_poly(field)
-    kernel = _trace_kernel(field)
-    a_on_ker = sorted(tp.A.eval(beta) for beta in kernel)
-    c1 = a_on_ker == list(kernel)
+    c1 = _permutes_trace_kernel(tp.A)
     p = field.p
     vals = sorted(field.add(B.eval(tp.g.eval(c)), field.mul(tp.h.eval(c), tp.A.eval(c)))
                   for c in range(p))

@@ -19,8 +19,8 @@ from .additive import (AdditiveTriple, TraceTheoremParams,
                        gamma_search, proposition_check, trace_theorem_check,
                        trace_theorem_poly, triple_poly)
 from .cyclotomic import (HermiteParams, Theorem1Params, cofactor_of,
-                         hermite_family, lemma_check, theorem1_check,
-                         theorem1_generate, theorem1_poly)
+                         hermite_family, hermite_sufficient, lemma_check,
+                         theorem1_check, theorem1_generate, theorem1_poly)
 from .errors import ExpansionTooLargeError, OracleBoundError, PPForgeError
 from .field import Field, parse_field
 from .oracle import (DEFAULT_MAX_Q, SUITE_NAMES, is_permutation,
@@ -192,9 +192,9 @@ def _check_trace_theorem(args, fld):
 
 def _check_hermite(args, fld):
     _need(args, "a", "b", "i", "j")
-    fam = hermite_family(HermiteParams(fld, args.a, args.b, args.i, args.j))
+    hp = HermiteParams(fld, args.a, args.b, args.i, args.j)
     return ({"a": args.a, "b": args.b, "i": args.i, "j": args.j},
-            fam.sufficient, lambda: fam.poly)
+            hermite_sufficient(hp), lambda: hermite_family(hp).poly)
 
 
 # each check returns (parameters, report, expand): the polynomial is expanded
@@ -288,9 +288,10 @@ def cmd_generate(args) -> int:
         a_values = _parse_range(args.a) if args.a is not None else range(1, q)
         b_values = _parse_range(args.b) if args.b is not None else range(1, q)
         for a, b, i, j in itertools.product(a_values, b_values, i_values, j_values):
-            fam = hermite_family(HermiteParams(fld, a, b, i, j))
-            if not fam.sufficient.verdict:
+            hp = HermiteParams(fld, a, b, i, j)
+            if not hermite_sufficient(hp).verdict:
                 continue
+            fam = hermite_family(hp)
             status, note = _confirm(fam.poly, True, max_q, not args.no_oracle)
             if status is None:
                 raise PPForgeError("internal: sufficient condition failed the oracle")

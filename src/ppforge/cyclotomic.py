@@ -229,18 +229,23 @@ class HermiteFamily:
     sufficient: ConditionReport
 
 
+def hermite_sufficient(hp: HermiteParams) -> ConditionReport:
+    """The classical sufficient condition: 2a and 2b are squares and
+    gcd(ij, q-1) = 1.  Needs no expansion, so it answers at any q."""
+    field = hp.field
+    return ConditionReport.build((
+        Condition(HERMITE_2A_SQUARE, field.is_dth_power(field.add(hp.a, hp.a), 2)),
+        Condition(HERMITE_2B_SQUARE, field.is_dth_power(field.add(hp.b, hp.b), 2)),
+        Condition(HERMITE_COPRIME, math.gcd(hp.i * hp.j, field.q - 1) == 1),
+    ))
+
+
 def hermite_family(hp: HermiteParams) -> HermiteFamily:
     field = hp.field
-    q, s = field.q, (hp.field.q - 1) // 2
-    half_plus = FqPoly(field, (1,) + (0,) * (s - 1) + (1,))            # x^s + 1
-    half_minus = FqPoly(field, (field.neg(1),) + (0,) * (s - 1) + (1,))  # x^s - 1
+    x_s = FqPoly.monomial(field, 1, (field.q - 1) // 2).coeffs  # checks the expansion guard
+    half_plus = FqPoly(field, (1,) + x_s[1:])               # x^s + 1
+    half_minus = FqPoly(field, (field.neg(1),) + x_s[1:])   # x^s - 1
     f = (FqPoly.monomial(field, hp.a, hp.i) * half_plus
          - FqPoly.monomial(field, hp.b, hp.j) * half_minus).reduce_exponents()
-    two_a = field.add(hp.a, hp.a)
-    two_b = field.add(hp.b, hp.b)
-    sufficient = ConditionReport.build((
-        Condition(HERMITE_2A_SQUARE, field.is_dth_power(two_a, 2)),
-        Condition(HERMITE_2B_SQUARE, field.is_dth_power(two_b, 2)),
-        Condition(HERMITE_COPRIME, math.gcd(hp.i * hp.j, q - 1) == 1),
-    ))
-    return HermiteFamily(f, two_a, hp.i, two_b, hp.j, sufficient)
+    return HermiteFamily(f, field.add(hp.a, hp.a), hp.i, field.add(hp.b, hp.b), hp.j,
+                         hermite_sufficient(hp))

@@ -13,27 +13,27 @@ A Field is immutable after construction apart from idempotent caches (the
 primitive element, roots of unity), so sharing a Field between workers is
 safe.  For q <= VECTOR_MAX_Q it builds its lookup tables when constructed.
 
-Arithmetic has four tiers, chosen by q:
-  q <= SCALAR_LIST_MAX_Q   scalar add, mul and neg read nested-list tables;
-  q <= TABLE_MAX_Q         q x q numpy add/mul tables serve column arithmetic;
-  q <= VECTOR_MAX_Q        exp/log and digit columns; scalar mul is one
-                           exp/log lookup;
-  beyond                   digit-vector arithmetic only (_add_slow, _mul_slow).
-On every table field, inv and pow are single exp/log lookups; above the
-nested-list tier, scalar add in characteristic 2 is XOR of the indices.
+Multiplication works in the cyclic group F_q^*: on every table field
+(q <= VECTOR_MAX_Q) a product is one lookup exp_ext[log a + log b], where
+log 0 is a sentinel that lands in a run of zeros; inv and pow are one
+exp/log lookup too.  Addition works in (F_q, +) and is chosen by the
+characteristic:
+  p = 2                        XOR of the indices, at every q;
+  odd p, q <= ADD_TABLE_MAX_Q  a q x q add table (nested lists for scalars);
+  odd p, beyond                base-p digit arithmetic.
+Beyond VECTOR_MAX_Q, multiplication is digit-vector arithmetic (_mul_slow).
 """
 
 import functools
+import math
 from itertools import compress
 
 import numpy as np
 
 from .errors import FieldError, PolyParseError
 
-# q x q add/mul lookup tables (int32) are built below this size.
-TABLE_MAX_Q = 2048
-# Nested-list copies of the tables, for fast scalar arithmetic.
-SCALAR_LIST_MAX_Q = 512
+# odd p: the q x q add table (int32) and its nested-list copy up to this size.
+ADD_TABLE_MAX_Q = 512
 # exp/log and digit tables (O(q) memory) are allowed up to this size.
 VECTOR_MAX_Q = 1 << 16
 
@@ -65,34 +65,66 @@ def is_prime(m: int) -> bool:
 
 
 def factorize(m: int) -> dict:
-    """Prime factorization by trial division; fine at desk scale."""
+    """Prime factorization, ascending: trial division below 1000, then
+    Pollard-Brent rho on what is left; exact for 64-bit m."""
     out: dict[int, int] = {}
     d = 2
-    while d * d <= m:
+    while d < 1000 and d * d <= m:
         while m % d == 0:
             out[d] = out.get(d, 0) + 1
             m //= d
         d += 1 if d == 2 else 2
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
+    rest = [m] if m > 1 else []
+    while rest:
+        x = rest.pop()
+        if is_prime(x):
+            out[x] = out.get(x, 0) + 1
+        else:
+            f = _rho_factor(x)
+            rest += (f, x // f)
+    return dict(sorted(out.items()))
+
+
+def _rho_factor(m: int) -> int:
+    """A proper factor of an odd composite m: Brent's cycle search on
+    x -> x^2 + c, with gcds batched over 128 steps."""
+    for c in range(1, m):
+        y, r, acc, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % m
+                    acc = acc * abs(x - y) % m
+                g = math.gcd(acc, m)
+                k += 128
+            r *= 2
+        if g == m:  # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = math.gcd(abs(x - ys), m)
+        if g != m:
+            return g
+    raise FieldError(f"no factor of {m} found")  # unreachable for composite m
 
 
 def prime_divisors(m: int) -> tuple:
-    return tuple(sorted(factorize(m)))
+    return tuple(factorize(m))
 
 
 def divisors(m: int) -> list:
     """All positive divisors of m, ascending."""
-    small, large = [], []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            small.append(d)
-            if d != m // d:
-                large.append(m // d)
-        d += 1
-    return small + large[::-1]
+    if m < 1:
+        return []
+    out = [1]
+    for r, k in factorize(m).items():
+        out = [d * r ** i for d in out for i in range(k + 1)]
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +218,7 @@ class Field:
     """A concrete F_{p^n} with canonical modulus and integer element encoding."""
 
     __slots__ = ("p", "n", "q", "modulus", "_omega", "_tables", "_mu_cache",
-                 "_add_list", "_mul_list", "_neg_list", "_exp_list", "_log_list")
+                 "_add_list", "_neg_list", "_exp_list", "_log_list")
 
     def __init__(self, p: int, n: int = 1):
         if not isinstance(p, int) or not is_prime(p):
@@ -204,7 +236,6 @@ class Field:
         self._tables = None
         self._mu_cache: dict = {}
         self._add_list = None
-        self._mul_list = None
         self._neg_list = None
         self._exp_list = None
         self._log_list = None
@@ -279,6 +310,8 @@ class Field:
         if t is not None:
             return t[a]
         p = self.p
+        if p == 2:
+            return a
         if self.n == 1:
             return (-a) % p
         out, mult = 0, 1
@@ -292,15 +325,10 @@ class Field:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        t = self._mul_list
-        if t is not None:
-            return t[a][b]
         exp = self._exp_list
         if exp is not None:
-            if a and b:
-                log = self._log_list
-                return exp[(log[a] + log[b]) % (self.q - 1)]
-            return 0
+            log = self._log_list
+            return exp[log[a] + log[b]]
         return self._mul_slow(a, b)
 
     def _mul_slow(self, a, b):
@@ -414,12 +442,12 @@ class Field:
         if self._tables is None:
             t = FieldTables(self)
             self._tables = t
-            if self.q <= SCALAR_LIST_MAX_Q:
-                self._add_list = t.add.tolist()
-                self._mul_list = t.mul.tolist()
-                self._neg_list = t.neg_col.tolist()
+            if t.addf is not None:
+                p, q = self.p, self.q
+                self._add_list = t.addf.reshape(q, q).tolist()
+                self._neg_list = (((p - t.digits) % p) @ t.pvec).tolist()
             self._log_list = t.log.tolist()
-            self._exp_list = t.exp.tolist()
+            self._exp_list = t.exp_ext.tolist()
         return self._tables
 
     def modulus_text(self) -> str:
@@ -484,16 +512,18 @@ def parse_field(text: str) -> Field:
 class FieldTables:
     """Vectorized lookup tables over one field.
 
-    Always present (q <= 2^16): base-p digit matrix, exp/log for the cyclic
-    group F_q^*, and the negation column.  For q <= TABLE_MAX_Q the
-    full q x q addition and multiplication tables are also materialized;
-    above it, odd p gets the packed digit encoding `spread` that eval_col
-    sums in.  All arrays are exact integer data; callers must not mutate
-    them.
+    Always present (q <= 2^16): base-p digit matrix and exp/log for the
+    cyclic group F_q^*.  log[0] is the sentinel 2(q-1) and exp_ext is
+    exp + exp + 2q-1 zeros, so exp_ext[log a + log b] = a*b for every a and
+    b, zero included; exp is the cycle w^0 .. w^(q-2), a view of exp_ext.
+    For odd p the full q x q addition table is materialized up to
+    ADD_TABLE_MAX_Q; above it, odd p gets the packed digit encoding `spread`
+    that eval_col sums in.  In characteristic 2 addition is XOR and needs no
+    table.  All arrays are exact integer data; callers must not mutate them.
     """
 
-    __slots__ = ("field", "q", "digits", "pvec", "exp", "log", "neg_col",
-                 "add", "mul", "addf", "mulf", "spread", "_pow_cache")
+    __slots__ = ("field", "q", "digits", "pvec", "exp", "exp_ext", "log",
+                 "addf", "spread", "_pow_cache")
 
     def __init__(self, field: Field):
         q, p, n = field.q, field.p, field.n
@@ -505,19 +535,16 @@ class FieldTables:
         idx = np.arange(q, dtype=np.int64)
         self.digits = (idx[:, None] // self.pvec[None, :]) % p
 
-        self.exp = exp = _exp_digits(field) @ self.pvec
-        log = np.zeros(q, dtype=np.int64)
+        exp = _exp_digits(field) @ self.pvec
+        self.exp_ext = np.concatenate((exp, exp, np.zeros(2 * q - 1, dtype=np.int64)))
+        self.exp = self.exp_ext[:q - 1]
+        log = np.empty(q, dtype=np.int64)
+        log[0] = 2 * (q - 1)
         log[exp] = np.arange(q - 1, dtype=np.int64)
         self.log = log
 
-        self.neg_col = ((p - self.digits) % p) @ self.pvec
-
-        if q <= TABLE_MAX_Q:
-            log32 = log.astype(np.int32)
-            mul = exp.astype(np.int32)[np.add.outer(log32, log32) % (q - 1)]
-            mul[0, :] = 0
-            mul[:, 0] = 0
-            self.mul = mul
+        self.addf = self.spread = None
+        if p > 2 and q <= ADD_TABLE_MAX_Q:
             # add = sum_i p^i * ((a_i + b_i) mod p), one digit at a time: over
             # p^(k+1) elements, add(a, b) = p^k * add_1(a_k, b_k) + add_k(a mod
             # p^k, b mod p^k), a broadcast sum over axes (a_k, a mod p^k, ...)
@@ -528,13 +555,8 @@ class FieldTables:
             for k in range(1, n):
                 m = p ** k
                 add = (m * add1[:, None, :, None] + add[None, :, None, :]).reshape(m * p, m * p)
-            self.add = add
             self.addf = add.reshape(-1)
-            self.mulf = mul.reshape(-1)
-        else:
-            self.add = self.mul = self.addf = self.mulf = None
-        self.spread = None
-        if self.addf is None and p > 2:
+        elif p > 2:
             # spread[x] = sum_i digit_i(x) * 2^(b*i): a sum of such words adds
             # the digits of its terms slot by slot, without carries while each
             # slot stays below 2^b
@@ -545,7 +567,7 @@ class FieldTables:
 
     def pow_col(self, e: int) -> np.ndarray:
         """Values a^e for every a, exact for any e >= 0.  Cached per exponent
-        on fields with q x q tables only, so the cache never outgrows them."""
+        only while q <= ADD_TABLE_MAX_Q, so the cache stays within 2 MB."""
         if e == 0:
             return np.ones(self.q, dtype=np.int64)
         q = self.q
@@ -554,45 +576,34 @@ class FieldTables:
         if col is None:
             col = self.exp[(self.log * re) % (q - 1)]
             col[0] = 0
-            if self.mulf is not None:
+            if q <= ADD_TABLE_MAX_Q:
                 self._pow_cache[re] = col
         return col
 
     def mul_cols(self, x, y) -> np.ndarray:
         """Elementwise (broadcasting) field product of two index arrays."""
-        x = np.asarray(x)
-        y = np.asarray(y)
-        if self.mulf is not None:
-            return self.mulf[x.astype(np.int64) * self.q + y]
-        out = self.exp[(self.log[x] + self.log[y]) % (self.q - 1)]
-        return np.where((x == 0) | (y == 0), 0, out)
+        return self.exp_ext[self.log[x] + self.log[y]]
 
     def add_cols(self, x, y) -> np.ndarray:
         """Elementwise (broadcasting) field sum of two index arrays."""
         x = np.asarray(x)
         y = np.asarray(y)
+        if self.field.p == 2:
+            return x ^ y
         if self.addf is not None:
-            return self.addf[x.astype(np.int64) * self.q + y]
+            return self.addf[x * self.q + y]
         return ((self.digits[x] + self.digits[y]) % self.field.p) @ self.pvec
 
     def scalar_mul(self, c: int, xs) -> np.ndarray:
-        """c * xs for a scalar index c and an index array xs."""
-        xs = np.asarray(xs)
-        if c == 0:
-            return np.zeros(xs.shape, dtype=np.int64)
-        if c == 1:
-            return xs
-        if self.mulf is not None:
-            return self.mulf[np.int64(c) * self.q + xs]
-        out = self.exp[(self.log[c] + self.log[xs]) % (self.q - 1)]
-        return np.where(xs == 0, 0, out)
+        """c * xs for a scalar index c and an index array xs; a new array."""
+        return self.exp_ext[self.log[c] + self.log[xs]]
 
     def eval_col(self, coeffs) -> np.ndarray:
         """Value table of the dense polynomial with the given index coefficients.
 
         Exact.  Only the nonzero coefficients are visited; each term is c
-        times an exp/log power column.  The terms are summed through the add
-        table where there is one, by XOR of indices in characteristic 2, and
+        times an exp/log power column.  The terms are summed by XOR of indices
+        in characteristic 2, through the add table where there is one, and
         otherwise in the packed `spread` encoding, reduced mod p digit-wise
         once at the end (and whenever another term could overflow a slot).
         """
@@ -602,16 +613,15 @@ class FieldTables:
         first = next(terms, None)
         if first is None:
             return np.zeros(q, dtype=np.int64)
+        if self.field.p == 2:
+            for term in terms:
+                first ^= term  # in place: scalar_mul returned a new array
+            return first
         if self.addf is not None:
             acc = first
             for term in terms:
                 acc = self.addf[acc * q + term]
-            return acc.astype(np.int64)  # a copy: `first` may be a cached column
-        if self.spread is None:  # p = 2: addition is XOR of the indices
-            acc = first.copy()
-            for term in terms:
-                acc ^= term
-            return acc
+            return acc.astype(np.int64, copy=False)
         spread = self.spread
         # terms a slot can hold: each adds a digit of at most p-1
         room = ((1 << _spread_bits(self.field.n)) - 1) // (self.field.p - 1)

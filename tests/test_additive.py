@@ -36,6 +36,25 @@ def test_subgroup_data_trace_f9():
     assert sd.coset_reps == (0, 1, 2)      # least index per coset of {0,t,2t}
 
 
+@pytest.mark.parametrize("fld", [F9, F8, F25])
+def test_subgroup_data_a_on_image(fld):
+    B = trace_poly(fld)
+    for cs in [(1,), (0, 1), (2, 1), (1, 0, 1)]:
+        A = AdditivePoly(fld, cs[:fld.n])
+        sd = subgroup_data(A, B)
+        assert sd.a_on_image == tuple(A.eval(gamma) for gamma in sd.image)
+
+
+def test_trace_condition_1_per_a():
+    # condition 1 is memoised per A; alternate A's so a stale entry would show
+    kernel = [x for x in F9.elements() if trace_poly(F9).eval(x) == 0]
+    h = FqPoly.one(F9)
+    for cs in [(1,), (0, 1), (1, 1), (2,), (0, 1), (1, 1), (1,)]:
+        A = AdditivePoly(F9, cs)
+        c1 = trace_theorem_check(TraceTheoremParams(FqPoly.zero(F9), A, h)).conditions[0]
+        assert c1.holds == (sorted(A.eval(b) for b in kernel) == kernel)
+
+
 def test_subgroup_data_identity_b():
     sd = subgroup_data(A_ID, AdditivePoly(F9, (1,)))
     assert sd.kernel == (0,)

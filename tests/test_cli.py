@@ -42,6 +42,16 @@ def test_field_info_large_extension_is_quick():
     assert rec["q"] == 1000003 ** 3 and rec["primitive_element"] == 1000009
 
 
+def test_field_info_safe_prime_is_quick():
+    # p-1 = 2 * 2305843009213688669: trial division alone would not finish
+    env = {**os.environ, "PYTHONPATH": str(Path(ppforge.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "ppforge", "field-info", "4611686018427377339"],
+                          capture_output=True, text=True, timeout=10, env=env)
+    assert proc.returncode == 0, proc.stderr
+    rec = json_lines(proc.stdout)[0]
+    assert rec["q"] == 4611686018427377339 and rec["primitive_element"] == 2
+
+
 def test_field_info_bad_field(capsys):
     code, _, err = run_cli(capsys, "field-info", "4^2")
     assert code == 2 and "prime" in err
@@ -95,11 +105,13 @@ def test_check_theorem1_scope_error(capsys):
 
 
 def test_check_beyond_expansion_guard_answers(capsys):
-    # (q-1)/d is about 3e17, far past the expansion guard; the conditions do
-    # not need the polynomial, so the check still answers
-    for argv in (("theorem1", "--d", "3", "--u", "1", "--k", "0", "--b", "1"),
-                 ("lemma", "--d", "3", "--u", "1", "--h", "x+1")):
-        code, out, err = run_cli(capsys, "check", argv[0], "1000003^3", *argv[1:], "--oracle")
+    # (q-1)/d is about 3e17 (5e11 for hermite's x^((q-1)/2)), far past the
+    # expansion guard; the conditions do not need the polynomial, so the
+    # check still answers
+    for argv in (("theorem1", "1000003^3", "--d", "3", "--u", "1", "--k", "0", "--b", "1"),
+                 ("lemma", "1000003^3", "--d", "3", "--u", "1", "--h", "x+1"),
+                 ("hermite", "1000003^2", "--a", "1", "--b", "1", "--i", "1", "--j", "1")):
+        code, out, err = run_cli(capsys, "check", *argv, "--oracle")
         rec = json_lines(out)[0]
         assert code == 0, err
         assert rec["verdict"] is True and all(c["holds"] for c in rec["conditions"])

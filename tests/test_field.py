@@ -8,8 +8,8 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_irreducible_p, gf_mul, gf_rem
 
 from ppforge.errors import FieldError
-from ppforge.field import (TABLE_MAX_Q, VECTOR_MAX_Q, divisors, is_prime, make_field,
-                           parse_field)
+from ppforge.field import (ADD_TABLE_MAX_Q, VECTOR_MAX_Q, divisors, factorize, is_prime,
+                           make_field, parse_field)
 
 
 # --- test-local oracle: exhaustive irreducibility by trial division ---------
@@ -223,11 +223,41 @@ def test_divisors():
     assert divisors(1) == [1]
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(26) == [1, 2, 13, 26]
+    assert divisors(2 ** 4 * 3 ** 2 * 1000003) == sorted(
+        2 ** i * 3 ** j * 1000003 ** k for i in range(5) for j in range(3) for k in range(2))
+
+
+def _trial_factorize(m):
+    out, d = {}, 2
+    while d * d <= m:
+        while m % d == 0:
+            out[d] = out.get(d, 0) + 1
+            m //= d
+        d += 1
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
+    return out
+
+
+def test_factorize_matches_trial_division():
+    for m in range(1, 10 ** 4):
+        f = factorize(m)
+        assert f == _trial_factorize(m) and list(f) == sorted(f)
+
+
+def test_factorize_splits_large_factors():
+    # two 31-bit primes: far past trial division, quick for Pollard-Brent rho
+    assert factorize(2147483647 * 2147483659) == {2147483647: 1, 2147483659: 1}
+    assert factorize(2147483647 ** 2 * 9) == {3: 2, 2147483647: 2}
+    # a safe prime's p-1 = 2 * prime
+    assert factorize(4611686018427377339 - 1) == {2: 1, 2305843009213688669: 1}
+    assert factorize(2 ** 64 - 1) == {3: 1, 5: 1, 17: 1, 257: 1, 641: 1, 65537: 1, 6700417: 1}
 
 
 # --- every arithmetic tier against digit arithmetic and sympy --------------
-# One field per tier: nested lists (343), q x q numpy tables (1024), exp/log
-# lists (2187, 63001, 65536) and digit arithmetic beyond the tables (177147).
+# Multiplication is one exp/log lookup up to 2^16 (343 .. 65536) and digit
+# arithmetic beyond (177147); addition is XOR for p = 2 (1024, 65536), the
+# q x q table for odd p up to 512 (343) and digits beyond (2187, 63001, 177147).
 
 TIER_FIELDS = [(7, 3), (2, 10), (3, 7), (251, 2), (2, 16), (3, 11)]
 
@@ -331,5 +361,43 @@ def test_eval_col_matches_scalar_sum(p, n):
         assert col.dtype == np.int64 and col.shape == (q,)
         terms = [(e, c) for e, c in enumerate(cs) if c]
         assert [int(col[a]) for a in points] == [_eval_ref(fld, terms, a) for a in points]
-    if q > TABLE_MAX_Q:
+    if q > ADD_TABLE_MAX_Q:
         assert not T._pow_cache
+
+
+# --- column ops: one field per multiplication and addition path -----------
+
+COLUMN_FIELDS = [(13, 1), (7, 3), (2, 4), (2, 10), (3, 7), (251, 2), (2, 16), (4099, 1)]
+
+
+@pytest.mark.parametrize("p,n", COLUMN_FIELDS)
+def test_column_ops_match_digit_arithmetic(p, n):
+    fld = make_field(p, n)
+    q = fld.q
+    T = fld.tables()
+    rng = random.Random(f"columns/{q}")
+    xs = np.array([0, 0, 1, q - 1] + [rng.randrange(q) for _ in range(1000)], dtype=np.int64)
+    ys = np.array([0, q - 1, 0, 0] + [rng.randrange(q) for _ in range(1000)], dtype=np.int64)
+    pairs = list(zip(xs.tolist(), ys.tolist()))
+    assert T.mul_cols(xs, ys).tolist() == [fld._mul_slow(a, b) for a, b in pairs]
+    assert T.add_cols(xs, ys).tolist() == [fld._add_slow(a, b) for a, b in pairs]
+    for c in (0, 1, q - 1, rng.randrange(2, q)):
+        assert T.scalar_mul(c, xs).tolist() == [fld._mul_slow(c, a) for a in xs.tolist()]
+    for e in (0, 1, q - 1, q, rng.randrange(2, 3 * q)):
+        col = T.pow_col(e)
+        assert col.shape == (q,)
+        assert col[xs].tolist() == [_pow_ref(fld, a, e) for a in xs.tolist()]
+    # the (q,1) x (1,q) broadcast of the theorem1 suite, sampled above 64
+    rows = np.arange(q) if q <= 64 else np.array([0, 1] + [rng.randrange(q) for _ in range(14)])
+    cols = np.arange(q) if q <= 64 else xs[:256]
+    prod = T.mul_cols(rows[:, None], cols[None, :])
+    total = T.add_cols(prod, cols[None, :])
+    assert prod.shape == total.shape == (len(rows), len(cols))
+    for i, a in enumerate(rows.tolist()):
+        ref = [fld._mul_slow(a, b) for b in cols.tolist()]
+        assert prod[i].tolist() == ref
+        assert total[i].tolist() == [fld._add_slow(v, b) for v, b in zip(ref, cols.tolist())]
+    for a in xs.tolist():
+        assert fld._add_slow(a, fld.neg(a)) == 0
+        if p == 2:
+            assert fld.neg(a) == a
