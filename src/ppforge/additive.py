@@ -49,16 +49,14 @@ class SubgroupData:
 
     right_inverse maps each value in im B to a preimage (least index by
     default); a_of_right_inverse caches A applied to those preimages, and
-    a_kernel_image is the subgroup A(ker B).  coset_reps holds the least
-    index of each coset of A(ker B), ascending.  a_on_image is A on im B,
-    in image order.
+    a_kernel_image is the subgroup A(ker B).  a_on_image is A on im B, in
+    image order.
     """
 
     kernel: tuple
     image: tuple
     right_inverse: dict
     a_kernel_image: tuple
-    coset_reps: tuple
     a_of_right_inverse: dict
     a_on_image: tuple
 
@@ -85,15 +83,9 @@ def subgroup_data(A: AdditivePoly, B: AdditivePoly, *, preimage: str = "least") 
             rinv[v] = x
     image = tuple(sorted(rinv))
     a_kernel_image = tuple(sorted({A.eval(beta) for beta in kernel}))
-    reps, seen = [], set()
-    for x in field.elements():
-        if x not in seen:
-            reps.append(x)
-            seen.update(field.add(x, s) for s in a_kernel_image)
     a_of_rinv = {gamma: A.eval(rinv[gamma]) for gamma in image}
     a_on_image = tuple(A.eval(gamma) for gamma in image)
-    return SubgroupData(tuple(kernel), image, rinv, a_kernel_image, tuple(reps), a_of_rinv,
-                        a_on_image)
+    return SubgroupData(tuple(kernel), image, rinv, a_kernel_image, a_of_rinv, a_on_image)
 
 
 def _fhat_values(tr: AdditiveTriple, data: SubgroupData, g_on_image=None) -> list:
@@ -171,7 +163,7 @@ def commuting_criterion_check(tr: AdditiveTriple, *, data: SubgroupData = None,
 
 
 def triple_poly(tr: AdditiveTriple) -> FqPoly:
-    """Expanded, exponent-reduced dense form of A(x) + g(B(x))."""
+    """Expanded, exponent-reduced form of A(x) + g(B(x))."""
     bx = tr.B.expand()
     return (tr.A.expand() + tr.g.compose(bx)).reduce_exponents()
 
@@ -251,7 +243,7 @@ def trace_theorem_check(tp: TraceTheoremParams) -> ConditionReport:
 
 
 def trace_theorem_poly(tp: TraceTheoremParams) -> FqPoly:
-    """Expanded dense form of g(B(x)) + h(B(x)) * A(x)."""
+    """Expanded, exponent-reduced form of g(B(x)) + h(B(x)) * A(x)."""
     bx = trace_poly(tp.field).expand()
     return (tp.g.compose(bx) + tp.h.compose(bx) * tp.A.expand()).reduce_exponents()
 

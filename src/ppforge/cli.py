@@ -21,7 +21,7 @@ from .additive import (AdditiveTriple, TraceTheoremParams,
 from .cyclotomic import (HermiteParams, Theorem1Params, cofactor_of,
                          hermite_family, hermite_sufficient, lemma_check,
                          theorem1_check, theorem1_generate, theorem1_poly)
-from .errors import ExpansionTooLargeError, OracleBoundError, PPForgeError
+from .errors import ExpansionTooLargeError, PPForgeError
 from .field import Field, parse_field
 from .oracle import (DEFAULT_MAX_Q, SUITE_NAMES, is_permutation,
                      run_equivalence_suite, SAMPLE_SEED)
@@ -161,8 +161,12 @@ def _check_theorem1(args, fld):
         g0 = parse_poly(fld, args.g0 if args.g0 is not None else "1")
     params = Theorem1Params(args.d, args.u, args.k, args.b, g0)
     report = theorem1_check(params)
+    try:
+        g_text = params.g().text()
+    except ExpansionTooLargeError:
+        g_text = None
     return ({"d": args.d, "u": args.u, "k": args.k, "b": args.b,
-             "g0": g0.text(), "g": params.g().text()},
+             "g0": g0.text(), "g": g_text},
             report, lambda: theorem1_poly(params))
 
 
@@ -422,9 +426,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except OracleBoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except PPForgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -6,7 +6,6 @@ mu_d of d-th roots of unity, so whether f permutes F_q reduces to a coprime
 condition on u and the behaviour of an induced map on the d points of mu_d.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -56,7 +55,8 @@ class Theorem1Params:
     """Parameters of f(x) = x^u * (b*x^(k(q-1)/d) + g(x^((q-1)/d))).
 
     g is supplied through its cofactor g0, with g = h_d * g0, which makes
-    the required divisibility structural.  b is an element index.
+    the required divisibility structural.  b is an element index.  The
+    check never forms g: since h_d(1) = d, g(1) = (d mod p) * g0(1).
     """
 
     d: int
@@ -70,13 +70,8 @@ class Theorem1Params:
         return self.g0.field
 
     def g(self) -> FqPoly:
-        return _g_and_g1(self.field, self.d, self.g0)[0]
-
-
-@functools.lru_cache(maxsize=None)
-def _g_and_g1(field: Field, d: int, g0: FqPoly):
-    g = h_d_poly(field, d) * g0
-    return g, g.eval(1)
+        """h_d * g0; ExpansionTooLargeError when h_d is past the guard."""
+        return h_d_poly(self.field, self.d) * self.g0
 
 
 def _validate_d(field: Field, d: int):
@@ -111,7 +106,8 @@ def theorem1_check(params: Theorem1Params) -> ConditionReport:
     c2 = math.gcd(d, u + k * m) == 1
     c3 = b != 0
     if c3:
-        g1 = _g_and_g1(field, d, params.g0)[1]
+        # h_d(1) = d, and p does not divide d since d | q-1
+        g1 = field.mul(d % field.p, params.g0.eval(1))
         val = field.add(1, field.div(g1, b))
         c4 = val != 0 and field.is_dth_power(val, d)
         witness4 = None if c4 else (f"1+g(1)/b = {val} is zero" if val == 0
@@ -242,10 +238,8 @@ def hermite_sufficient(hp: HermiteParams) -> ConditionReport:
 
 def hermite_family(hp: HermiteParams) -> HermiteFamily:
     field = hp.field
-    x_s = FqPoly.monomial(field, 1, (field.q - 1) // 2).coeffs  # checks the expansion guard
-    half_plus = FqPoly(field, (1,) + x_s[1:])               # x^s + 1
-    half_minus = FqPoly(field, (field.neg(1),) + x_s[1:])   # x^s - 1
-    f = (FqPoly.monomial(field, hp.a, hp.i) * half_plus
-         - FqPoly.monomial(field, hp.b, hp.j) * half_minus).reduce_exponents()
+    x_s, one = FqPoly.monomial(field, 1, (field.q - 1) // 2), FqPoly.one(field)
+    f = (FqPoly.monomial(field, hp.a, hp.i) * (x_s + one)
+         - FqPoly.monomial(field, hp.b, hp.j) * (x_s - one)).reduce_exponents()
     return HermiteFamily(f, field.add(hp.a, hp.a), hp.i, field.add(hp.b, hp.b), hp.j,
                          hermite_sufficient(hp))

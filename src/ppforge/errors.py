@@ -10,7 +10,7 @@ class FieldError(PPForgeError, ValueError):
 
 
 class ExpansionTooLargeError(FieldError):
-    """A dense expansion that would exceed the expansion guard."""
+    """A polynomial or mu_d with more terms than field.EXPANSION_MAX_TERMS."""
 
 
 class PolyParseError(PPForgeError, ValueError):

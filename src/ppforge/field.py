@@ -26,16 +26,26 @@ Beyond VECTOR_MAX_Q, multiplication is digit-vector arithmetic (_mul_slow).
 
 import functools
 import math
-from itertools import compress
 
 import numpy as np
 
-from .errors import FieldError, PolyParseError
+from .errors import ExpansionTooLargeError, FieldError, PolyParseError
 
 # odd p: the q x q add table (int32) and its nested-list copy up to this size.
 ADD_TABLE_MAX_Q = 512
 # exp/log and digit tables (O(q) memory) are allowed up to this size.
 VECTOR_MAX_Q = 1 << 16
+
+# expansion guard: the most terms (or roots of unity) one polynomial or
+# mu_d may hold; past it a construction is refused before it is built
+EXPANSION_MAX_TERMS = 1_000_000
+
+
+def check_expansion(count: int, what: str):
+    if count > EXPANSION_MAX_TERMS:
+        raise ExpansionTooLargeError(f"{what} is too large to expand: {count} "
+                                     f"exceeds the bound {EXPANSION_MAX_TERMS}")
+
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -412,10 +422,12 @@ class Field:
         """The d-th roots of unity, as consecutive powers of the primitive element.
 
         Returned in the order w^(j*(q-1)/d) for j = 0..d-1, so the list always
-        starts with 1 and is deterministic.
+        starts with 1 and is deterministic.  d past the expansion guard is
+        refused with ExpansionTooLargeError.
         """
         if d < 1 or (self.q - 1) % d != 0:
             raise FieldError(f"d={d} does not divide q-1={self.q - 1}")
+        check_expansion(d, f"mu_d for d={d}")
         cached = self._mu_cache.get(d)
         if cached is None:
             step = self.pow(self.primitive_element(), (self.q - 1) // d)
@@ -598,40 +610,40 @@ class FieldTables:
         """c * xs for a scalar index c and an index array xs; a new array."""
         return self.exp_ext[self.log[c] + self.log[xs]]
 
-    def eval_col(self, coeffs) -> np.ndarray:
-        """Value table of the dense polynomial with the given index coefficients.
+    def eval_col(self, terms) -> np.ndarray:
+        """Value table of the polynomial with the given (exponent, coefficient)
+        terms, coefficients being element indices.
 
-        Exact.  Only the nonzero coefficients are visited; each term is c
-        times an exp/log power column.  The terms are summed by XOR of indices
+        Exact.  Each term is c times an exp/log power column, so exponents
+        need no reduction.  The terms are summed by XOR of indices
         in characteristic 2, through the add table where there is one, and
         otherwise in the packed `spread` encoding, reduced mod p digit-wise
         once at the end (and whenever another term could overflow a slot).
         """
         q = self.q
-        terms = (self.scalar_mul(coeffs[e], self.pow_col(e))
-                 for e in compress(range(len(coeffs)), coeffs))
-        first = next(terms, None)
+        cols = (self.scalar_mul(c, self.pow_col(e)) for e, c in terms)
+        first = next(cols, None)
         if first is None:
             return np.zeros(q, dtype=np.int64)
         if self.field.p == 2:
-            for term in terms:
-                first ^= term  # in place: scalar_mul returned a new array
+            for col in cols:
+                first ^= col  # in place: scalar_mul returned a new array
             return first
         if self.addf is not None:
             acc = first
-            for term in terms:
-                acc = self.addf[acc * q + term]
+            for col in cols:
+                acc = self.addf[acc * q + col]
             return acc.astype(np.int64, copy=False)
         spread = self.spread
         # terms a slot can hold: each adds a digit of at most p-1
         room = ((1 << _spread_bits(self.field.n)) - 1) // (self.field.p - 1)
         acc = spread[first]
         held = 1
-        for term in terms:
+        for col in cols:
             if held == room:
                 acc = spread[self._unspread(acc)]
                 held = 1
-            acc += spread[term]
+            acc += spread[col]
             held += 1
         return self._unspread(acc)
 

@@ -25,8 +25,8 @@ from .additive import (AdditiveTriple, TraceTheoremParams, example_family,
                        necessary_conditions_check, proposition_check,
                        commuting_criterion_check, subgroup_data,
                        trace_theorem_check)
-from .cyclotomic import (HermiteParams, Theorem1Params, _g_and_g1,
-                         hermite_family, lemma_check, theorem1_check)
+from .cyclotomic import (HermiteParams, Theorem1Params, hermite_family,
+                         lemma_check, theorem1_check)
 from .errors import OracleBoundError, UnknownSuiteError
 from .field import VECTOR_MAX_Q, Field, divisors, parse_field
 from .poly import (AdditivePoly, CyclotomicForm, FqPoly, additive_commutes, h_d_poly,
@@ -43,7 +43,7 @@ def value_table(f: FqPoly) -> np.ndarray:
     """f evaluated at every element, as an index array of length q; exact."""
     fld = f.field
     if fld.q <= VECTOR_MAX_Q:
-        return fld.tables().eval_col(f.reduce_exponents().coeffs)
+        return fld.tables().eval_col(f.reduce_exponents().terms)
     return np.fromiter((f.eval(a) for a in fld.elements()), dtype=np.int64, count=fld.q)
 
 
@@ -219,7 +219,7 @@ def example_h_corpus(fld: Field, seed, count: int = 10) -> list:
 # the two differ.  Counting, comparing and recording belong to the driver.
 
 def _additive_col(T, X: AdditivePoly) -> np.ndarray:
-    return T.eval_col(X.expand().reduce_exponents().coeffs)
+    return T.eval_col(X.expand().reduce_exponents().terms)
 
 
 def _lemma_cases(fld, seed, T, h_corpus=None):
@@ -229,7 +229,7 @@ def _lemma_cases(fld, seed, T, h_corpus=None):
         m = (q - 1) // d
         for hpos, h in enumerate(hs):
             h_text = h.text()
-            w = None if T is None else T.eval_col(h.substituted_power(m).reduce_exponents().coeffs)
+            w = None if T is None else T.eval_col(h.substituted_power(m).reduce_exponents().terms)
             for u in range(1, q):
                 verdict = lemma_check(CyclotomicForm(u, d, h)).verdict
                 truth = None if T is None else _perm_col(T.mul_cols(T.pow_col(u), w), q)
@@ -247,10 +247,10 @@ def _theorem1_cases(fld, seed, T, g0s=None):
         powm = None if T is None else T.pow_col(m)
         for g0pos, g0 in enumerate(g0s):
             g0_text = g0.text()
-            g, _ = _g_and_g1(fld, d, g0)
             if T is not None:
-                w = T.eval_col(g.substituted_power(m).reduce_exponents().coeffs)
-                g_mu = T.eval_col(g.coeffs)[mu_not1]
+                g = h_d_poly(fld, d) * g0
+                w = T.eval_col(g.substituted_power(m).reduce_exponents().terms)
+                g_mu = T.eval_col(g.terms)[mu_not1]
             for u in range(1, q):
                 if T is not None:
                     powu = T.pow_col(u)
@@ -419,7 +419,7 @@ def _hermite_cases(fld, seed, T):
         if T is None:
             yield "hermite", params, True, None
             continue
-        vals = T.eval_col(fam.poly.coeffs)
+        vals = T.eval_col(fam.poly.terms)
         yield "hermite", params, True, _perm_col(vals, q)
         on_sq = T.scalar_mul(fam.square_coeff, T.pow_col(i))
         on_ns = T.scalar_mul(fam.nonsquare_coeff, T.pow_col(j))
@@ -436,7 +436,7 @@ def _example_family_cases(fld, seed, T):
         if hpos == 0:
             yield "example_degree", params, True, f.degree == 2 * fld.p
         yield ("example_family", params, True,
-               None if T is None else _perm_col(T.eval_col(f.coeffs), fld.q))
+               None if T is None else _perm_col(T.eval_col(f.terms), fld.q))
 
 
 def _always(fld) -> bool:

@@ -1,51 +1,47 @@
-"""Dense polynomials and additive (p-power) polynomials over a Field.
+"""Sparse polynomials and additive (p-power) polynomials over a Field.
 
-FqPoly stores index-encoded coefficients, constant term first, trimmed so the
-leading coefficient is nonzero; the zero polynomial is the empty tuple and
-its degree is reported as -1 (standing in for minus infinity).
+FqPoly stores its nonzero terms: (exponent, coefficient) pairs in ascending
+order of exponent, each coefficient the index of a nonzero element.  The
+zero polynomial has no terms and its degree is reported as -1 (standing in
+for minus infinity).  Nothing is allocated by degree, so x^(10^12) is one
+term.  Only the constructions that multiply terms out, composition, long
+division and h_d, can grow past the expansion guard
+(field.EXPANSION_MAX_TERMS); they refuse to with ExpansionTooLargeError.
 
 AdditivePoly keeps the coefficient vector of sum_i a_i * x^(p^i).  It is
 never expanded implicitly, so the additive structure stays visible in the
-data; expansion to a dense FqPoly is an explicit step.
+data; expansion to an FqPoly is an explicit step.
 
 Text grammar (shared with the CLI):  poly := term ('+' term)*,
 term := coeff ['*' 'x' ['^' exp]] | 'x' ['^' exp], where coeff is the
 integer index of a field element.  Whitespace is ignored everywhere.
 """
 
+import heapq
 import re
 from dataclasses import dataclass
-from itertools import compress
 
-from .errors import ExpansionTooLargeError, FieldError, PolyParseError, ScopeError
-from .field import Field
-
-# expansion guard: refuse dense polynomials built by monomial, shift,
-# substitution or composition beyond this length
-_MAX_DENSE_LEN = 1_000_000
-
-
-def _check_dense_len(length: int):
-    if length > _MAX_DENSE_LEN:
-        raise ExpansionTooLargeError(
-            f"dense polynomial of length {length} too large to expand")
+from .errors import FieldError, PolyParseError, ScopeError
+from .field import Field, check_expansion
 
 
 class FqPoly:
-    """Dense polynomial over F_q; immutable."""
+    """Polynomial over F_q held as its nonzero terms; immutable.
 
-    __slots__ = ("field", "coeffs")
+    FqPoly(field, coeffs) takes a dense coefficient sequence, constant term
+    first; zeros are dropped.
+    """
+
+    __slots__ = ("field", "terms")
 
     def __init__(self, field: Field, coeffs=()):
-        cs = list(coeffs)
         q = field.q
-        if cs and (min(cs) < 0 or max(cs) >= q):
-            bad = next(c for c in cs if not 0 <= c < q)
+        terms = tuple((e, c) for e, c in enumerate(coeffs) if c)
+        bad = next((c for _, c in terms if not 0 < c < q), None)
+        if bad is not None:
             raise FieldError(f"coefficient {bad} out of range for q={q}")
-        while cs and cs[-1] == 0:
-            cs.pop()
         self.field = field
-        self.coeffs = tuple(cs)
+        self.terms = terms
 
     # -- constructors --------------------------------------------------------
 
@@ -67,26 +63,23 @@ class FqPoly:
 
     @classmethod
     def monomial(cls, field, c, e):
-        if not c:
-            return cls(field)
-        _check_dense_len(e + 1)
-        return cls(field, (0,) * e + (c,))
+        return cls.constant(field, c).shifted(e)
 
     # -- basics ---------------------------------------------------------------
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return self.terms[-1][0] if self.terms else -1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     def __eq__(self, other):
         return (isinstance(other, FqPoly) and self.field == other.field
-                and self.coeffs == other.coeffs)
+                and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self.terms))
 
     def __repr__(self):
         return f"FqPoly({self.field.designation()}, {self.text()!r})"
@@ -95,98 +88,110 @@ class FqPoly:
         return format_poly(self)
 
     def coefficients_in_prime_field(self) -> bool:
-        return all(c < self.field.p for c in self.coeffs)
+        p = self.field.p
+        return all(c < p for _, c in self.terms)
 
     # -- evaluation -----------------------------------------------------------
 
     def eval(self, a: int) -> int:
-        """Horner evaluation at the element with index a; exact."""
+        """Horner evaluation at the element with index a, stepping over each
+        gap between exponents with one power of a; exact."""
         f = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, a), c)
-        return acc
+        acc = low = 0
+        for e, c in reversed(self.terms):
+            if acc:
+                acc = f.add(f.mul(acc, a if low - e == 1 else f.pow(a, low - e)), c)
+            else:
+                acc = c
+            low = e
+        return f.mul(acc, f.pow(a, low)) if low else acc
 
     # -- ring operations --------------------------------------------------------
 
     def __add__(self, other):
-        f = self.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = f.add(out[i], c)
-        return FqPoly(f, out)
+        return _collect(self.field, self.terms + other.terms)
 
     def __neg__(self):
         f = self.field
-        return FqPoly(f, [f.neg(c) for c in self.coeffs])
+        return _poly(f, [(e, f.neg(c)) for e, c in self.terms])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        f = self.field
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return FqPoly(f)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = f.add(out[i + j], f.mul(ai, bj))
-        return FqPoly(f, out)
+        mul = self.field.mul
+        return _collect(self.field, [(ea + eb, mul(ca, cb)) for ea, ca in self.terms
+                                     for eb, cb in other.terms])
 
     def scaled(self, c: int):
         f = self.field
-        return FqPoly(f, [f.mul(c, ci) for ci in self.coeffs])
+        return _poly(f, [(e, f.mul(c, ci)) for e, ci in self.terms] if c else ())
 
     def shifted(self, k: int):
         """Multiply by x^k."""
-        if not self.coeffs:
-            return self
-        _check_dense_len(k + len(self.coeffs))
-        return FqPoly(self.field, (0,) * k + self.coeffs)
+        return _poly(self.field, [(e + k, c) for e, c in self.terms])
 
     def substituted_power(self, m: int):
         """The polynomial f(x^m); no exponent reduction."""
         if m < 1:
             raise FieldError("substitution power must be >= 1")
-        if not self.coeffs:
-            return self
-        length = (len(self.coeffs) - 1) * m + 1
-        _check_dense_len(length)
-        out = [0] * length
-        out[::m] = self.coeffs
-        return FqPoly(self.field, out)
+        return _poly(self.field, [(e * m, c) for e, c in self.terms])
 
     def compose(self, inner: "FqPoly"):
-        """f(inner(x)) by Horner in the polynomial ring."""
-        f = self.field
-        acc = FqPoly(f)
-        for c in reversed(self.coeffs):
-            acc = acc * inner + FqPoly.constant(f, c)
-            _check_dense_len(len(acc.coeffs))
-        return acc
+        """f(inner(x)) by Horner over the terms, raising inner to each gap
+        between exponents by repeated squaring.  A product of more term pairs
+        than the expansion guard allows is refused before it is formed."""
+        field = self.field
+
+        def times(a, b):
+            check_expansion(len(a.terms) * len(b.terms), "composition")
+            return a * b
+
+        def power(k):
+            out, base = FqPoly.one(field), inner
+            while k:
+                if k & 1:
+                    out = times(out, base)
+                k >>= 1
+                if k:
+                    base = times(base, base)
+            return out
+
+        acc, low = FqPoly(field), max(self.degree, 0)
+        for e, c in reversed(self.terms):
+            acc = times(acc, power(low - e)) + _poly(field, ((0, c),))
+            low = e
+        return times(acc, power(low))
 
     def divmod(self, other: "FqPoly"):
-        """Polynomial division; other must be nonzero."""
+        """Long division over the terms; other must be nonzero.
+
+        The remainder is a dict of terms and a heap yields its exponents that
+        are still at least deg other, highest first; each step cancels the
+        top term.  A quotient past the expansion guard is refused.
+        """
         if other.is_zero():
             raise FieldError("division by the zero polynomial")
         f = self.field
-        rem = list(self.coeffs)
-        db = other.degree
-        linv = f.inv(other.coeffs[-1])
-        quot = [0] * max(len(rem) - db, 0)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = f.mul(rem[i], linv)
-            if c:
-                quot[i - db] = c
-                for j, bj in enumerate(other.coeffs):
-                    rem[i - db + j] = f.sub(rem[i - db + j], f.mul(c, bj))
-        return FqPoly(f, quot), FqPoly(f, rem[:db])
+        *low, (db, lead) = other.terms
+        linv = f.inv(lead)
+        rem = dict(self.terms)
+        tops = [-e for e in rem if e >= db]
+        heapq.heapify(tops)
+        quot = []
+        while tops:
+            e = -heapq.heappop(tops)
+            c = f.mul(rem.pop(e), linv)
+            if not c:
+                continue
+            quot.append((e - db, c))
+            check_expansion(len(quot), "quotient")
+            for eb, cb in low:
+                k = e - db + eb
+                if k >= db and k not in rem:
+                    heapq.heappush(tops, -k)
+                rem[k] = f.sub(rem.get(k, 0), f.mul(c, cb))
+        return _poly(f, quot[::-1]), _collect(f, rem.items())
 
     def reduce_exponents(self):
         """Canonical representative of the induced map, with degree < q.
@@ -196,15 +201,29 @@ class FqPoly:
         exponent 0 is kept.  Like terms are merged.  Below degree q this is
         the identity, so the polynomial itself is returned.
         """
-        f, cs = self.field, self.coeffs
-        q = f.q
-        if len(cs) <= q:
+        q = self.field.q
+        if self.degree < q:
             return self
-        out = list(cs[:q])
-        for e in compress(range(q, len(cs)), cs[q:]):
-            re = (e - 1) % (q - 1) + 1
-            out[re] = f.add(out[re], cs[e])
-        return FqPoly(f, out)
+        return _collect(self.field, [((e - 1) % (q - 1) + 1 if e else 0, c)
+                                     for e, c in self.terms])
+
+
+def _poly(field: Field, terms) -> FqPoly:
+    """An FqPoly from terms that are already ascending, nonzero and in range."""
+    f = object.__new__(FqPoly)
+    f.field = field
+    f.terms = tuple(terms)
+    return f
+
+
+def _collect(field: Field, pairs) -> FqPoly:
+    """An FqPoly from (exponent, coefficient) pairs in any order: like terms
+    are added and zero sums dropped."""
+    add = field.add
+    acc = {}
+    for e, c in pairs:
+        acc[e] = add(acc[e], c) if e in acc else c
+    return _poly(field, sorted(t for t in acc.items() if t[1]))
 
 
 class AdditivePoly:
@@ -247,33 +266,23 @@ class AdditivePoly:
         return acc
 
     def expand(self) -> FqPoly:
-        """Dense form, with coefficients only at p-power exponents."""
-        f = self.field
-        if not self.add_coeffs:
-            return FqPoly(f)
-        top = f.p ** (len(self.add_coeffs) - 1)
-        out = [0] * (top + 1)
-        e = 1
-        for c in self.add_coeffs:
-            out[e] = c
-            e *= f.p
-        return FqPoly(f, out)
+        """The FqPoly with terms a_i * x^(p^i)."""
+        p = self.field.p
+        return _poly(self.field, [(p ** i, c) for i, c in enumerate(self.add_coeffs) if c])
 
     def coefficients_in_prime_field(self) -> bool:
         return all(c < self.field.p for c in self.add_coeffs)
 
 
 def to_additive(f: FqPoly) -> AdditivePoly:
-    """Reinterpret a dense polynomial as an additive one.
+    """Reinterpret a polynomial as an additive one.
 
-    Every nonzero coefficient must sit at an exponent p^i; otherwise the
-    polynomial does not define an additive map and a FieldError is raised.
+    Every term must sit at an exponent p^i; otherwise the polynomial does
+    not define an additive map and a FieldError is raised.
     """
     field = f.field
     slots: dict[int, int] = {}
-    for e, c in enumerate(f.coeffs):
-        if c == 0:
-            continue
+    for e, c in f.terms:
         i, pe = 0, 1
         while pe < e:
             pe *= field.p
@@ -281,12 +290,7 @@ def to_additive(f: FqPoly) -> AdditivePoly:
         if pe != e or e == 0:
             raise FieldError(f"exponent {e} is not a power of p={field.p}; not additive")
         slots[i] = c
-    if not slots:
-        return AdditivePoly(field)
-    out = [0] * (max(slots) + 1)
-    for i, c in slots.items():
-        out[i] = c
-    return AdditivePoly(field, out)
+    return AdditivePoly(field, [slots.get(i, 0) for i in range(max(slots, default=-1) + 1)])
 
 
 def additive_commutes(A: AdditivePoly, B: AdditivePoly) -> bool:
@@ -296,10 +300,15 @@ def additive_commutes(A: AdditivePoly, B: AdditivePoly) -> bool:
 
 
 def h_d_poly(field: Field, d: int) -> FqPoly:
-    """x^(d-1) + ... + x + 1: vanishes on the d-th roots of unity except 1."""
+    """x^(d-1) + ... + x + 1: vanishes on the d-th roots of unity except 1.
+
+    Its d terms are the allocation, so d past the expansion guard raises
+    ExpansionTooLargeError.
+    """
     if d < 1:
         raise FieldError("d must be >= 1")
-    return FqPoly(field, (1,) * d)
+    check_expansion(d, f"h_d for d={d}")
+    return _poly(field, [(e, 1) for e in range(d)])
 
 
 def trace_poly(field: Field) -> AdditivePoly:
@@ -328,7 +337,7 @@ class CyclotomicForm:
 
 
 def expand_cyclotomic(cf: CyclotomicForm) -> FqPoly:
-    """Explicit dense form of x^u * h(x^((q-1)/d)), exponent-reduced."""
+    """Explicit form of x^u * h(x^((q-1)/d)), exponent-reduced."""
     m = (cf.field.q - 1) // cf.d
     return cf.h.substituted_power(m).shifted(cf.u).reduce_exponents()
 
@@ -344,7 +353,7 @@ def parse_poly(field: Field, text: str) -> FqPoly:
     s = re.sub(r"\s+", "", text)
     if not s:
         raise PolyParseError("empty polynomial")
-    acc: dict[int, int] = {}
+    pairs = []
     for part in s.split("+"):
         m = _TERM_RE.match(part)
         if not m:
@@ -357,31 +366,20 @@ def parse_poly(field: Field, text: str) -> FqPoly:
         if c >= field.q:
             raise PolyParseError(f"coefficient {c} is not an element index of "
                                  f"F_{field.designation()} (q={field.q})")
-        acc[e] = field.add(acc.get(e, 0), c)
-    deg = max((e for e, c in acc.items() if c), default=-1)
-    if deg + 1 > _MAX_DENSE_LEN:
-        raise PolyParseError("polynomial too large")
-    out = [0] * (deg + 1)
-    for e, c in acc.items():
-        if c:
-            out[e] = c
-    return FqPoly(field, out)
+        pairs.append((e, c))
+    return _collect(field, pairs)
 
 
 def format_poly(f: FqPoly) -> str:
     """Canonical text form: descending exponents, '*' products, no spaces."""
-    if f.is_zero():
-        return "0"
-    cs = f.coeffs
-    terms = []
-    for e in compress(range(len(cs) - 1, -1, -1), reversed(cs)):
-        c = cs[e]
+    out = []
+    for e, c in reversed(f.terms):
         if e == 0:
-            terms.append(str(c))
+            out.append(str(c))
         else:
             v = "x" if e == 1 else f"x^{e}"
-            terms.append(v if c == 1 else f"{c}*{v}")
-    return "+".join(terms)
+            out.append(v if c == 1 else f"{c}*{v}")
+    return "+".join(out) or "0"
 
 
 def parse_additive(field: Field, text: str) -> AdditivePoly:

@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -166,11 +167,13 @@ def test_criterion_9_structural_invariants(proposition_report, theorem1_report):
 
 
 def test_criterion_10_selftest_determinism():
+    # the golden file pins the bytes across changes to the code as well
     cmd = [sys.executable, "-m", "ppforge", "selftest", "--suite", "all",
            "--fields", "7,3^2"]
+    golden = (Path(__file__).parent / "data" / "selftest_7_9.jsonl").read_bytes()
     r1 = subprocess.run(cmd, capture_output=True, timeout=900)
     r2 = subprocess.run(cmd, capture_output=True, timeout=900)
     ok = (r1.returncode == 0 and r2.returncode == 0
-          and r1.stdout and r1.stdout == r2.stdout)
-    _criterion(10, "selftest output is byte-identical across runs", ok,
-               f"{len(r1.stdout)} bytes per run")
+          and r1.stdout == golden and r1.stdout == r2.stdout)
+    _criterion(10, "selftest output is byte-identical across runs and to the golden file",
+               ok, f"{len(r1.stdout)} bytes per run, {len(golden)} golden")

@@ -33,7 +33,6 @@ def test_subgroup_data_trace_f9():
     for gamma in sd.image:
         assert B_TRACE9.eval(sd.right_inverse[gamma]) == gamma
         assert sd.a_of_right_inverse[gamma] == A_ID.eval(sd.right_inverse[gamma])
-    assert sd.coset_reps == (0, 1, 2)      # least index per coset of {0,t,2t}
 
 
 @pytest.mark.parametrize("fld", [F9, F8, F25])

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 import ppforge
 from ppforge.cli import main
+from ppforge.field import parse_field
 
 
 def run_cli(capsys, *argv):
@@ -20,6 +22,16 @@ def run_cli(capsys, *argv):
 
 def json_lines(out):
     return [json.loads(line) for line in out.splitlines() if line]
+
+
+def run_subprocess(*argv):
+    """The CLI in a child process, with 10 s and a 2 GB address space."""
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2_000_000 * 1024,) * 2)
+
+    env = {**os.environ, "PYTHONPATH": str(Path(ppforge.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-m", "ppforge", *argv], capture_output=True,
+                          text=True, timeout=10, env=env, preexec_fn=limit_memory)
 
 
 def test_field_info(capsys):
@@ -34,9 +46,7 @@ def test_field_info(capsys):
 
 def test_field_info_large_extension_is_quick():
     # the primitive-element search skips F_p, whose orders divide p-1 < q-1
-    env = {**os.environ, "PYTHONPATH": str(Path(ppforge.__file__).resolve().parents[1])}
-    proc = subprocess.run([sys.executable, "-m", "ppforge", "field-info", "1000003^3"],
-                          capture_output=True, text=True, timeout=10, env=env)
+    proc = run_subprocess("field-info", "1000003^3")
     assert proc.returncode == 0, proc.stderr
     rec = json_lines(proc.stdout)[0]
     assert rec["q"] == 1000003 ** 3 and rec["primitive_element"] == 1000009
@@ -44,9 +54,7 @@ def test_field_info_large_extension_is_quick():
 
 def test_field_info_safe_prime_is_quick():
     # p-1 = 2 * 2305843009213688669: trial division alone would not finish
-    env = {**os.environ, "PYTHONPATH": str(Path(ppforge.__file__).resolve().parents[1])}
-    proc = subprocess.run([sys.executable, "-m", "ppforge", "field-info", "4611686018427377339"],
-                          capture_output=True, text=True, timeout=10, env=env)
+    proc = run_subprocess("field-info", "4611686018427377339")
     assert proc.returncode == 0, proc.stderr
     rec = json_lines(proc.stdout)[0]
     assert rec["q"] == 4611686018427377339 and rec["primitive_element"] == 2
@@ -104,31 +112,66 @@ def test_check_theorem1_scope_error(capsys):
     assert code == 2 and "scope" in err
 
 
+HUGE_D_THEOREM1 = ("theorem1", "4611686018427377339", "--d", "2305843009213688669",
+                   "--u", "1", "--k", "0", "--b", "1")
+
+
 def test_check_beyond_expansion_guard_answers(capsys):
-    # (q-1)/d is about 3e17 (5e11 for hermite's x^((q-1)/2)), far past the
-    # expansion guard; the conditions do not need the polynomial, so the
-    # check still answers
-    for argv in (("theorem1", "1000003^3", "--d", "3", "--u", "1", "--k", "0", "--b", "1"),
-                 ("lemma", "1000003^3", "--d", "3", "--u", "1", "--h", "x+1"),
-                 ("hermite", "1000003^2", "--a", "1", "--b", "1", "--i", "1", "--j", "1")):
-        code, out, err = run_cli(capsys, "check", *argv, "--oracle")
-        rec = json_lines(out)[0]
-        assert code == 0, err
-        assert rec["verdict"] is True and all(c["holds"] for c in rec["conditions"])
-        assert rec["polynomial"] is None and rec["oracle"] == "skipped"
-        assert "too large to expand" in rec["note"]
+    # h_d would have 2.3e18 terms, past the expansion guard; condition 4
+    # needs only g(1) = (d mod p) * g0(1), so the check still answers, with
+    # g and the polynomial null
+    code, out, err = run_cli(capsys, "check", *HUGE_D_THEOREM1, "--oracle")
+    rec = json_lines(out)[0]
+    assert code == 0, err
+    assert [c["holds"] for c in rec["conditions"]] == [True, True, True, False]
+    assert rec["parameters"]["g"] is None
+    assert rec["polynomial"] is None and rec["oracle"] == "skipped"
+    assert "too large to expand" in rec["note"] and "1000000" in rec["note"]
 
 
-@pytest.mark.parametrize("argv", [
-    ("lemma", "--d", "2", "--u", str(10 ** 12), "--h", "x"),
-    ("theorem1", "--d", "3", "--u", "1", "--k", str(10 ** 12), "--b", "1"),
-])
-def test_check_huge_exponent_hits_the_guard_before_allocating(capsys, argv):
+@pytest.mark.parametrize("argv,poly", [
+    (("theorem1", "1000003^3", "--d", "3", "--u", "1", "--k", "0", "--b", "1"),
+     "x^666672666684666685+x^333336333342333343+2*x"),
+    (("lemma", "1000003^3", "--d", "3", "--u", "1", "--h", "x+1"), "x^333336333342333343+x"),
+    (("hermite", "1000003^2", "--a", "1", "--b", "1", "--i", "1", "--j", "1"), "2*x"),
+], ids=["theorem1", "lemma", "hermite"])
+def test_check_huge_q_returns_the_polynomial(capsys, argv, poly):
+    # (q-1)/d is about 3e17 (5e11 for hermite's x^((q-1)/2)), but the
+    # polynomial has three terms; only the oracle is out of reach
+    code, out, err = run_cli(capsys, "check", *argv, "--oracle")
+    rec = json_lines(out)[0]
+    assert code == 0, err
+    assert rec["verdict"] is True and all(c["holds"] for c in rec["conditions"])
+    assert rec["polynomial"] == poly and rec["oracle"] == "skipped"
+    assert rec["note"].startswith(f"q={parse_field(argv[1]).q} exceeds brute-force bound")
+
+
+@pytest.mark.parametrize("argv,poly,oracle", [
+    (("lemma", "--d", "2", "--u", str(10 ** 12), "--h", "x"), "x", "confirmed"),
+    (("theorem1", "--d", "3", "--u", "1", "--k", str(10 ** 12), "--b", "1"),
+     "x^5+2*x^3+x", "refuted"),
+], ids=["lemma", "theorem1"])
+def test_check_huge_exponent_returns_the_reduced_polynomial(capsys, argv, poly, oracle):
+    # x^(10^12) is one term, so the polynomial is reduced and checked
     code, out, err = run_cli(capsys, "check", argv[0], "7", *argv[1:], "--oracle")
     rec = json_lines(out)[0]
     assert code == 0, err
-    assert rec["polynomial"] is None and rec["oracle"] == "skipped"
-    assert "too large to expand" in rec["note"]
+    assert rec["polynomial"] == poly and rec["oracle"] == oracle
+
+
+def test_check_theorem1_with_huge_d_is_quick():
+    proc = run_subprocess("check", *HUGE_D_THEOREM1)
+    assert proc.returncode == 0, proc.stderr
+    rec = json_lines(proc.stdout)[0]
+    assert rec["verdict"] is False and rec["parameters"]["g"] is None
+    assert rec["polynomial"] is None
+
+
+def test_check_lemma_with_huge_d_exits_2_quickly():
+    proc = run_subprocess("check", "lemma", "4611686018427377339",
+                          "--d", "2305843009213688669", "--u", "1", "--h", "x")
+    assert proc.returncode == 2
+    assert "mu_d" in proc.stderr and "1000000" in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [

@@ -127,7 +127,7 @@ def test_generate_empty_bounds():
 
 def test_generate_order_is_lexicographic():
     g0s = [FqPoly.constant(F7, c) for c in range(7)]
-    out = [(p.u, p.k, p.b, p.g0.coeffs) for p, _ in
+    out = [(p.u, p.k, p.b, p.g0.terms) for p, _ in
            theorem1_generate(F7, 3, (1, 5), (0, 1, 2), g0s=g0s)]
     assert out == sorted(out)
     assert len(out) > 4

@@ -7,9 +7,9 @@ import pytest
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_irreducible_p, gf_mul, gf_rem
 
-from ppforge.errors import FieldError
-from ppforge.field import (ADD_TABLE_MAX_Q, VECTOR_MAX_Q, divisors, factorize, is_prime,
-                           make_field, parse_field)
+from ppforge.errors import ExpansionTooLargeError, FieldError
+from ppforge.field import (ADD_TABLE_MAX_Q, EXPANSION_MAX_TERMS, VECTOR_MAX_Q, divisors,
+                           factorize, is_prime, make_field, parse_field)
 
 
 # --- test-local oracle: exhaustive irreducibility by trial division ---------
@@ -175,6 +175,14 @@ def test_mu_d_examples():
     assert set(F7.mu_d(6)) == set(F7.units())
     with pytest.raises(FieldError):
         F7.mu_d(4)
+
+
+def test_mu_d_refuses_d_past_the_expansion_guard():
+    # q = 2d + 1 with d prime: mu_d would hold 2.3e18 roots
+    fld = make_field(4611686018427377339)
+    with pytest.raises(ExpansionTooLargeError, match=str(EXPANSION_MAX_TERMS)):
+        fld.mu_d((fld.q - 1) // 2)
+    assert fld.mu_d(2) == (1, fld.q - 1)
 
 
 @pytest.mark.parametrize("p,n", [(7, 1), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2), (7, 3)])
@@ -345,21 +353,17 @@ def test_eval_col_matches_scalar_sum(p, n):
     rng = random.Random(f"eval_col/{q}")
     points = [0, 1] + [rng.randrange(q) for _ in range(254)]
 
-    def sparse(length, count):
-        cs = [0] * length
-        for _ in range(count):
-            cs[rng.randrange(length)] = rng.randrange(1, q)
-        return tuple(cs)
+    def sparse(top, count):
+        return sorted({rng.randrange(top): rng.randrange(1, q) for _ in range(count)}.items())
 
-    polys = [(), (rng.randrange(1, q),), sparse(3 * q, 6), sparse(q + 7, 2) + (1,)]
+    polys = [[], [(0, rng.randrange(1, q))], sparse(3 * q, 6), sparse(q + 7, 2) + [(q + 7, 1)]]
     if (p, n) == (3, 7):
         # past the 255 terms a packed slot holds; at a = 1 every term is q-1,
         # whose digits are all p-1, so skipping renormalisation would carry
-        polys += [sparse(q, 400), (q - 1,) * 400]
-    for cs in polys:
-        col = T.eval_col(cs)
+        polys += [sparse(q, 400), [(e, q - 1) for e in range(400)]]
+    for terms in polys:
+        col = T.eval_col(terms)
         assert col.dtype == np.int64 and col.shape == (q,)
-        terms = [(e, c) for e, c in enumerate(cs) if c]
         assert [int(col[a]) for a in points] == [_eval_ref(fld, terms, a) for a in points]
     if q > ADD_TABLE_MAX_Q:
         assert not T._pow_cache

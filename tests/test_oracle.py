@@ -220,7 +220,7 @@ def test_suite_commute_filter_matches_library_op():
     # predicate must agree on the whole corpus
     T = F9.tables()
     corpus = additive_poly_corpus(F9, 1009)
-    cols = {A: T.eval_col(A.expand().reduce_exponents().coeffs) for A in corpus}
+    cols = {A: T.eval_col(A.expand().reduce_exponents().terms) for A in corpus}
     for A in corpus[:20]:
         for B in corpus[:20]:
             fast = bool(np.array_equal(cols[A][cols[B]], cols[B][cols[A]]))

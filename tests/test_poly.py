@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ppforge.errors import ExpansionTooLargeError, FieldError, PolyParseError, ScopeError
-from ppforge.field import divisors, make_field
+from ppforge.field import EXPANSION_MAX_TERMS, divisors, make_field
 from ppforge.oracle import value_table
 from ppforge.poly import (AdditivePoly, CyclotomicForm, FqPoly,
                           additive_commutes, expand_cyclotomic, format_poly,
@@ -28,8 +28,9 @@ def test_eval_examples():
 
 def test_construction_invariants():
     f = FqPoly(F7, (1, 2, 0, 0))
-    assert f.coeffs == (1, 2)
+    assert f.terms == ((0, 1), (1, 2))
     assert f.degree == 1
+    assert FqPoly(F7, (0, 0, 3)).terms == ((2, 3),)
     assert FqPoly.zero(F7).degree == -1
     assert FqPoly.zero(F7).is_zero()
     with pytest.raises(FieldError):
@@ -118,8 +119,7 @@ def test_additivity_exhaustive(p, n):
 def test_additive_expand_shape():
     A = AdditivePoly(F9, (2, 0, 5))
     f = A.expand()
-    assert f.coeffs[1] == 2 and f.coeffs[9] == 5
-    assert all(c == 0 for e, c in enumerate(f.coeffs) if e not in (1, 3, 9))
+    assert f.terms == ((1, 2), (9, 5))
     assert all(A.eval(a) == f.eval(a) for a in F9.elements())
 
 
@@ -177,17 +177,38 @@ def test_compose_and_divmod():
         g.divmod(FqPoly.zero(F9))
 
 
-def test_expansion_guard_refuses_before_allocating():
-    # a length of 10^12 would need terabytes; the guard must trip first
+def test_huge_exponents_are_one_term():
+    # nothing is allocated by degree: x^(10^12) is one term, and reducing
+    # it is one fold
     x = FqPoly.x(F7)
+    big = 10 ** 12
+    assert FqPoly.monomial(F7, 3, big).terms == ((big, 3),)
+    assert x.shifted(big).terms == ((big + 1, 1),)
+    assert x.substituted_power(big).terms == ((big, 1),)
+    assert parse_poly(F7, f"2*x^{big}+1").terms == ((0, 1), (big, 2))
+    assert FqPoly.monomial(F7, 0, big).is_zero()
+    assert FqPoly.zero(F7).shifted(big).is_zero()
+    # x^(10^12+1) -> x^((10^12 mod 6) + 1) = x^5
+    assert x.shifted(big).reduce_exponents() == FqPoly.monomial(F7, 1, 5)
+
+
+def test_expansion_guard_refuses_before_allocating():
+    assert len(h_d_poly(F7, EXPANSION_MAX_TERMS).terms) == EXPANSION_MAX_TERMS
+    with pytest.raises(ExpansionTooLargeError, match=str(EXPANSION_MAX_TERMS)):
+        h_d_poly(F7, EXPANSION_MAX_TERMS + 1)
     with pytest.raises(ExpansionTooLargeError):
-        FqPoly.monomial(F7, 1, 10 ** 12)
+        h_d_poly(F7, 2 ** 61)
+    # (x+1)^(10^12) has about 10^12 terms; repeated squaring trips the
+    # guard long before that
     with pytest.raises(ExpansionTooLargeError):
-        x.shifted(10 ** 12)
+        FqPoly.monomial(F7, 1, 10 ** 12).compose(parse_poly(F7, "x+1"))
+    assert FqPoly.monomial(F7, 1, 10 ** 12).compose(FqPoly.monomial(F7, 2, 5)) == \
+        FqPoly.monomial(F7, F7.pow(2, 10 ** 12), 5 * 10 ** 12)
+    # x^(10^12) / (x^2+x+1) has a quotient of about 6.7e11 terms
     with pytest.raises(ExpansionTooLargeError):
-        x.substituted_power(10 ** 12)
-    assert FqPoly.monomial(F7, 0, 10 ** 12).is_zero()
-    assert FqPoly.zero(F7).shifted(10 ** 12).is_zero()
+        FqPoly.monomial(F7, 1, 10 ** 12).divmod(parse_poly(F7, "x^2+x+1"))
+    quot, rem = FqPoly.monomial(F7, 1, 10 ** 12).divmod(parse_poly(F7, "x^5"))
+    assert quot == FqPoly.monomial(F7, 1, 10 ** 12 - 5) and rem.is_zero()
 
 
 def test_parse_format_round_trip():
@@ -219,25 +240,55 @@ def test_format_examples():
 PROPERTY_FIELDS = [F7, F9, make_field(2, 10), make_field(3, 7), make_field(251, 2)]
 
 
-@st.composite
-def sparse_polys(draw):
-    """Up to 6 terms with exponents up to 3q, so most are unreduced."""
-    fld = draw(st.sampled_from(PROPERTY_FIELDS))
-    terms = draw(st.dictionaries(st.integers(0, 3 * fld.q), st.integers(0, fld.q - 1),
-                                 max_size=6))
+def _terms(draw, fld, top, size):
+    """Up to `size` (exponent, coefficient) pairs with exponents up to top."""
+    return draw(st.dictionaries(st.integers(0, top), st.integers(0, fld.q - 1),
+                                max_size=size))
+
+
+def _dense(terms):
     cs = [0] * (max(terms, default=-1) + 1)
     for e, c in terms.items():
         cs[e] = c
-    return FqPoly(fld, cs)
+    return cs
+
+
+@st.composite
+def sparse_polys(draw):
+    """A field, two polynomials f and g of up to 6 terms with exponents up
+    to 3q (so most are unreduced), a short low-degree s to compose with g,
+    and a scalar; f is built through the dense constructor."""
+    fld = draw(st.sampled_from(PROPERTY_FIELDS))
+    ft = _terms(draw, fld, 3 * fld.q, 6)
+    f = FqPoly(fld, _dense(ft))
+    assert f.terms == tuple(sorted((e, c) for e, c in ft.items() if c))
+    g = FqPoly(fld, _dense(_terms(draw, fld, 3 * fld.q, 6)))
+    s = FqPoly(fld, _dense(_terms(draw, fld, 6, 3)))
+    return f, g, s, draw(st.integers(0, fld.q - 1))
 
 
 @settings(max_examples=80, deadline=None)
 @given(sparse_polys())
-def test_sparse_poly_properties(f):
-    assert parse_poly(f.field, format_poly(f)) == f
-    g = f.reduce_exponents()
-    assert g.degree < f.field.q
-    vals = value_table(f)
-    assert np.array_equal(vals, value_table(g))
+def test_sparse_poly_properties(polys):
+    f, g, s, c = polys
+    fld = f.field
+    T = fld.tables()
+    assert parse_poly(fld, format_poly(f)) == f
+    r = f.reduce_exponents()
+    assert r.degree < fld.q
+    vf, vg = value_table(f), value_table(g)
+    assert np.array_equal(vf, value_table(r))
     # eval_col reduces exponents itself, through its power columns
-    assert np.array_equal(vals, f.field.tables().eval_col(f.coeffs))
+    assert np.array_equal(vf, T.eval_col(f.terms))
+    # the ring operations, point by point
+    assert np.array_equal(value_table(f + g), T.add_cols(vf, vg))
+    assert np.array_equal(T.add_cols(value_table(f - g), vg), vf)
+    assert np.array_equal(value_table(f * g), T.mul_cols(vf, vg))
+    assert np.array_equal(value_table(s.compose(g)), value_table(s)[vg])
+    assert np.array_equal(value_table(f.scaled(c)), T.scalar_mul(c, vf))
+    assert all(f.eval(a) == vf[a] for a in (0, 1, fld.q - 1))
+    if not g.is_zero():
+        quot, rem = f.divmod(g)
+        assert quot * g + rem == f and rem.degree < g.degree
+    # the dense constructor round trip
+    assert FqPoly(fld, _dense(dict(f.terms))) == f
