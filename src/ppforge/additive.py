@@ -12,7 +12,7 @@ import functools
 from dataclasses import dataclass
 
 from .errors import FieldError, ScopeError
-from .field import Field
+from .field import Field, check_expansion
 from .poly import AdditivePoly, FqPoly, additive_commutes, trace_poly
 from .report import Condition, ConditionReport
 
@@ -73,6 +73,7 @@ def subgroup_data(A: AdditivePoly, B: AdditivePoly, *, preimage: str = "least") 
     field = A.field
     if field != B.field:
         raise FieldError("A and B must live over the same field")
+    check_expansion(field.q, f"a walk of F_q for q={field.q}")
     rinv: dict[int, int] = {}
     kernel = []
     for x in field.elements():
@@ -174,6 +175,7 @@ def triple_poly(tr: AdditiveTriple) -> FqPoly:
 
 @functools.lru_cache(maxsize=None)
 def _trace_kernel(field: Field) -> tuple:
+    check_expansion(field.q, f"a walk of F_q for q={field.q}")
     B = trace_poly(field)
     return tuple(x for x in field.elements() if B.eval(x) == 0)
 

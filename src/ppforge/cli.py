@@ -9,6 +9,7 @@ bound field.VECTOR_MAX_Q = 2^16).
 """
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -20,7 +21,7 @@ from .additive import (AdditiveTriple, TraceTheoremParams,
                        trace_theorem_poly, triple_poly)
 from .cyclotomic import (HermiteParams, Theorem1Params, cofactor_of,
                          hermite_family, hermite_sufficient, lemma_check,
-                         theorem1_check, theorem1_generate, theorem1_poly)
+                         theorem1_check, theorem1_generate)
 from .errors import ExpansionTooLargeError, PPForgeError
 from .field import Field, parse_field
 from .oracle import (DEFAULT_MAX_Q, SUITE_NAMES, is_permutation,
@@ -99,7 +100,7 @@ def _confirm(poly: FqPoly, verdict: bool, max_q: int, enabled: bool) -> tuple:
     perm = is_permutation(poly, max_q=max_q)
     if perm == verdict:
         return ("confirmed" if perm else "refuted"), None
-    return None, perm  # caller decides; only reachable for sufficient-only criteria
+    return None, perm  # a disagreement: the caller decides what it means
 
 
 def _need(args, *names):
@@ -119,7 +120,7 @@ def cmd_field_info(args) -> int:
         "p": fld.p,
         "n": fld.n,
         "q": fld.q,
-        "modulus": fld.modulus_text(),
+        "modulus": FqPoly(fld, fld.modulus).text(),
         "primitive_element": fld.primitive_element(),
     }
     if args.pretty:
@@ -162,28 +163,23 @@ def _check_theorem1(args, fld):
     params = Theorem1Params(args.d, args.u, args.k, args.b, g0)
     report = theorem1_check(params)
     try:
-        g_text = params.g().text()
+        g = params.g()
     except ExpansionTooLargeError:
-        g_text = None
+        g = None
+    # past the guard, params.g() raises again and the expansion is refused
     return ({"d": args.d, "u": args.u, "k": args.k, "b": args.b,
-             "g0": g0.text(), "g": g_text},
-            report, lambda: theorem1_poly(params))
+             "g0": g0.text(), "g": None if g is None else g.text()},
+            report, lambda: expand_cyclotomic(params.form(params.g() if g is None else g)))
 
 
-def _check_proposition(args, fld):
+def _check_triple(args, fld):
     _need(args, "A", "B", "g")
     tr = AdditiveTriple(parse_additive(fld, args.A), parse_additive(fld, args.B),
                         parse_poly(fld, args.g))
+    check = (proposition_check if args.construction == "proposition"
+             else commuting_criterion_check)
     return ({"A": args.A, "B": args.B, "g": tr.g.text()},
-            proposition_check(tr), lambda: triple_poly(tr))
-
-
-def _check_corollary2(args, fld):
-    _need(args, "A", "B", "g")
-    tr = AdditiveTriple(parse_additive(fld, args.A), parse_additive(fld, args.B),
-                        parse_poly(fld, args.g))
-    return ({"A": args.A, "B": args.B, "g": tr.g.text()},
-            commuting_criterion_check(tr), lambda: triple_poly(tr))
+            check(tr), lambda: triple_poly(tr))
 
 
 def _check_trace_theorem(args, fld):
@@ -207,8 +203,8 @@ def _check_hermite(args, fld):
 _CHECKS = {
     "lemma": _check_lemma,
     "theorem1": _check_theorem1,
-    "proposition": _check_proposition,
-    "corollary2": _check_corollary2,
+    "proposition": _check_triple,
+    "corollary2": _check_triple,
     "trace_theorem": _check_trace_theorem,
     "hermite": _check_hermite,
 }
@@ -225,10 +221,13 @@ def cmd_check(args) -> int:
         _emit(args, record)
         return EXIT_OK
     status, note = _confirm(poly, report.verdict, _resolve_max_q(args), args.oracle)
+    if status is None and args.construction != "hermite":
+        raise PPForgeError(f"internal: the {args.construction} verdict "
+                           f"{report.verdict} contradicts the oracle")
     record = _record(fld, args.construction, parameters, report, poly,
                      status if status else "skipped")
     if status is None:
-        # only the sufficient-only hermite criterion can land here
+        # hermite's criterion is sufficient-only, so it may miss a permutation
         record["note"] = ("criterion is sufficient-only: the polynomial "
                           f"{'permutes' if note else 'does not permute'} anyway")
     elif note:
@@ -342,6 +341,7 @@ def _parse_range(text: str):
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ppforge",

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .errors import FieldError, ScopeError
 from .field import Field
-from .poly import CyclotomicForm, FqPoly, h_d_poly
+from .poly import CyclotomicForm, FqPoly, expand_cyclotomic, h_d_poly
 from .report import Condition, ConditionReport
 
 LEMMA_COPRIME = "gcd(u,(q-1)/d)=1"
@@ -27,6 +27,14 @@ HERMITE_2B_SQUARE = "2b is a square"
 HERMITE_COPRIME = "gcd(i*j,q-1)=1"
 
 
+def _induced_map(cf: CyclotomicForm) -> tuple:
+    """(mu_d, images): the induced map z -> z^u * h(z)^((q-1)/d) on mu_d."""
+    field = cf.field
+    m = (field.q - 1) // cf.d
+    mu = field.mu_d(cf.d)
+    return mu, [field.mul(field.pow(z, cf.u), field.pow(cf.h.eval(z), m)) for z in mu]
+
+
 def lemma_check(cf: CyclotomicForm) -> ConditionReport:
     """Decide whether x^u * h(x^((q-1)/d)) permutes F_q.
 
@@ -34,11 +42,8 @@ def lemma_check(cf: CyclotomicForm) -> ConditionReport:
     the induced map z -> z^u * h(z)^((q-1)/d) being a bijection of mu_d.
     The second is decided by direct enumeration of the d images.
     """
-    field = cf.field
-    m = (field.q - 1) // cf.d
-    c1 = math.gcd(cf.u, m) == 1
-    mu = field.mu_d(cf.d)
-    image = [field.mul(field.pow(z, cf.u), field.pow(cf.h.eval(z), m)) for z in mu]
+    c1 = math.gcd(cf.u, (cf.field.q - 1) // cf.d) == 1
+    mu, image = _induced_map(cf)
     c2 = sorted(image) == sorted(mu)
     witness = None
     if not c2:
@@ -54,6 +59,7 @@ def lemma_check(cf: CyclotomicForm) -> ConditionReport:
 class Theorem1Params:
     """Parameters of f(x) = x^u * (b*x^(k(q-1)/d) + g(x^((q-1)/d))).
 
+    f is the lemma's x^u * h(x^((q-1)/d)) with h = b*x^k + g (see form).
     g is supplied through its cofactor g0, with g = h_d * g0, which makes
     the required divisibility structural.  b is an element index.  The
     check never forms g: since h_d(1) = d, g(1) = (d mod p) * g0(1).
@@ -65,6 +71,14 @@ class Theorem1Params:
     b: int
     g0: FqPoly
 
+    def __post_init__(self):
+        field = self.field
+        _validate_d(field, self.d)
+        if self.u < 1 or self.k < 0:
+            raise ScopeError(f"need u >= 1 and k >= 0, got u={self.u}, k={self.k}")
+        if not 0 <= self.b < field.q:
+            raise FieldError(f"b={self.b} is not an element index (q={field.q})")
+
     @property
     def field(self) -> Field:
         return self.g0.field
@@ -73,20 +87,16 @@ class Theorem1Params:
         """h_d * g0; ExpansionTooLargeError when h_d is past the guard."""
         return h_d_poly(self.field, self.d) * self.g0
 
+    def form(self, g: FqPoly) -> CyclotomicForm:
+        """The lemma's form of f, given g = self.g()."""
+        return CyclotomicForm(self.u, self.d, FqPoly.monomial(self.field, self.b, self.k) + g)
+
 
 def _validate_d(field: Field, d: int):
     if d <= 2:
         raise ScopeError(f"d={d} is out of scope: the four-condition criterion needs d > 2")
     if (field.q - 1) % d != 0:
         raise ScopeError(f"d={d} does not divide q-1={field.q - 1}")
-
-
-def _validate_theorem1_scope(field: Field, d: int, u: int, k: int, b: int):
-    _validate_d(field, d)
-    if u < 1 or k < 0:
-        raise ScopeError(f"need u >= 1 and k >= 0, got u={u}, k={k}")
-    if not 0 <= b < field.q:
-        raise FieldError(f"b={b} is not an element index (q={field.q})")
 
 
 def theorem1_check(params: Theorem1Params) -> ConditionReport:
@@ -100,7 +110,6 @@ def theorem1_check(params: Theorem1Params) -> ConditionReport:
     """
     field = params.field
     d, u, k, b = params.d, params.u, params.k, params.b
-    _validate_theorem1_scope(field, d, u, k, b)
     m = (field.q - 1) // d
     c1 = math.gcd(u, m) == 1
     c2 = math.gcd(d, u + k * m) == 1
@@ -125,13 +134,7 @@ def theorem1_check(params: Theorem1Params) -> ConditionReport:
 
 def theorem1_poly(params: Theorem1Params) -> FqPoly:
     """Expanded, exponent-reduced form of the parametrized polynomial."""
-    field = params.field
-    _validate_theorem1_scope(field, params.d, params.u, params.k, params.b)
-    m = (field.q - 1) // params.d
-    inner = FqPoly.monomial(field, params.b, params.k) + params.g()
-    if inner.is_zero():
-        return FqPoly.zero(field)
-    return inner.substituted_power(m).shifted(params.u).reduce_exponents()
+    return expand_cyclotomic(params.form(params.g()))
 
 
 def cofactor_of(field: Field, d: int, g: FqPoly) -> FqPoly:
@@ -144,31 +147,33 @@ def cofactor_of(field: Field, d: int, g: FqPoly) -> FqPoly:
 
 
 def theorem1_generate(field: Field, d: int, u_values=(1,), k_values=(0,),
-                      g0s=None, bs=None, g: FqPoly = None):
+                      g0s=None, g: FqPoly = None):
     """Emit (params, expanded polynomial) for every verdict-true tuple.
 
     Order is lexicographic in (u, k, b index, g0 position), so output is
     stable.  An explicit g may be given instead of cofactors; it is divided
-    by h_d and rejected on a nonzero remainder.  An empty stream is valid.
+    by h_d and rejected on a nonzero remainder.  An empty stream is valid,
+    and builds no g.
     """
+    gs = {}  # g0 -> h_d * g0, built when g0 first yields a polynomial
     if g is not None:
         if g0s is not None:
             raise FieldError("pass either g0s or an explicit g, not both")
         g0s = (cofactor_of(field, d, g),)
+        gs[g0s[0]] = g
     if g0s is None:
         g0s = (FqPoly.one(field),)
     g0s = tuple(g0s)
-    if bs is None:
-        bs = field.elements()
-    bs = tuple(bs)
     _validate_d(field, d)
     for u in u_values:
         for k in k_values:
-            for b in bs:
+            for b in field.elements():
                 for g0 in g0s:
                     params = Theorem1Params(d, u, k, b, g0)
                     if theorem1_check(params).verdict:
-                        yield params, theorem1_poly(params)
+                        if g0 not in gs:
+                            gs[g0] = params.g()
+                        yield params, expand_cyclotomic(params.form(gs[g0]))
 
 
 def fhat_on_mu_d(params: Theorem1Params):
@@ -178,15 +183,7 @@ def fhat_on_mu_d(params: Theorem1Params):
     z^(u+k(q-1)/d) because g vanishes there; the table is computed honestly
     from the defining expression so that invariant can be tested.
     """
-    field = params.field
-    _validate_theorem1_scope(field, params.d, params.u, params.k, params.b)
-    m = (field.q - 1) // params.d
-    g = params.g()
-    out = []
-    for z in field.mu_d(params.d):
-        inner = field.add(field.mul(params.b, field.pow(z, params.k)), g.eval(z))
-        out.append((z, field.mul(field.pow(z, params.u), field.pow(inner, m))))
-    return out
+    return list(zip(*_induced_map(params.form(params.g()))))
 
 
 @dataclass(frozen=True)

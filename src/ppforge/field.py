@@ -20,8 +20,11 @@ exp/log lookup too.  Addition works in (F_q, +) and is chosen by the
 characteristic:
   p = 2                        XOR of the indices, at every q;
   odd p, q <= ADD_TABLE_MAX_Q  a q x q add table (nested lists for scalars);
-  odd p, beyond                base-p digit arithmetic.
-Beyond VECTOR_MAX_Q, multiplication is digit-vector arithmetic (_mul_slow).
+  odd p, beyond                base-p digit arithmetic for scalars, packed
+                               digit words (FieldTables.spread) for columns.
+Negation is multiplication by -1, the element with index p-1.  Beyond
+VECTOR_MAX_Q, multiplication is digit-vector arithmetic (_mul_slow), the
+same product mod the modulus that the modulus search uses.
 """
 
 import functools
@@ -228,7 +231,7 @@ class Field:
     """A concrete F_{p^n} with canonical modulus and integer element encoding."""
 
     __slots__ = ("p", "n", "q", "modulus", "_omega", "_tables", "_mu_cache",
-                 "_add_list", "_neg_list", "_exp_list", "_log_list")
+                 "_add_list", "_exp_list", "_log_list")
 
     def __init__(self, p: int, n: int = 1):
         if not isinstance(p, int) or not is_prime(p):
@@ -246,7 +249,6 @@ class Field:
         self._tables = None
         self._mu_cache: dict = {}
         self._add_list = None
-        self._neg_list = None
         self._exp_list = None
         self._log_list = None
         if q <= VECTOR_MAX_Q:
@@ -316,20 +318,7 @@ class Field:
         return out
 
     def neg(self, a: int) -> int:
-        t = self._neg_list
-        if t is not None:
-            return t[a]
-        p = self.p
-        if p == 2:
-            return a
-        if self.n == 1:
-            return (-a) % p
-        out, mult = 0, 1
-        for _ in range(self.n):
-            out += ((p - a % p) % p) * mult
-            a //= p
-            mult *= p
-        return out
+        return self.mul(self.p - 1, a)  # index p-1 is -1; for p = 2 this is a
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -345,23 +334,15 @@ class Field:
         p = self.p
         if self.n == 1:
             return a * b % p
-        da, db = self.coeffs(a), self.coeffs(b)
-        n = self.n
-        prod = [0] * (2 * n - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    prod[i + j] += ai * bj
-        mod = self.modulus
-        for i in range(2 * n - 2, n - 1, -1):
-            c = prod[i] % p
-            if c:
-                for j in range(n):
-                    prod[i - n + j] -= c * mod[j]
-        idx = 0
-        for c in reversed(prod[:n]):
-            idx = idx * p + c % p
-        return idx
+        return self.element(_fp_mulmod(self.coeffs(a), self.coeffs(b), self.modulus, p))
+
+    def work(self, products: int, powers: int = 0) -> int:
+        """What the expansion guard counts for that many scalar products and
+        powers: one lookup each on a table field; beyond the tables a power
+        is about log2(q) products and a product n^2 digit products."""
+        if self._exp_list is not None:
+            return products + powers
+        return (products + powers * self.q.bit_length()) * self.n ** 2
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -384,6 +365,8 @@ class Field:
             if a:
                 return exp[self._log_list[a] * e % (self.q - 1)]
             return 0 if e else 1
+        if a and e >= self.q:
+            e = (e - 1) % (self.q - 1) + 1  # a^(q-1) = 1
         result, base = 1, a
         while e:
             if e & 1:
@@ -422,12 +405,13 @@ class Field:
         """The d-th roots of unity, as consecutive powers of the primitive element.
 
         Returned in the order w^(j*(q-1)/d) for j = 0..d-1, so the list always
-        starts with 1 and is deterministic.  d past the expansion guard is
+        starts with 1 and is deterministic.  Its callers raise each root to
+        powers, so d such powers past the expansion guard (see work) are
         refused with ExpansionTooLargeError.
         """
         if d < 1 or (self.q - 1) % d != 0:
             raise FieldError(f"d={d} does not divide q-1={self.q - 1}")
-        check_expansion(d, f"mu_d for d={d}")
+        check_expansion(self.work(0, d), f"mu_d for d={d}")
         cached = self._mu_cache.get(d)
         if cached is None:
             step = self.pow(self.primitive_element(), (self.q - 1) // d)
@@ -455,25 +439,10 @@ class Field:
             t = FieldTables(self)
             self._tables = t
             if t.addf is not None:
-                p, q = self.p, self.q
-                self._add_list = t.addf.reshape(q, q).tolist()
-                self._neg_list = (((p - t.digits) % p) @ t.pvec).tolist()
+                self._add_list = t.addf.reshape(self.q, self.q).tolist()
             self._log_list = t.log.tolist()
             self._exp_list = t.exp_ext.tolist()
         return self._tables
-
-    def modulus_text(self) -> str:
-        terms = []
-        for e in range(self.n, -1, -1):
-            c = self.modulus[e]
-            if not c:
-                continue
-            if e == 0:
-                terms.append(str(c))
-            else:
-                v = "x" if e == 1 else f"x^{e}"
-                terms.append(v if c == 1 else f"{c}*{v}")
-        return "+".join(terms) if terms else "0"
 
 
 def _exp_digits(field: Field) -> np.ndarray:
@@ -524,17 +493,19 @@ def parse_field(text: str) -> Field:
 class FieldTables:
     """Vectorized lookup tables over one field.
 
-    Always present (q <= 2^16): base-p digit matrix and exp/log for the
-    cyclic group F_q^*.  log[0] is the sentinel 2(q-1) and exp_ext is
+    Always present (q <= 2^16): exp/log for the cyclic group F_q^* and the
+    powers of p, pvec.  log[0] is the sentinel 2(q-1) and exp_ext is
     exp + exp + 2q-1 zeros, so exp_ext[log a + log b] = a*b for every a and
     b, zero included; exp is the cycle w^0 .. w^(q-2), a view of exp_ext.
     For odd p the full q x q addition table is materialized up to
-    ADD_TABLE_MAX_Q; above it, odd p gets the packed digit encoding `spread`
-    that eval_col sums in.  In characteristic 2 addition is XOR and needs no
-    table.  All arrays are exact integer data; callers must not mutate them.
+    ADD_TABLE_MAX_Q; above it, odd p gets the packed digit word `spread`
+    that add_cols and eval_col sum in.  In characteristic 2 addition is XOR
+    and needs no table.  The arrays total at most 6q + n int64 words beside
+    the add table.  All arrays are exact integer data; callers must not
+    mutate them.
     """
 
-    __slots__ = ("field", "q", "digits", "pvec", "exp", "exp_ext", "log",
+    __slots__ = ("field", "q", "pvec", "exp", "exp_ext", "log",
                  "addf", "spread", "_pow_cache")
 
     def __init__(self, field: Field):
@@ -544,9 +515,6 @@ class FieldTables:
         self.field = field
         self.q = q
         self.pvec = p ** np.arange(n, dtype=np.int64)
-        idx = np.arange(q, dtype=np.int64)
-        self.digits = (idx[:, None] // self.pvec[None, :]) % p
-
         exp = _exp_digits(field) @ self.pvec
         self.exp_ext = np.concatenate((exp, exp, np.zeros(2 * q - 1, dtype=np.int64)))
         self.exp = self.exp_ext[:q - 1]
@@ -572,7 +540,8 @@ class FieldTables:
             # spread[x] = sum_i digit_i(x) * 2^(b*i): a sum of such words adds
             # the digits of its terms slot by slot, without carries while each
             # slot stays below 2^b
-            self.spread = self.digits @ (1 << (_spread_bits(n) * np.arange(n, dtype=np.int64)))
+            digits = (np.arange(q, dtype=np.int64)[:, None] // self.pvec) % p
+            self.spread = digits @ (1 << (_spread_bits(n) * np.arange(n, dtype=np.int64)))
         self._pow_cache: dict = {}
 
     # -- column helpers ------------------------------------------------------
@@ -604,7 +573,7 @@ class FieldTables:
             return x ^ y
         if self.addf is not None:
             return self.addf[x * self.q + y]
-        return ((self.digits[x] + self.digits[y]) % self.field.p) @ self.pvec
+        return self._unspread(self.spread[x] + self.spread[y])
 
     def scalar_mul(self, c: int, xs) -> np.ndarray:
         """c * xs for a scalar index c and an index array xs; a new array."""
@@ -651,7 +620,7 @@ class FieldTables:
         """Indices whose digits are the packed slot sums reduced mod p."""
         n = self.field.n
         b = _spread_bits(n)
-        slots = (packed[:, None] >> (b * np.arange(n, dtype=np.int64))) & ((1 << b) - 1)
+        slots = (packed[..., None] >> (b * np.arange(n, dtype=np.int64))) & ((1 << b) - 1)
         return (slots % self.field.p) @ self.pvec
 
 

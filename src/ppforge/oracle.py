@@ -135,6 +135,16 @@ class EquivalenceReport:
 # ---------------------------------------------------------------------------
 # deterministic sampling corpora
 
+# corpus sizes: h per (q, d) cell of the lemma suite, random theorem1
+# cofactors g0, random additive A, random g, trace-suite g, example h
+LEMMA_H_COUNT = 200
+THEOREM1_RANDOM_G0 = 20
+RANDOM_A = 30
+RANDOM_G = 20
+TRACE_G_COUNT = 10
+EXAMPLE_H_COUNT = 10
+
+
 def _rng(seed, *tags) -> random.Random:
     return random.Random("/".join(str(t) for t in (seed, *tags)))
 
@@ -148,38 +158,38 @@ def _coeff_pool(fld: Field) -> tuple:
     return (0, 1) if fld.n == 1 else (0, 1, fld.p)
 
 
-def lemma_h_corpus(fld: Field, d: int, seed, count: int = 200) -> list:
+def lemma_h_corpus(fld: Field, d: int, seed) -> list:
     """h samples for one (q, d) cell: 1, h_d, then fixed-seed random ones."""
     out = [FqPoly.one(fld), h_d_poly(fld, d)]
     rng = _rng(seed, "lemma-h", fld.designation(), d)
-    while len(out) < count:
+    while len(out) < LEMMA_H_COUNT:
         out.append(_random_poly(fld, rng, d + 1))
     return out
 
 
-def theorem1_g0_corpus(fld: Field, seed, random_count: int = 20) -> list:
+def theorem1_g0_corpus(fld: Field, seed) -> list:
     """All constant cofactors plus fixed-seed random ones of degree <= 3."""
     out = [FqPoly.constant(fld, c) for c in range(fld.q)]
     rng = _rng(seed, "theorem1-g0", fld.designation())
-    out += [_random_poly(fld, rng, 3) for _ in range(random_count)]
+    out += [_random_poly(fld, rng, 3) for _ in range(THEOREM1_RANDOM_G0)]
     return out
 
 
-def additive_poly_corpus(fld: Field, seed, random_count: int = 30) -> list:
+def additive_poly_corpus(fld: Field, seed) -> list:
     """Enumerated {0,1,t} coefficients on the slots x, x^p, x^(p^2), plus
     fixed-seed random additive polynomials on the same slots."""
     out = [AdditivePoly(fld, cs) for cs in itertools.product(_coeff_pool(fld), repeat=3)]
     rng = _rng(seed, "additive", fld.designation())
     out += [AdditivePoly(fld, [rng.randrange(fld.q) for _ in range(3)])
-            for _ in range(random_count)]
+            for _ in range(RANDOM_A)]
     return out
 
 
-def arbitrary_g_corpus(fld: Field, seed, random_count: int = 20) -> list:
+def arbitrary_g_corpus(fld: Field, seed) -> list:
     """Enumerated degree-<=2 polynomials over {0,1,t} plus random deg <= 4."""
     out = [FqPoly(fld, cs) for cs in itertools.product(_coeff_pool(fld), repeat=3)]
     rng = _rng(seed, "gpoly", fld.designation())
-    out += [_random_poly(fld, rng, 4) for _ in range(random_count)]
+    out += [_random_poly(fld, rng, 4) for _ in range(RANDOM_G)]
     return out
 
 
@@ -188,21 +198,21 @@ def prime_field_additive_corpus(fld: Field) -> list:
     return [AdditivePoly(fld, cs) for cs in itertools.product(range(fld.p), repeat=3)]
 
 
-def prime_coeff_poly_corpus(fld: Field, max_deg: int = 2) -> list:
-    """Every polynomial of degree <= max_deg with F_p coefficients."""
-    return [FqPoly(fld, cs) for cs in itertools.product(range(fld.p), repeat=max_deg + 1)]
+def prime_coeff_poly_corpus(fld: Field) -> list:
+    """Every polynomial of degree <= 2 with F_p coefficients."""
+    return [FqPoly(fld, cs) for cs in itertools.product(range(fld.p), repeat=3)]
 
 
-def trace_g_corpus(fld: Field, seed, count: int = 10) -> list:
+def trace_g_corpus(fld: Field, seed) -> list:
     rng = _rng(seed, "trace-g", fld.designation())
-    return [_random_poly(fld, rng, 3) for _ in range(count)]
+    return [_random_poly(fld, rng, 3) for _ in range(TRACE_G_COUNT)]
 
 
-def example_h_corpus(fld: Field, seed, count: int = 10) -> list:
+def example_h_corpus(fld: Field, seed) -> list:
     """x^2 first (the degree-2p family), then random F_p-coefficient h."""
     out = [FqPoly.monomial(fld, 1, 2)]
     rng = _rng(seed, "example-h", fld.designation())
-    while len(out) < count:
+    while len(out) < EXAMPLE_H_COUNT:
         out.append(FqPoly(fld, [rng.randrange(fld.p) for _ in range(4)]))
     return out
 
@@ -218,10 +228,6 @@ def example_h_corpus(fld: Field, seed, count: int = 10) -> list:
 # orientation (theorem_verdict, oracle_verdict) of the record it makes when
 # the two differ.  Counting, comparing and recording belong to the driver.
 
-def _additive_col(T, X: AdditivePoly) -> np.ndarray:
-    return T.eval_col(X.expand().reduce_exponents().terms)
-
-
 def _lemma_cases(fld, seed, T, h_corpus=None):
     q = fld.q
     for d in divisors(q - 1):
@@ -229,7 +235,7 @@ def _lemma_cases(fld, seed, T, h_corpus=None):
         m = (q - 1) // d
         for hpos, h in enumerate(hs):
             h_text = h.text()
-            w = None if T is None else T.eval_col(h.substituted_power(m).reduce_exponents().terms)
+            w = None if T is None else value_table(h.substituted_power(m))
             for u in range(1, q):
                 verdict = lemma_check(CyclotomicForm(u, d, h)).verdict
                 truth = None if T is None else _perm_col(T.mul_cols(T.pow_col(u), w), q)
@@ -249,8 +255,8 @@ def _theorem1_cases(fld, seed, T, g0s=None):
             g0_text = g0.text()
             if T is not None:
                 g = h_d_poly(fld, d) * g0
-                w = T.eval_col(g.substituted_power(m).reduce_exponents().terms)
-                g_mu = T.eval_col(g.terms)[mu_not1]
+                w = value_table(g.substituted_power(m))
+                g_mu = value_table(g)[mu_not1]
             for u in range(1, q):
                 if T is not None:
                     powu = T.pow_col(u)
@@ -300,7 +306,7 @@ class _AdditiveCache:
     def col(self, X: AdditivePoly) -> np.ndarray:
         c = self._cols.get(X)
         if c is None:
-            c = self._cols[X] = _additive_col(self.T, X)
+            c = self._cols[X] = value_table(X.expand())
         return c
 
     def commutes(self, A: AdditivePoly, B: AdditivePoly) -> bool:
@@ -379,12 +385,12 @@ def _corollary2_cases(fld, seed, T):
 def _trace_theorem_cases(fld, seed, T):
     p, q = fld.p, fld.q
     As = prime_field_additive_corpus(fld)
-    hs = prime_coeff_poly_corpus(fld, 2)
+    hs = prime_coeff_poly_corpus(fld)
     gs = trace_g_corpus(fld, seed)
     h_texts = [h.text() for h in hs]
     g_texts = [g.text() for g in gs]
     if T is not None:
-        bcol = _additive_col(T, trace_poly(fld))
+        bcol = value_table(trace_poly(fld).expand())
 
         def on_trace(f):  # the column f(B(x)); B(x) lies in F_p
             return np.array([f.eval(c) for c in range(p)], dtype=np.int64)[bcol]
@@ -392,7 +398,7 @@ def _trace_theorem_cases(fld, seed, T):
         gcols = [on_trace(g) for g in gs]
     for apos, A in enumerate(As):
         a_text = A.expand().text()
-        acol = None if T is None else _additive_col(T, A)
+        acol = None if T is None else value_table(A.expand())
         for hpos, h in enumerate(hs):
             hacol = None if T is None else T.mul_cols(on_trace(h), acol)
             for gpos, g in enumerate(gs):
@@ -419,7 +425,7 @@ def _hermite_cases(fld, seed, T):
         if T is None:
             yield "hermite", params, True, None
             continue
-        vals = T.eval_col(fam.poly.terms)
+        vals = value_table(fam.poly)
         yield "hermite", params, True, _perm_col(vals, q)
         on_sq = T.scalar_mul(fam.square_coeff, T.pow_col(i))
         on_ns = T.scalar_mul(fam.nonsquare_coeff, T.pow_col(j))
@@ -436,7 +442,7 @@ def _example_family_cases(fld, seed, T):
         if hpos == 0:
             yield "example_degree", params, True, f.degree == 2 * fld.p
         yield ("example_family", params, True,
-               None if T is None else _perm_col(T.eval_col(f.terms), fld.q))
+               None if T is None else _perm_col(value_table(f), fld.q))
 
 
 def _always(fld) -> bool:

@@ -4,8 +4,8 @@ FqPoly stores its nonzero terms: (exponent, coefficient) pairs in ascending
 order of exponent, each coefficient the index of a nonzero element.  The
 zero polynomial has no terms and its degree is reported as -1 (standing in
 for minus infinity).  Nothing is allocated by degree, so x^(10^12) is one
-term.  Only the constructions that multiply terms out, composition, long
-division and h_d, can grow past the expansion guard
+term.  Only the constructions that multiply terms out, products (and so
+composition), long division and h_d, can grow past the expansion guard
 (field.EXPANSION_MAX_TERMS); they refuse to with ExpansionTooLargeError.
 
 AdditivePoly keeps the coefficient vector of sum_i a_i * x^(p^i).  It is
@@ -119,9 +119,13 @@ class FqPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        mul = self.field.mul
-        return _collect(self.field, [(ea + eb, mul(ca, cb)) for ea, ca in self.terms
-                                     for eb, cb in other.terms])
+        """The product term by term; more term pairs than the expansion guard
+        allows (Field.work) are refused before they are formed."""
+        f = self.field
+        check_expansion(f.work(len(self.terms) * len(other.terms)), "product")
+        mul = f.mul
+        return _collect(f, [(ea + eb, mul(ca, cb)) for ea, ca in self.terms
+                            for eb, cb in other.terms])
 
     def scaled(self, c: int):
         f = self.field
@@ -139,29 +143,24 @@ class FqPoly:
 
     def compose(self, inner: "FqPoly"):
         """f(inner(x)) by Horner over the terms, raising inner to each gap
-        between exponents by repeated squaring.  A product of more term pairs
-        than the expansion guard allows is refused before it is formed."""
+        between exponents by repeated squaring."""
         field = self.field
-
-        def times(a, b):
-            check_expansion(len(a.terms) * len(b.terms), "composition")
-            return a * b
 
         def power(k):
             out, base = FqPoly.one(field), inner
             while k:
                 if k & 1:
-                    out = times(out, base)
+                    out = out * base
                 k >>= 1
                 if k:
-                    base = times(base, base)
+                    base = base * base
             return out
 
         acc, low = FqPoly(field), max(self.degree, 0)
         for e, c in reversed(self.terms):
-            acc = times(acc, power(low - e)) + _poly(field, ((0, c),))
+            acc = acc * power(low - e) + _poly(field, ((0, c),))
             low = e
-        return times(acc, power(low))
+        return acc * power(low)
 
     def divmod(self, other: "FqPoly"):
         """Long division over the terms; other must be nonzero.
@@ -296,6 +295,7 @@ def to_additive(f: FqPoly) -> AdditivePoly:
 def additive_commutes(A: AdditivePoly, B: AdditivePoly) -> bool:
     """Exhaustive check that A(B(a)) = B(A(a)) for every a in F_q."""
     f = A.field
+    check_expansion(f.q, f"a walk of F_q for q={f.q}")
     return all(A.eval(B.eval(a)) == B.eval(A.eval(a)) for a in f.elements())
 
 

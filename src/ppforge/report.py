@@ -21,31 +21,21 @@ class Condition:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Ordered condition list plus the conjunction verdict."""
+    """Ordered condition list plus the conjunction verdict.  `witness` is
+    never set here; it stays a field so a report can be rebuilt from its
+    three parts."""
 
     conditions: tuple
     verdict: bool
     witness: object = None
 
     @classmethod
-    def build(cls, conditions, witness=None) -> "ConditionReport":
+    def build(cls, conditions) -> "ConditionReport":
         conds = tuple(conditions)
-        return cls(conds, all(c.holds for c in conds), witness)
-
-    def __bool__(self) -> bool:
-        return self.verdict
+        return cls(conds, all(c.holds for c in conds))
 
     def condition(self, label: str) -> Condition:
         for c in self.conditions:
             if c.label == label:
                 return c
         raise KeyError(label)
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "conditions": [c.to_json_dict() for c in self.conditions],
-            "verdict": self.verdict,
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out

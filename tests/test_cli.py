@@ -1,17 +1,23 @@
 """Command-line surface: exit codes, JSON schema, and determinism."""
 
+import contextlib
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ppforge
+import ppforge.cli
 from ppforge.cli import main
-from ppforge.field import parse_field
+from ppforge.field import divisors, parse_field
+from ppforge.report import ConditionReport
 
 
 def run_cli(capsys, *argv):
@@ -234,6 +240,116 @@ def test_check_hermite_sufficient_only_note(capsys):
     # permutes; the record cannot claim oracle agreement and says why
     assert code == 0 and rec["verdict"] is False
     assert rec["oracle"] == "skipped" and "sufficient-only" in rec["note"]
+
+
+def test_check_oracle_disagreement_on_an_exact_criterion_exits_2(capsys, monkeypatch):
+    original = ppforge.cli.theorem1_check
+
+    def flipped(params):
+        report = original(params)
+        return ConditionReport(report.conditions, not report.verdict)
+
+    monkeypatch.setattr(ppforge.cli, "theorem1_check", flipped)
+    code, out, err = run_cli(capsys, "check", "theorem1", "7", "--d", "3", "--u", "1",
+                             "--k", "0", "--b", "2", "--g0", "1", "--oracle")
+    assert code == 2 and out == ""
+    assert "internal" in err and "contradicts the oracle" in err
+
+
+def test_check_theorem1_builds_g_once(capsys, monkeypatch):
+    calls = []
+    original = ppforge.cli.Theorem1Params.g
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(ppforge.cli.Theorem1Params, "g", counted)
+    code, out, _ = run_cli(capsys, "check", "theorem1", "7", "--d", "3", "--u", "1",
+                           "--k", "0", "--b", "2", "--g0", "1")
+    assert code == 0 and json_lines(out)[0]["parameters"]["g"] == "x^2+x+1"
+    assert len(calls) == 1
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    code, out, _ = run_cli(capsys, "generate", "theorem1", "7", "--d", "3",
+                           "--g0", "1", "--g0", "2")
+    assert code == 0 and {r["parameters"]["g0"] for r in json_lines(out)} == {"1", "2"}
+    code, out, _ = run_cli(capsys, "generate", "theorem1", "7", "--d", "3")
+    assert code == 0 and {r["parameters"]["g0"] for r in json_lines(out)} == {"1"}
+    assert ppforge.cli._build_parser() is ppforge.cli._build_parser()
+
+
+@pytest.mark.parametrize("argv", [
+    ("proposition", "4611686018427377339", "--A", "x", "--B", "x", "--g", "x"),
+    ("corollary2", "4611686018427377339", "--A", "x", "--B", "x", "--g", "x"),
+    ("trace_theorem", "1000003^3", "--A", "x", "--h", "1", "--g", "x"),
+], ids=["proposition", "corollary2", "trace_theorem"])
+def test_check_refuses_a_walk_of_a_huge_field_quickly(argv):
+    proc = run_subprocess("check", *argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "walk of F_q" in proc.stderr and "1000000" in proc.stderr
+
+
+# --- criterion totality: any parameters answer or exit 2, quickly ----------
+
+TOTALITY_FIELDS = ("7", "3^2", "2^4", "5^2", "1000003", "1000003^3", "4611686018427377339")
+_DIVISORS = {spec: divisors(parse_field(spec).q - 1) for spec in TOTALITY_FIELDS}
+
+
+@st.composite
+def _poly_text(draw, q, exponents=st.integers(0, 4)):
+    terms = draw(st.lists(st.tuples(st.integers(0, q - 1), exponents), min_size=1, max_size=4))
+    return "+".join(f"{c}*x^{e}" for c, e in terms)
+
+
+@st.composite
+def _check_argv(draw):
+    construction = draw(st.sampled_from(ppforge.cli.CHECK_CONSTRUCTIONS))
+    spec = draw(st.sampled_from(TOTALITY_FIELDS))
+    fld = parse_field(spec)
+    q, p = fld.q, fld.p
+    ds = _DIVISORS[spec]
+    d = draw(st.sampled_from(ds) | st.just(ds[-1]))
+    exponent = st.integers(0, 2 * q) | st.integers(0, 10 ** 20)
+    additive = _poly_text(q, st.sampled_from([1, p, p * p]))
+    argv = ["check", construction, spec]
+    if construction == "lemma":
+        argv += ["--d", d, "--u", draw(exponent), "--h", draw(_poly_text(q))]
+    elif construction == "theorem1":
+        argv += ["--d", d, "--u", draw(exponent), "--k", draw(exponent),
+                 "--b", draw(st.integers(0, q - 1))]
+        if draw(st.booleans()):
+            argv += ["--g0", draw(_poly_text(q))]
+        else:
+            argv += ["--g", draw(_poly_text(q))]
+    elif construction in ("proposition", "corollary2"):
+        argv += ["--A", draw(additive), "--B", draw(additive), "--g", draw(_poly_text(q))]
+    elif construction == "trace_theorem":
+        # A and h over F_p, where the criterion applies
+        argv += ["--A", draw(_poly_text(p, st.sampled_from([1, p, p * p]))),
+                 "--h", draw(_poly_text(p)), "--g", draw(_poly_text(q))]
+    else:
+        argv += ["--a", draw(st.integers(0, q - 1)), "--b", draw(st.integers(0, q - 1)),
+                 "--i", draw(exponent), "--j", draw(exponent)]
+    if draw(st.booleans()):
+        argv.append("--oracle")
+    return [str(a) for a in argv]
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=10),
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_check_argv())
+def test_every_check_answers_or_exits_2(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in (0, 2), (argv, err.getvalue())
+    if code == 0:
+        rec = json_lines(out.getvalue())[0]
+        assert isinstance(rec["verdict"], bool)
+    else:
+        assert err.getvalue().startswith("error: ")
 
 
 def test_generate_theorem1_defaults(capsys):

@@ -19,6 +19,7 @@ from ppforge.poly import (CyclotomicForm, FqPoly, expand_cyclotomic,
 F7 = make_field(7)
 F9 = make_field(3, 2)
 F11 = make_field(11)
+F13 = make_field(13)
 
 
 def test_lemma_identity_case():
@@ -123,6 +124,35 @@ def test_generate_empty_bounds():
     # even u always shares a factor with (q-1)/d = 2
     assert list(theorem1_generate(F7, 3, (2, 4, 6), (0,))) == []
     assert list(theorem1_generate(F7, 3, (), ())) == []
+
+
+def test_generate_builds_g_once_per_g0_and_never_for_an_empty_stream(monkeypatch):
+    built = []
+    original = Theorem1Params.g
+
+    def counted(self):
+        built.append(self.g0)
+        return original(self)
+
+    monkeypatch.setattr(Theorem1Params, "g", counted)
+    assert list(theorem1_generate(F7, 3, (2, 4, 6), (0,))) == [] and built == []
+    g0s = [FqPoly.constant(F7, c) for c in range(1, 7)]
+    out = list(theorem1_generate(F7, 3, (1, 5), (0, 1, 2), g0s=g0s))
+    assert len(out) > len(g0s)
+    assert sorted(g0.terms for g0 in built) == sorted({p.g0.terms for p, _ in out})
+    for params, f in out:
+        assert f == expand_cyclotomic(params.form(original(params)))
+
+
+def test_theorem1_is_the_lemma_with_h_equal_to_b_x_k_plus_g():
+    g0 = parse_poly(F13, "x^2+5")
+    for d in (3, 4, 6, 12):
+        for u, k, b in ((1, 0, 2), (5, 2, 7), (7, 13, 1), (2, 1, 0)):
+            params = Theorem1Params(d, u, k, b, g0)
+            cf = params.form(params.g())
+            assert cf.h == FqPoly.monomial(F13, b, k) + h_d_poly(F13, d) * g0
+            assert theorem1_poly(params) == expand_cyclotomic(cf)
+            assert lemma_check(cf).verdict == theorem1_check(params).verdict
 
 
 def test_generate_order_is_lexicographic():

@@ -8,8 +8,8 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_irreducible_p, gf_mul, gf_rem
 
 from ppforge.errors import ExpansionTooLargeError, FieldError
-from ppforge.field import (ADD_TABLE_MAX_Q, EXPANSION_MAX_TERMS, VECTOR_MAX_Q, divisors,
-                           factorize, is_prime, make_field, parse_field)
+from ppforge.field import (ADD_TABLE_MAX_Q, EXPANSION_MAX_TERMS, VECTOR_MAX_Q, FieldTables,
+                           divisors, factorize, is_prime, make_field, parse_field)
 
 
 # --- test-local oracle: exhaustive irreducibility by trial division ---------
@@ -264,8 +264,10 @@ def test_factorize_splits_large_factors():
 
 # --- every arithmetic tier against digit arithmetic and sympy --------------
 # Multiplication is one exp/log lookup up to 2^16 (343 .. 65536) and digit
-# arithmetic beyond (177147); addition is XOR for p = 2 (1024, 65536), the
-# q x q table for odd p up to 512 (343) and digits beyond (2187, 63001, 177147).
+# arithmetic beyond (177147); negation is (-1)*a at every q.  Scalar addition
+# is XOR for p = 2 (1024, 65536), the q x q table for odd p up to 512 (343)
+# and digits beyond (2187, 63001, 177147); columns beyond 512 add in packed
+# digit words (2187, 63001).
 
 TIER_FIELDS = [(7, 3), (2, 10), (3, 7), (251, 2), (2, 16), (3, 11)]
 
@@ -405,3 +407,37 @@ def test_column_ops_match_digit_arithmetic(p, n):
         assert fld._add_slow(a, fld.neg(a)) == 0
         if p == 2:
             assert fld.neg(a) == a
+
+
+@pytest.mark.parametrize("p,n", COLUMN_FIELDS)
+def test_tables_stay_within_six_words_per_element(p, n):
+    # exp_ext (4q-3), log (q), spread (q, odd p above the add table) and pvec
+    # (n); the int32 add table is a view and is not counted, as in the
+    # benchmark's tables_bytes
+    fld = make_field(p, n)
+    T = FieldTables(fld)
+    owned = [getattr(T, slot) for slot in FieldTables.__slots__]
+    words = sum(a.nbytes // 8 for a in owned if isinstance(a, np.ndarray) and a.base is None)
+    assert words <= 6 * fld.q + n
+
+
+def test_negation_is_minus_one_times_a_beyond_the_tables():
+    for fld in (make_field(3, 11), make_field(2, 17), make_field(1000003)):
+        rng = random.Random(fld.q)
+        for a in [0, 1, fld.q - 1] + [rng.randrange(fld.q) for _ in range(200)]:
+            assert fld.add(a, fld.neg(a)) == 0
+            assert fld.neg(a) == fld._mul_slow(fld.p - 1, a)
+
+
+def test_powers_beyond_the_tables_reduce_the_exponent():
+    fld = make_field(1000003, 3)
+    a = 123456789
+    assert fld.pow(a, 10 ** 100) == fld.pow(a, (10 ** 100 - 1) % (fld.q - 1) + 1)
+    assert fld.pow(a, fld.q - 1) == 1 and fld.pow(0, 10 ** 100) == 0
+
+
+def test_work_counts_lookups_on_table_fields_and_digit_products_beyond():
+    assert make_field(2, 16).work(10, 3) == 13
+    fld = make_field(1000003, 3)
+    assert fld.work(10) == 90
+    assert fld.work(0, 1) == fld.q.bit_length() * 9
