@@ -52,22 +52,6 @@ def _resolve_max_q(args) -> int:
         raise PPForgeError(f"PPFORGE_MAX_Q={env!r} is not an integer") from None
 
 
-def _record(fld: Field, construction: str, parameters: dict,
-            report: ConditionReport, poly: FqPoly, oracle: str) -> dict:
-    conditions = [] if report is None else [c.to_json_dict() for c in report.conditions]
-    verdict = None if report is None else report.verdict
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "field": fld.designation(),
-        "construction": construction,
-        "parameters": parameters,
-        "conditions": conditions,
-        "verdict": verdict,
-        "polynomial": None if poly is None else poly.text(),
-        "oracle": oracle,
-    }
-
-
 def _emit(args, record: dict):
     if getattr(args, "pretty", False):
         lines = [f"field {record['field']}  {record.get('construction', record.get('suite', ''))}"]
@@ -85,22 +69,6 @@ def _emit(args, record: dict):
         print("\n".join(lines))
     else:
         print(json.dumps(record, separators=(",", ":")))
-
-
-def _confirm(poly: FqPoly, verdict: bool, max_q: int, enabled: bool) -> tuple:
-    """Run the oracle on an expanded polynomial and name the outcome.
-
-    Returns (status, note): status is confirmed/refuted/skipped; a non-None
-    note explains a skip that was forced rather than requested.
-    """
-    if not enabled:
-        return "skipped", None
-    if poly.field.q > max_q:
-        return "skipped", f"q={poly.field.q} exceeds brute-force bound {max_q}"
-    perm = is_permutation(poly, max_q=max_q)
-    if perm == verdict:
-        return ("confirmed" if perm else "refuted"), None
-    return None, perm  # a disagreement: the caller decides what it means
 
 
 def _need(args, *names):
@@ -135,10 +103,10 @@ def cmd_verify(args) -> int:
     poly = parse_poly(fld, args.polynomial)
     max_q = _resolve_max_q(args)
     perm = is_permutation(poly, max_q=max_q)
-    record = _record(fld, "oracle", {}, None, poly,
-                     "confirmed" if perm else "refuted")
-    record["verdict"] = perm
-    _emit(args, record)
+    _emit(args, {"schema_version": SCHEMA_VERSION, "field": fld.designation(),
+                 "construction": "oracle", "parameters": {}, "conditions": [],
+                 "verdict": perm, "polynomial": poly.text(),
+                 "oracle": "confirmed" if perm else "refuted"})
     if args.expect is not None and (args.expect == "true") != perm:
         print(f"expectation mismatch: expected {args.expect}, oracle says {perm}",
               file=sys.stderr)
@@ -210,98 +178,94 @@ _CHECKS = {
 }
 
 
-def cmd_check(args) -> int:
-    fld = parse_field(args.field)
-    parameters, report, expand = _CHECKS[args.construction](args, fld)
+def _generate_theorem1(args, fld):
+    _need(args, "d")
+    u_values = _parse_range(args.u if args.u is not None else "1")
+    k_values = _parse_range(args.k if args.k is not None else "0")
+    g = parse_poly(fld, args.g) if args.g is not None else None
+    g0s = None if g is not None else [parse_poly(fld, t) for t in (args.g0 or ["1"])]
+    for params, report, poly in theorem1_generate(fld, args.d, u_values, k_values,
+                                                  g0s=g0s, g=g):
+        yield ({"d": params.d, "u": params.u, "k": params.k, "b": params.b,
+                "g0": params.g0.text()}, report, lambda poly=poly: poly)
+
+
+def _generate_example(args, fld):
+    h = parse_poly(fld, args.h if args.h is not None else "x^2")
+    poly = example_family(fld, h)
+    gamma = gamma_search(fld)
+    yield ({"h": h.text(), "gamma": gamma, "degree": poly.degree},
+           ConditionReport.build((Condition("gamma^(p-1)=-1", True, gamma),)),
+           lambda: poly)
+
+
+def _generate_hermite(args, fld):
+    ranges = (range(1, fld.q) if r is None else _parse_range(r)
+              for r in (args.a, args.b, args.i, args.j))
+    for a, b, i, j in itertools.product(*ranges):
+        hp = HermiteParams(fld, a, b, i, j)
+        report = hermite_sufficient(hp)
+        if report.verdict:
+            yield ({"a": a, "b": b, "i": i, "j": j}, report,
+                   lambda hp=hp: hermite_family(hp).poly)
+
+
+# each generator streams (parameters, report, expand) for the verdict-true
+# members of its family, in a stable order, as the checks return them
+_GENERATORS = {
+    "theorem1": _generate_theorem1,
+    "example": _generate_example,
+    "hermite": _generate_hermite,
+}
+
+
+def _answer(args, fld: Field, parameters: dict, report: ConditionReport, expand,
+            run_oracle: bool):
+    """Emit one candidate: its conditions and verdict, the polynomial unless
+    it is past the expansion guard, and the oracle's outcome.
+
+    An oracle that contradicts the verdict is an internal error, save for
+    hermite's sufficient-only criterion missing a permutation.
+    """
+    record = {"schema_version": SCHEMA_VERSION, "field": fld.designation(),
+              "construction": args.construction, "parameters": parameters,
+              "conditions": [c.to_json_dict() for c in report.conditions],
+              "verdict": report.verdict, "polynomial": None, "oracle": "skipped"}
     try:
         poly = expand()
     except ExpansionTooLargeError as exc:
-        record = _record(fld, args.construction, parameters, report, None, "skipped")
         record["note"] = f"{exc}; the conditions and verdict do not need it"
         _emit(args, record)
-        return EXIT_OK
-    status, note = _confirm(poly, report.verdict, _resolve_max_q(args), args.oracle)
-    if status is None and args.construction != "hermite":
+        return
+    record["polynomial"] = poly.text()
+    max_q = _resolve_max_q(args)
+    if not run_oracle:
+        pass
+    elif fld.q > max_q:
+        record["note"] = f"q={fld.q} exceeds brute-force bound {max_q}"
+    elif is_permutation(poly, max_q=max_q) == report.verdict:
+        record["oracle"] = "confirmed" if report.verdict else "refuted"
+    elif args.construction == "hermite" and not report.verdict:
+        record["note"] = "criterion is sufficient-only: the polynomial permutes anyway"
+    else:
         raise PPForgeError(f"internal: the {args.construction} verdict "
                            f"{report.verdict} contradicts the oracle")
-    record = _record(fld, args.construction, parameters, report, poly,
-                     status if status else "skipped")
-    if status is None:
-        # hermite's criterion is sufficient-only, so it may miss a permutation
-        record["note"] = ("criterion is sufficient-only: the polynomial "
-                          f"{'permutes' if note else 'does not permute'} anyway")
-    elif note:
-        record["note"] = note
     _emit(args, record)
+
+
+def cmd_check(args) -> int:
+    fld = parse_field(args.field)
+    _answer(args, fld, *_CHECKS[args.construction](args, fld), args.oracle)
     return EXIT_OK
 
 
 def cmd_generate(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise PPForgeError(f"--limit must be >= 0, got {args.limit}")
     fld = parse_field(args.field)
-    max_q = _resolve_max_q(args)
-    limit = args.limit
-    emitted = 0
-
-    def emit(record) -> bool:
-        nonlocal emitted
-        if limit is not None and emitted >= limit:
-            return False
-        _emit(args, record)
-        emitted += 1
-        return limit is None or emitted < limit
-
-    if args.construction == "theorem1":
-        _need(args, "d")
-        u_values = _parse_range(args.u if args.u is not None else "1")
-        k_values = _parse_range(args.k if args.k is not None else "0")
-        g = parse_poly(fld, args.g) if args.g is not None else None
-        g0s = None
-        if g is None:
-            g0s = [parse_poly(fld, t) for t in (args.g0 or ["1"])]
-        stream = theorem1_generate(fld, args.d, u_values, k_values, g0s=g0s, g=g)
-        for params, poly in stream:
-            report = theorem1_check(params)
-            status, note = _confirm(poly, True, max_q, not args.no_oracle)
-            if status is None:
-                raise PPForgeError("internal: generator emitted a non-permutation")
-            record = _record(fld, "theorem1",
-                             {"d": params.d, "u": params.u, "k": params.k,
-                              "b": params.b, "g0": params.g0.text()},
-                             report, poly, status)
-            if not emit(record):
-                break
-    elif args.construction == "example":
-        h = parse_poly(fld, args.h if args.h is not None else "x^2")
-        poly = example_family(fld, h)
-        gamma = gamma_search(fld)
-        status, note = _confirm(poly, True, max_q, not args.no_oracle)
-        if status is None:
-            raise PPForgeError("internal: example family is not a permutation")
-        report = ConditionReport.build((Condition("gamma^(p-1)=-1", True, gamma),))
-        record = _record(fld, "example", {"h": h.text(), "gamma": gamma,
-                                          "degree": poly.degree},
-                         report, poly, status)
-        emit(record)
-    else:  # hermite
-        q = fld.q
-        if q % 2 == 0:
-            raise PPForgeError("hermite generation needs odd q")
-        i_values = _parse_range(args.i) if args.i is not None else range(1, q)
-        j_values = _parse_range(args.j) if args.j is not None else range(1, q)
-        a_values = _parse_range(args.a) if args.a is not None else range(1, q)
-        b_values = _parse_range(args.b) if args.b is not None else range(1, q)
-        for a, b, i, j in itertools.product(a_values, b_values, i_values, j_values):
-            hp = HermiteParams(fld, a, b, i, j)
-            if not hermite_sufficient(hp).verdict:
-                continue
-            fam = hermite_family(hp)
-            status, note = _confirm(fam.poly, True, max_q, not args.no_oracle)
-            if status is None:
-                raise PPForgeError("internal: sufficient condition failed the oracle")
-            record = _record(fld, "hermite", {"a": a, "b": b, "i": i, "j": j},
-                             fam.sufficient, fam.poly, status)
-            if not emit(record):
-                break
+    stream = _GENERATORS[args.construction](args, fld)
+    for parameters, report, expand in itertools.islice(stream, args.limit):
+        _answer(args, fld, parameters, report, expand, not args.no_oracle)
     return EXIT_OK
 
 
@@ -314,14 +278,11 @@ def cmd_selftest(args) -> int:
     failed = False
     for suite in suites:
         rep = run_equivalence_suite(suite, fields=fields, seed=args.seed, max_q=max_q)
-        record = {"schema_version": SCHEMA_VERSION}
-        record.update(rep.to_json_dict())
+        record = {"schema_version": SCHEMA_VERSION, **rep.to_json_dict()}
         if args.pretty:
             record["elapsed"] = f"{rep.elapsed:.2f}s"
             record["field"] = ",".join(record.pop("fields"))
-            _emit(args, record)
-        else:
-            print(json.dumps(record, separators=(",", ":")))
+        _emit(args, record)
         if not rep.passed():
             failed = True
     return 1 if failed else EXIT_OK

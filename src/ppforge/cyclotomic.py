@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .errors import FieldError, ScopeError
 from .field import Field
-from .poly import CyclotomicForm, FqPoly, expand_cyclotomic, h_d_poly
+from .poly import CyclotomicForm, FqPoly, _collect, expand_cyclotomic, h_d_poly
 from .report import Condition, ConditionReport
 
 LEMMA_COPRIME = "gcd(u,(q-1)/d)=1"
@@ -148,7 +148,8 @@ def cofactor_of(field: Field, d: int, g: FqPoly) -> FqPoly:
 
 def theorem1_generate(field: Field, d: int, u_values=(1,), k_values=(0,),
                       g0s=None, g: FqPoly = None):
-    """Emit (params, expanded polynomial) for every verdict-true tuple.
+    """Emit (params, report, expanded polynomial) for every verdict-true
+    tuple, report being the theorem1_check report that admitted it.
 
     Order is lexicographic in (u, k, b index, g0 position), so output is
     stable.  An explicit g may be given instead of cofactors; it is divided
@@ -170,10 +171,11 @@ def theorem1_generate(field: Field, d: int, u_values=(1,), k_values=(0,),
             for b in field.elements():
                 for g0 in g0s:
                     params = Theorem1Params(d, u, k, b, g0)
-                    if theorem1_check(params).verdict:
+                    report = theorem1_check(params)
+                    if report.verdict:
                         if g0 not in gs:
                             gs[g0] = params.g()
-                        yield params, expand_cyclotomic(params.form(gs[g0]))
+                        yield params, report, expand_cyclotomic(params.form(gs[g0]))
 
 
 def fhat_on_mu_d(params: Theorem1Params):
@@ -210,8 +212,8 @@ class HermiteFamily:
     """Expanded polynomial plus its piecewise description.
 
     On nonzero squares the map is square_coeff * x^square_exp; on
-    non-squares it is nonsquare_coeff * x^nonsquare_exp.  `sufficient`
-    reports the classical sufficient (not necessary) permutation condition.
+    non-squares it is nonsquare_coeff * x^nonsquare_exp.  Whether it
+    permutes is judged apart from building it, by hermite_sufficient.
     """
 
     poly: FqPoly
@@ -219,7 +221,6 @@ class HermiteFamily:
     square_exp: int
     nonsquare_coeff: int
     nonsquare_exp: int
-    sufficient: ConditionReport
 
 
 def hermite_sufficient(hp: HermiteParams) -> ConditionReport:
@@ -234,9 +235,9 @@ def hermite_sufficient(hp: HermiteParams) -> ConditionReport:
 
 
 def hermite_family(hp: HermiteParams) -> HermiteFamily:
-    field = hp.field
-    x_s, one = FqPoly.monomial(field, 1, (field.q - 1) // 2), FqPoly.one(field)
-    f = (FqPoly.monomial(field, hp.a, hp.i) * (x_s + one)
-         - FqPoly.monomial(field, hp.b, hp.j) * (x_s - one)).reduce_exponents()
-    return HermiteFamily(f, field.add(hp.a, hp.a), hp.i, field.add(hp.b, hp.b), hp.j,
-                         hermite_sufficient(hp))
+    """f = a*x^(i+s) + a*x^i - b*x^(j+s) + b*x^j for s = (q-1)/2: its four
+    terms merged once, then exponent-reduced."""
+    field, a, b, s = hp.field, hp.a, hp.b, (hp.field.q - 1) // 2
+    f = _collect(field, ((hp.i + s, a), (hp.i, a), (hp.j + s, field.neg(b)),
+                         (hp.j, b))).reduce_exponents()
+    return HermiteFamily(f, field.add(a, a), hp.i, field.add(b, b), hp.j)

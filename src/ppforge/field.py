@@ -338,9 +338,10 @@ class Field:
 
     def work(self, products: int, powers: int = 0) -> int:
         """What the expansion guard counts for that many scalar products and
-        powers: one lookup each on a table field; beyond the tables a power
+        powers: one unit each on a table field and on a prime field (one
+        lookup, or one built-in pow); beyond the tables with n > 1 a power
         is about log2(q) products and a product n^2 digit products."""
-        if self._exp_list is not None:
+        if self._exp_list is not None or self.n == 1:
             return products + powers
         return (products + powers * self.q.bit_length()) * self.n ** 2
 
@@ -357,7 +358,8 @@ class Field:
 
     def pow(self, a: int, e: int) -> int:
         """a^e for any non-negative integer e, with 0^0 = 1; one exp/log
-        lookup on table fields, square-and-multiply beyond."""
+        lookup on table fields, the built-in pow on prime fields beyond,
+        square-and-multiply on extension fields beyond."""
         if e < 0:
             raise FieldError("negative exponent")
         exp = self._exp_list
@@ -365,6 +367,8 @@ class Field:
             if a:
                 return exp[self._log_list[a] * e % (self.q - 1)]
             return 0 if e else 1
+        if self.n == 1:
+            return pow(a, e, self.p)
         if a and e >= self.q:
             e = (e - 1) % (self.q - 1) + 1  # a^(q-1) = 1
         result, base = 1, a

@@ -26,7 +26,7 @@ from .additive import (AdditiveTriple, TraceTheoremParams, example_family,
                        commuting_criterion_check, subgroup_data,
                        trace_theorem_check)
 from .cyclotomic import (HermiteParams, Theorem1Params, hermite_family,
-                         lemma_check, theorem1_check)
+                         hermite_sufficient, lemma_check, theorem1_check)
 from .errors import OracleBoundError, UnknownSuiteError
 from .field import VECTOR_MAX_Q, Field, divisors, parse_field
 from .poly import (AdditivePoly, CyclotomicForm, FqPoly, additive_commutes, h_d_poly,
@@ -419,9 +419,10 @@ def _hermite_cases(fld, seed, T):
         ns_mask = ~sq_mask
         ns_mask[0] = False
     for a, b, i, j in itertools.product(good_coeffs, good_coeffs, good_exps, good_exps):
-        fam = hermite_family(HermiteParams(fld, a, b, i, j))
+        hp = HermiteParams(fld, a, b, i, j)
+        fam = hermite_family(hp)
         params = {"a": a, "b": b, "i": i, "j": j}
-        yield "hermite_sufficient", params, True, fam.sufficient.verdict
+        yield "hermite_sufficient", params, True, hermite_sufficient(hp).verdict
         if T is None:
             yield "hermite", params, True, None
             continue

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ppforge
 import ppforge.cli
+import ppforge.cyclotomic
 from ppforge.cli import main
 from ppforge.field import divisors, parse_field
 from ppforge.report import ConditionReport
@@ -284,11 +285,26 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
     ("proposition", "4611686018427377339", "--A", "x", "--B", "x", "--g", "x"),
     ("corollary2", "4611686018427377339", "--A", "x", "--B", "x", "--g", "x"),
     ("trace_theorem", "1000003^3", "--A", "x", "--h", "1", "--g", "x"),
-], ids=["proposition", "corollary2", "trace_theorem"])
+    # beyond the tables an extension field's walk is weighed by its digit
+    # products, so 3^11 (q = 177147) is refused though q is below 10^6
+    ("trace_theorem", "3^11", "--A", "x", "--h", "1", "--g", "x"),
+], ids=["proposition", "corollary2", "trace_theorem", "trace_theorem_3^11"])
 def test_check_refuses_a_walk_of_a_huge_field_quickly(argv):
     proc = run_subprocess("check", *argv)
     assert proc.returncode == 2 and proc.stdout == ""
     assert "walk of F_q" in proc.stderr and "1000000" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("proposition", "65537", "--A", "x", "--B", "x", "--g", "x"),
+    ("lemma", "1000003", "--d", "500001", "--u", "1", "--h", "x+1"),
+], ids=["proposition_65537", "lemma_1000003"])
+def test_check_on_a_prime_field_beyond_the_tables_answers(argv):
+    # a prime field's walk costs one built-in pow per element, so a walk of
+    # 65537 elements, or of 500001 roots of unity, is within the guard
+    proc = run_subprocess("check", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert isinstance(json_lines(proc.stdout)[0]["verdict"], bool)
 
 
 # --- criterion totality: any parameters answer or exit 2, quickly ----------
@@ -388,6 +404,42 @@ def test_generate_limit(capsys):
     assert code == 0 and out == ""
     code, out, _ = run_cli(capsys, "generate", "hermite", "7", "--limit", "2")
     assert code == 0 and len(json_lines(out)) == 2
+
+
+def test_generate_negative_limit_exits_2(capsys):
+    code, out, err = run_cli(capsys, "generate", "theorem1", "7", "--d", "3",
+                             "--limit", "-1")
+    assert code == 2 and out == "" and "--limit" in err
+
+
+def test_generate_theorem1_judges_each_candidate_once(capsys, monkeypatch):
+    calls = []
+    original = ppforge.cyclotomic.theorem1_check
+
+    def counted(params):
+        calls.append(params)
+        return original(params)
+
+    for module in (ppforge.cyclotomic, ppforge.cli):
+        monkeypatch.setattr(module, "theorem1_check", counted)
+    code, out, _ = run_cli(capsys, "generate", "theorem1", "7", "--d", "3",
+                           "--u", "1..6", "--k", "0..2")
+    assert code == 0 and len(json_lines(out)) == 6
+    assert len(calls) == 6 * 3 * 7  # one per (u, k, b), emitted or not
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "hermite", "7", "--a", "3", "--b", "3", "--i", "2", "--j", "2", "--oracle"),
+    ("generate", "hermite", "7", "--a", "3", "--b", "3", "--i", "2", "--j", "2"),
+], ids=["check", "generate"])
+def test_hermite_verdict_true_on_a_non_permutation_exits_2(capsys, monkeypatch, argv):
+    # f = 6x^2 does not permute F_7; a sufficient criterion that claims it
+    # does is wrong, in check and in generate alike
+    forced = ConditionReport((), True)
+    monkeypatch.setattr(ppforge.cli, "hermite_sufficient", lambda hp: forced)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "internal" in err and "contradicts the oracle" in err
 
 
 def test_generate_hermite_all_confirmed(capsys):

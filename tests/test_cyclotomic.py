@@ -7,7 +7,8 @@ import random
 import pytest
 
 from ppforge.cyclotomic import (HermiteParams, Theorem1Params, cofactor_of,
-                                fhat_on_mu_d, hermite_family, lemma_check,
+                                fhat_on_mu_d, hermite_family,
+                                hermite_sufficient, lemma_check,
                                 theorem1_check, theorem1_generate,
                                 theorem1_poly)
 from ppforge.errors import FieldError, ScopeError
@@ -85,8 +86,9 @@ def test_theorem1_scope_errors():
 def test_generate_f7_defaults():
     # brute force over F_7 and the condition solve both yield b=2 only
     out = list(theorem1_generate(F7, 3))
-    assert [(p.u, p.k, p.b) for p, _ in out] == [(1, 0, 2)]
-    f = out[0][1]
+    assert [(p.u, p.k, p.b) for p, _, _ in out] == [(1, 0, 2)]
+    params, report, f = out[0]
+    assert report == theorem1_check(params) and report.verdict
     assert f == parse_poly(F7, "x^5+x^3+3*x")
     assert is_permutation(f)
 
@@ -94,7 +96,7 @@ def test_generate_f7_defaults():
 def test_generate_matches_oracle_on_a_grid():
     for u in range(1, 7):
         for k in range(3):
-            emitted = {p.b for p, _ in theorem1_generate(F7, 3, (u,), (k,))}
+            emitted = {p.b for p, _, _ in theorem1_generate(F7, 3, (u,), (k,))}
             for b in F7.elements():
                 params = Theorem1Params(3, u, k, b, FqPoly.one(F7))
                 assert (b in emitted) == is_permutation(theorem1_poly(params))
@@ -103,8 +105,8 @@ def test_generate_matches_oracle_on_a_grid():
 def test_generate_explicit_g_divisible_k_beyond_d():
     # d=5, u=5, k=7 over F_11 with g=h_5: conditions and oracle agree on b=3
     out = list(theorem1_generate(F11, 5, (5,), (7,), g=h_d_poly(F11, 5)))
-    assert [p.b for p, _ in out] == [3]
-    assert is_permutation(out[0][1])
+    assert [p.b for p, _, _ in out] == [3]
+    assert is_permutation(out[0][2])
 
 
 def test_generate_explicit_g_rejects_nondivisible():
@@ -139,8 +141,8 @@ def test_generate_builds_g_once_per_g0_and_never_for_an_empty_stream(monkeypatch
     g0s = [FqPoly.constant(F7, c) for c in range(1, 7)]
     out = list(theorem1_generate(F7, 3, (1, 5), (0, 1, 2), g0s=g0s))
     assert len(out) > len(g0s)
-    assert sorted(g0.terms for g0 in built) == sorted({p.g0.terms for p, _ in out})
-    for params, f in out:
+    assert sorted(g0.terms for g0 in built) == sorted({p.g0.terms for p, _, _ in out})
+    for params, _, f in out:
         assert f == expand_cyclotomic(params.form(original(params)))
 
 
@@ -157,7 +159,7 @@ def test_theorem1_is_the_lemma_with_h_equal_to_b_x_k_plus_g():
 
 def test_generate_order_is_lexicographic():
     g0s = [FqPoly.constant(F7, c) for c in range(7)]
-    out = [(p.u, p.k, p.b, p.g0.terms) for p, _ in
+    out = [(p.u, p.k, p.b, p.g0.terms) for p, _, _ in
            theorem1_generate(F7, 3, (1, 5), (0, 1, 2), g0s=g0s)]
     assert out == sorted(out)
     assert len(out) > 4
@@ -220,8 +222,9 @@ def test_hermite_coincident_branches():
 
 
 def test_hermite_example_f7():
-    fam = hermite_family(HermiteParams(F7, 2, 1, 1, 5))
-    assert fam.sufficient.verdict        # 4 and 2 are squares, gcd(5,6)=1
+    hp = HermiteParams(F7, 2, 1, 1, 5)
+    fam = hermite_family(hp)
+    assert hermite_sufficient(hp).verdict   # 4 and 2 are squares, gcd(5,6)=1
     assert is_permutation(fam.poly)
     assert (fam.square_coeff, fam.square_exp) == (4, 1)
     assert (fam.nonsquare_coeff, fam.nonsquare_exp) == (2, 5)

@@ -434,6 +434,14 @@ def test_powers_beyond_the_tables_reduce_the_exponent():
     a = 123456789
     assert fld.pow(a, 10 ** 100) == fld.pow(a, (10 ** 100 - 1) % (fld.q - 1) + 1)
     assert fld.pow(a, fld.q - 1) == 1 and fld.pow(0, 10 ** 100) == 0
+    # a prime field beyond the tables powers with the built-in pow
+    fp = make_field(1000003)
+    for b in (0, 1, 2, 999_999, 1000002):
+        expect = 1
+        for e in range(7):
+            assert fp.pow(b, e) == expect
+            expect = fp.mul(expect, b)
+        assert fp.pow(b, 10 ** 100) == fp.pow(b, (10 ** 100 - 1) % (fp.q - 1) + 1)
 
 
 def test_work_counts_lookups_on_table_fields_and_digit_products_beyond():
@@ -441,3 +449,5 @@ def test_work_counts_lookups_on_table_fields_and_digit_products_beyond():
     fld = make_field(1000003, 3)
     assert fld.work(10) == 90
     assert fld.work(0, 1) == fld.q.bit_length() * 9
+    # a prime field beyond the tables: a power is one built-in pow
+    assert make_field(1000003).work(10, 3) == 13
