@@ -50,7 +50,9 @@ class SubgroupData:
     right_inverse maps each value in im B to a preimage (least index by
     default); a_of_right_inverse caches A applied to those preimages, and
     a_kernel_image is the subgroup A(ker B).  a_on_image is A on im B, in
-    image order.
+    image order.  b_values is B at every element, indexed by element, and
+    coset labels every element with the least element of its coset of
+    A(ker B), so coset[x] == x exactly at the coset representatives.
     """
 
     kernel: tuple
@@ -59,10 +61,17 @@ class SubgroupData:
     a_kernel_image: tuple
     a_of_right_inverse: dict
     a_on_image: tuple
+    b_values: tuple
+    coset: tuple
 
 
 def subgroup_data(A: AdditivePoly, B: AdditivePoly, *, preimage: str = "least") -> SubgroupData:
     """Exhaustively evaluate B (and A where needed) over the field.
+
+    One scalar walk of B gives its values, kernel, image and right inverse;
+    A is evaluated on ker B and on the preimages only.  The coset labels
+    take q more additions: walking F_q upwards, each element not yet
+    labelled is the least of its coset and labels the whole coset.
 
     preimage selects which representative the right inverse table stores:
     "least" (canonical) or "greatest" (used to test that the coset criterion
@@ -76,17 +85,26 @@ def subgroup_data(A: AdditivePoly, B: AdditivePoly, *, preimage: str = "least") 
     check_expansion(field.work(0, field.q), f"a walk of F_q for q={field.q}")
     rinv: dict[int, int] = {}
     kernel = []
+    b_values = []
     for x in field.elements():
         v = B.eval(x)
+        b_values.append(v)
         if v == 0:
             kernel.append(x)
         if preimage == "greatest" or v not in rinv:
             rinv[v] = x
     image = tuple(sorted(rinv))
     a_kernel_image = tuple(sorted({A.eval(beta) for beta in kernel}))
+    coset = [None] * field.q
+    add = field.add
+    for x in field.elements():
+        if coset[x] is None:
+            for s in a_kernel_image:
+                coset[add(x, s)] = x
     a_of_rinv = {gamma: A.eval(rinv[gamma]) for gamma in image}
     a_on_image = tuple(A.eval(gamma) for gamma in image)
-    return SubgroupData(tuple(kernel), image, rinv, a_kernel_image, a_of_rinv, a_on_image)
+    return SubgroupData(tuple(kernel), image, rinv, a_kernel_image, a_of_rinv, a_on_image,
+                        tuple(b_values), tuple(coset))
 
 
 def _fhat_values(tr: AdditiveTriple, data: SubgroupData, g_on_image=None) -> list:
@@ -103,21 +121,21 @@ def proposition_check(tr: AdditiveTriple, *, data: SubgroupData = None,
     """Coset criterion: f = A(x) + g(B(x)) permutes F_q iff the sumset
     A(ker B) + fhat(im B) is all of F_q.
 
+    The sumset is the union of the cosets of A(ker B) that fhat hits, and
+    |ker B| * |im B| = q, so it covers F_q exactly when A is injective on
+    ker B and fhat hits |im B| distinct cosets: an O(|im B|) test against
+    the coset labels.  The witness of a failure is the least element left
+    uncovered, the least coset label that fhat misses.
+
     data and g_on_image are optional precomputed caches (pure functions of
     (A, B) and (B, g) respectively); passing them changes nothing but speed.
     """
     if data is None:
         data = subgroup_data(tr.A, tr.B)
-    field = tr.field
-    q = field.q
-    fhat = _fhat_values(tr, data, g_on_image)
-    covered = set()
-    add = field.add
-    for s in data.a_kernel_image:
-        for v in fhat:
-            covered.add(add(s, v))
-    ok = len(covered) == q
-    witness = None if ok else min(set(range(q)) - covered)
+    coset = data.coset
+    hit = {coset[v] for v in _fhat_values(tr, data, g_on_image)}
+    ok = len(data.a_kernel_image) == len(data.kernel) and len(hit) == len(data.image)
+    witness = None if ok else next(x for x, c in enumerate(coset) if c == x and x not in hit)
     return ConditionReport.build((Condition(PROP_COVER, ok, witness),))
 
 
@@ -154,7 +172,8 @@ def commuting_criterion_check(tr: AdditiveTriple, *, data: SubgroupData = None,
     c1 = data.a_kernel_image == data.kernel
     if g_on_image is None:
         g_on_image = {gamma: tr.g.eval(gamma) for gamma in data.image}
-    vals = sorted(field.add(a_gamma, tr.B.eval(g_on_image[gamma]))
+    b_values = data.b_values
+    vals = sorted(field.add(a_gamma, b_values[g_on_image[gamma]])
                   for gamma, a_gamma in zip(data.image, data.a_on_image))
     c2 = vals == list(data.image)
     return ConditionReport.build((
@@ -184,6 +203,20 @@ def _trace_kernel(field: Field) -> tuple:
 def _permutes_trace_kernel(A: AdditivePoly) -> bool:
     kernel = _trace_kernel(A.field)
     return sorted(A.eval(beta) for beta in kernel) == list(kernel)
+
+
+@functools.lru_cache(maxsize=256)
+def _fp_row(f) -> tuple:
+    """f at c = 0 .. p-1, the prime subfield (its elements are the indices
+    below p); f is an FqPoly or an AdditivePoly."""
+    return tuple(f.eval(c) for c in range(f.field.p))
+
+
+@functools.lru_cache(maxsize=256)
+def _trace_row(g: FqPoly) -> tuple:
+    """B(g(c)) for c = 0 .. p-1, B the trace map."""
+    B = trace_poly(g.field)
+    return tuple(B.eval(v) for v in _fp_row(g))
 
 
 @dataclass(frozen=True)
@@ -229,13 +262,13 @@ def trace_theorem_check(tp: TraceTheoremParams) -> ConditionReport:
     field = tp.field
     if field.n == 1:
         raise ScopeError("the trace criterion needs a proper extension (n >= 2)")
-    B = trace_poly(field)
     c1 = _permutes_trace_kernel(tp.A)
-    p = field.p
-    vals = sorted(field.add(B.eval(tp.g.eval(c)), field.mul(tp.h.eval(c), tp.A.eval(c)))
-                  for c in range(p))
-    c2 = vals == list(range(p))
-    root = next((c for c in range(p) if tp.h.eval(c) == 0), None)
+    h_row = _fp_row(tp.h)
+    add, mul = field.add, field.mul
+    vals = sorted(add(bg, mul(hc, ac))
+                  for bg, hc, ac in zip(_trace_row(tp.g), h_row, _fp_row(tp.A)))
+    c2 = vals == list(range(field.p))
+    root = next((c for c, hc in enumerate(h_row) if hc == 0), None)
     c3 = root is None
     return ConditionReport.build((
         Condition(TRACE_A_PERM, c1),

@@ -199,15 +199,52 @@ def _generate_example(args, fld):
            lambda: poly)
 
 
+def _replayable(values):
+    """A re-iterable view of `values` that draws from it only as far as an
+    iteration reaches, keeping what it drew for the next iteration."""
+    drawn, source = [], iter(values)
+
+    def replay():
+        yield from drawn
+        for v in source:
+            drawn.append(v)
+            yield v
+    return replay
+
+
 def _generate_hermite(args, fld):
-    ranges = (range(1, fld.q) if r is None else _parse_range(r)
-              for r in (args.a, args.b, args.i, args.j))
-    for a, b, i, j in itertools.product(*ranges):
-        hp = HermiteParams(fld, a, b, i, j)
-        report = hermite_sufficient(hp)
-        if report.verdict:
-            yield ({"a": a, "b": b, "i": i, "j": j}, report,
-                   lambda hp=hp: hermite_family(hp).poly)
+    axes = [range(1, fld.q) if r is None else _parse_range(r)
+            for r in (args.a, args.b, args.i, args.j)]
+    if not all(axes):
+        return
+    for corner in (0, -1):  # each bound is an interval: the corners validate the grid
+        HermiteParams(fld, *(axis[corner] for axis in axes))
+    # each condition reads one axis ("2a is a square", "2b is a square", and
+    # gcd(i*j, q-1) = 1 splits over i and j), so an axis is filtered by
+    # probing the criterion with the other axes pinned where they pass: at
+    # 1/2, whose double 1 is a square, and at the exponent 1
+    half = fld.inv(fld.add(1, 1))
+    pins = (half, half, 1, 1)
+
+    def passing(k):
+        probe = list(pins)
+        for v in axes[k]:
+            probe[k] = v
+            if hermite_sufficient(HermiteParams(fld, *probe)).verdict:
+                yield v
+
+    a_ok, b_ok, i_ok, j_ok = axes_ok = [_replayable(passing(k)) for k in range(4)]
+    if any(next(axis(), None) is None for axis in axes_ok):
+        return  # an axis where nothing passes empties the grid
+    for a in a_ok():
+        for b in b_ok():
+            for i in i_ok():
+                for j in j_ok():
+                    hp = HermiteParams(fld, a, b, i, j)
+                    report = hermite_sufficient(hp)
+                    if report.verdict:
+                        yield ({"a": a, "b": b, "i": i, "j": j}, report,
+                               lambda hp=hp: hermite_family(hp).poly)
 
 
 # each generator streams (parameters, report, expand) for the verdict-true

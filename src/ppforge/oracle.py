@@ -293,13 +293,15 @@ def _theorem1_cases(fld, seed, T, g0s=None):
 class _AdditiveCache:
     """Caches shared by the proposition and corollary2 suites.
 
-    col(X) is the value column of an additive polynomial.  g_on_image(B, g,
-    image) returns, once per (B, g), g on im B as a dict for the criteria
-    and, within the oracle bound, the column g(B(x)) for the oracle.
+    col(X) is the value column of an additive polynomial.  g_on_image(B,
+    image) returns, once per B, the corpus g on im B, indexed by g position:
+    a list of dicts for the criteria and, within the oracle bound, the
+    (len(gs), q) table of the columns g(B(x)) for the oracle.
     """
 
-    def __init__(self, T):
+    def __init__(self, T, gs):
         self.T = T
+        self.gs = gs
         self._cols = {}
         self._g = {}
 
@@ -315,17 +317,24 @@ class _AdditiveCache:
         ca, cb = self.col(A), self.col(B)
         return np.array_equal(ca[cb], cb[ca])
 
-    def g_on_image(self, B: AdditivePoly, g: FqPoly, image) -> tuple:
-        hit = self._g.get((B, g))
+    def g_on_image(self, B: AdditivePoly, image) -> tuple:
+        hit = self._g.get(B)
         if hit is None:
-            gi = {gamma: g.eval(gamma) for gamma in image}
-            gcol = None
+            gis = [{gamma: g.eval(gamma) for gamma in image} for g in self.gs]
+            gcols = None
             if self.T is not None:
-                lut = np.zeros(self.T.q, dtype=np.int64)
-                lut[list(gi)] = list(gi.values())
-                gcol = lut[self.col(B)]
-            hit = self._g[(B, g)] = gi, gcol
+                luts = np.zeros((len(gis), self.T.q), dtype=np.int64)
+                luts[:, list(image)] = [list(gi.values()) for gi in gis]
+                gcols = luts[:, self.col(B)]
+            hit = self._g[B] = gis, gcols
         return hit
+
+    def truths(self, A: AdditivePoly, gcols) -> list:
+        """Oracle verdicts on A(x) + g(B(x)) for every g of the corpus at
+        once, one row per g; None each beyond the oracle bound."""
+        if self.T is None:
+            return [None] * len(self.gs)
+        return _perm_mask_rows(self.T.add_cols(self.col(A)[None, :], gcols), self.T.q).tolist()
 
 
 def _proposition_cases(fld, seed, T):
@@ -334,7 +343,7 @@ def _proposition_cases(fld, seed, T):
     gs = arbitrary_g_corpus(fld, seed)
     a_texts = [A.expand().text() for A in As]
     g_texts = [g.text() for g in gs]
-    cache = _AdditiveCache(T)
+    cache = _AdditiveCache(T, gs)
     for bpos, B in enumerate(As):
         for apos, A in enumerate(As):
             data = subgroup_data(A, B)
@@ -343,15 +352,16 @@ def _proposition_cases(fld, seed, T):
                 yield ("rank_nullity",
                        {"B": a_texts[bpos], "kernel": len(data.kernel), "image": len(data.image)},
                        True, len(data.kernel) * len(data.image) == q)
+            gis, gcols = cache.g_on_image(B, data.image)
+            truths = cache.truths(A, gcols)
             for gpos, g in enumerate(gs):
-                gi, gcol = cache.g_on_image(B, g, data.image)
+                gi, truth = gis[gpos], truths[gpos]
                 tr = AdditiveTriple(A, B, g)
                 verdict = proposition_check(tr, data=data, g_on_image=gi).verdict
                 swapped = proposition_check(tr, data=data_swap, g_on_image=gi).verdict
                 params = {"A_pos": apos, "B_pos": bpos, "g_pos": gpos,
                           "A": a_texts[apos], "B": a_texts[bpos], "g": g_texts[gpos]}
                 yield "right_inverse_swap", params, verdict, swapped
-                truth = None if T is None else _perm_col(T.add_cols(cache.col(A), gcol), q)
                 yield "proposition", params, verdict, truth
                 if truth:
                     nec = necessary_conditions_check(tr, data=data, g_on_image=gi)
@@ -359,10 +369,9 @@ def _proposition_cases(fld, seed, T):
 
 
 def _corollary2_cases(fld, seed, T):
-    q = fld.q
     As = additive_poly_corpus(fld, seed)
     gs = arbitrary_g_corpus(fld, seed)
-    cache = _AdditiveCache(T)
+    cache = _AdditiveCache(T, gs)
     pairs = [(A, B) for A in As for B in As if cache.commutes(A, B)]
     trace_b = trace_poly(fld)
     seen = set(pairs)
@@ -371,15 +380,15 @@ def _corollary2_cases(fld, seed, T):
     g_texts = [g.text() for g in gs]
     for ppos, (A, B) in enumerate(pairs):
         data = subgroup_data(A, B)
+        gis, gcols = cache.g_on_image(B, data.image)
+        truths = cache.truths(A, gcols)
         for gpos, g in enumerate(gs):
-            gi, gcol = cache.g_on_image(B, g, data.image)
             rpt = commuting_criterion_check(AdditiveTriple(A, B, g), data=data,
-                                            g_on_image=gi, verified_commuting=True)
-            truth = None if T is None else _perm_col(T.add_cols(cache.col(A), gcol), q)
+                                            g_on_image=gis[gpos], verified_commuting=True)
             yield ("corollary2",
                    {"pair_pos": ppos, "g_pos": gpos,
                     "A": texts[A], "B": texts[B], "g": g_texts[gpos]},
-                   rpt.verdict, truth)
+                   rpt.verdict, truths[gpos])
 
 
 def _trace_theorem_cases(fld, seed, T):
@@ -389,25 +398,28 @@ def _trace_theorem_cases(fld, seed, T):
     gs = trace_g_corpus(fld, seed)
     h_texts = [h.text() for h in hs]
     g_texts = [g.text() for g in gs]
+    truths = [None] * len(gs)
     if T is not None:
         bcol = value_table(trace_poly(fld).expand())
 
         def on_trace(f):  # the column f(B(x)); B(x) lies in F_p
             return np.array([f.eval(c) for c in range(p)], dtype=np.int64)[bcol]
 
-        gcols = [on_trace(g) for g in gs]
+        gcols = np.stack([on_trace(g) for g in gs])
+        hcols = [on_trace(h) for h in hs]
     for apos, A in enumerate(As):
         a_text = A.expand().text()
         acol = None if T is None else value_table(A.expand())
         for hpos, h in enumerate(hs):
-            hacol = None if T is None else T.mul_cols(on_trace(h), acol)
+            if T is not None:
+                hacol = T.mul_cols(hcols[hpos], acol)
+                truths = _perm_mask_rows(T.add_cols(gcols, hacol[None, :]), q).tolist()
             for gpos, g in enumerate(gs):
                 verdict = trace_theorem_check(TraceTheoremParams(g, A, h)).verdict
-                truth = None if T is None else _perm_col(T.add_cols(gcols[gpos], hacol), q)
                 yield ("trace_theorem",
                        {"A_pos": apos, "h_pos": hpos, "g_pos": gpos,
                         "A": a_text, "h": h_texts[hpos], "g": g_texts[gpos]},
-                       verdict, truth)
+                       verdict, truths[gpos])
 
 
 def _hermite_cases(fld, seed, T):

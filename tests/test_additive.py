@@ -13,7 +13,7 @@ from ppforge.additive import (AdditiveTriple, TraceTheoremParams,
                               triple_poly)
 from ppforge.errors import FieldError, ScopeError
 from ppforge.field import make_field
-from ppforge.oracle import is_permutation
+from ppforge.oracle import additive_poly_corpus, arbitrary_g_corpus, is_permutation
 from ppforge.poly import AdditivePoly, FqPoly, parse_poly, trace_poly
 
 F5 = make_field(5)
@@ -151,6 +151,46 @@ def test_right_inverse_choice_does_not_change_verdict():
             assert v1 == v2
 
 
+@pytest.mark.parametrize("p,n,sample", [(2, 2, None), (3, 1, None), (3, 2, 120), (2, 4, 60)])
+def test_coset_label_cover_matches_the_sumset(p, n, sample):
+    # the cover is decided from coset labels in O(|im B|); pin it, verdict
+    # and witness, against the sumset A(ker B) + fhat(im B) built element by
+    # element from a kernel and right inverse found here by brute force, on
+    # every (A, B) cell of the proposition suite's corpora or a seeded
+    # sample of them, each with the full g corpus
+    fld = make_field(p, n)
+    As = additive_poly_corpus(fld, 1009)
+    gs = arbitrary_g_corpus(fld, 1009)
+    cells = [(A, B) for B in As for A in As]
+    if sample is not None:
+        cells = random.Random(f"cover/{fld.designation()}").sample(cells, sample)
+    elements = set(fld.elements())
+    injectivity_alone = 0
+    for A, B in cells:
+        values = [B.eval(x) for x in fld.elements()]
+        kernel = [x for x, v in enumerate(values) if v == 0]
+        rinv = {}
+        for x, v in enumerate(values):
+            rinv.setdefault(v, x)
+        a_kernel = {A.eval(beta) for beta in kernel}
+        data = subgroup_data(A, B)
+        assert data.b_values == tuple(values)
+        assert data.coset == tuple(min(fld.add(x, s) for s in a_kernel)
+                                   for x in fld.elements())
+        for g in gs:
+            fhat = [fld.add(g.eval(gamma), A.eval(x)) for gamma, x in rinv.items()]
+            missing = elements - {fld.add(s, v) for s in a_kernel for v in fhat}
+            cond = proposition_check(AdditiveTriple(A, B, g), data=data).conditions[0]
+            assert cond.holds == (not missing)
+            assert cond.witness == (min(missing) if missing else None)
+            # cases that only "A injective on ker B" refutes: fhat hits
+            # |im B| distinct cosets, yet the sumset is short
+            cosets = {frozenset(fld.add(v, s) for s in a_kernel) for v in fhat}
+            injectivity_alone += bool(missing) and len(cosets) == len(rinv)
+    # a cover test without the injectivity half would fail on these
+    assert injectivity_alone > 0
+
+
 def test_necessary_conditions_examples():
     g = parse_poly(F9, "3*x^2")
     # A = x is injective on any kernel
@@ -219,6 +259,22 @@ def test_trace_theorem_root_fails():
     rpt = trace_theorem_check(tp)
     assert not rpt.condition("h has no roots in F_p").holds
     assert not rpt.verdict
+
+
+def test_witness_strings():
+    # proposition: the least element the sumset leaves uncovered
+    F16 = make_field(2, 4)
+    tr = AdditiveTriple(AdditivePoly(F16, (0, 1)), AdditivePoly(F16, (1, 1)),
+                        parse_poly(F16, "x^3"))
+    cond = proposition_check(tr).conditions[0]
+    assert not cond.holds and cond.witness == 8
+    assert cond.to_json_dict()["witness"] == 8
+    # trace theorem: the least root of h in F_p
+    tp = TraceTheoremParams(FqPoly.zero(F9), A_ID, parse_poly(F9, "x+2"))
+    cond = trace_theorem_check(tp).condition("h has no roots in F_p")
+    assert not cond.holds and cond.witness == "h(1) = 0"
+    assert trace_theorem_check(TraceTheoremParams(
+        FqPoly.zero(F9), A_ID, parse_poly(F9, "x"))).conditions[2].witness == "h(0) = 0"
 
 
 def test_trace_theorem_identity_case():

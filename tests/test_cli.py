@@ -450,6 +450,32 @@ def test_generate_hermite_all_confirmed(capsys):
     assert all(r["verdict"] and r["oracle"] == "confirmed" for r in recs)
 
 
+@pytest.mark.parametrize("argv", [
+    ("1009", "--a", "11", "--b", "11"),
+    ("10007", "--a", "5", "--b", "5"),
+    ("1000003^2", "--b", "1000004"),
+], ids=["1009", "10007", "1000003^2"])
+def test_generate_hermite_empty_filter_answers_quickly(argv):
+    # 2a (2b) is not a square, so no (a, b, i, j) passes; that axis is
+    # filtered before the grid is walked: the (q-1)^2 exponent pairs, 10^8
+    # of them on 10007, or on 1000003^2 every a with 10^24 pairs each
+    proc = run_subprocess("generate", "hermite", *argv, "--limit", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--a", "11", "--b", "0"), "nonzero element indices"),
+    (("--a", "1..2000",), "nonzero element indices"),
+    (("--i", "0..3",), "must be positive"),
+])
+def test_generate_hermite_invalid_value_exits_2(capsys, argv, message):
+    # an invalid value exits 2 even where the filters would never reach it
+    code, out, err = run_cli(capsys, "generate", "hermite", "1009", *argv, "--limit", "1")
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_selftest_single_suite(capsys):
     code, out, _ = run_cli(capsys, "selftest", "--suite", "lemma", "--fields", "7")
     rec = json_lines(out)[0]

@@ -8,13 +8,15 @@ import numpy as np
 import pytest
 
 from ppforge import oracle
+from ppforge.additive import (AdditiveTriple, TraceTheoremParams, trace_theorem_poly,
+                              triple_poly)
 from ppforge.cyclotomic import Theorem1Params, theorem1_poly
 from ppforge.errors import OracleBoundError, UnknownSuiteError
-from ppforge.field import VECTOR_MAX_Q, divisors, make_field
+from ppforge.field import VECTOR_MAX_Q, divisors, make_field, parse_field
 from ppforge.oracle import (SUITE_NAMES, additive_poly_corpus, is_permutation,
                             lemma_h_corpus, run_equivalence_suite,
                             theorem1_g0_corpus, value_table)
-from ppforge.poly import FqPoly, additive_commutes, parse_poly
+from ppforge.poly import FqPoly, additive_commutes, parse_additive, parse_poly
 from ppforge.report import ConditionReport
 
 F7 = make_field(7)
@@ -85,6 +87,34 @@ def test_batched_linearity_identity():
                     combined = [fld.add(fld.mul(b, int(x1)), int(x2))
                                 for x1, x2 in zip(v1, v2)]
                     assert list(fb) == combined
+
+
+def _expanded(suite, fld, params) -> FqPoly:
+    """The polynomial of one additive-suite case, rebuilt from its texts."""
+    A, g = parse_additive(fld, params["A"]), parse_poly(fld, params["g"])
+    if suite == "trace_theorem":
+        return trace_theorem_poly(TraceTheoremParams(g, A, parse_poly(fld, params["h"])))
+    return triple_poly(AdditiveTriple(A, parse_additive(fld, params["B"]), g))
+
+
+@pytest.mark.parametrize("suite,spec", [("proposition", "3"), ("proposition", "2^2"),
+                                        ("corollary2", "2^2"), ("corollary2", "3^2"),
+                                        ("trace_theorem", "2^3"), ("trace_theorem", "3^2")])
+def test_batched_additive_truths_match_the_expanded_polynomial(suite, spec):
+    # the additive suites decide all g of a cell with one row-batched oracle
+    # call; pin sampled truths of both signs against is_permutation of the
+    # expanded polynomial, which shares no code with the criteria
+    fld = parse_field(spec)
+    _, cases = oracle.SUITES[suite]
+    by_truth = {True: [], False: []}
+    for construction, params, _, truth in cases(fld, oracle.SAMPLE_SEED, fld.tables()):
+        if construction == suite:
+            by_truth[truth].append(params)
+    rng = random.Random(f"batched/{suite}/{spec}")
+    for truth, rows in by_truth.items():
+        assert rows
+        for params in rng.sample(rows, min(len(rows), 60)):
+            assert is_permutation(_expanded(suite, fld, params)) == truth, params
 
 
 def test_run_suite_unknown_name():
