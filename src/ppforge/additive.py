@@ -12,7 +12,7 @@ import functools
 from dataclasses import dataclass
 
 from .errors import FieldError, ScopeError
-from .field import Field, check_expansion
+from .field import Field
 from .poly import AdditivePoly, FqPoly, additive_commutes, trace_poly
 from .report import Condition, ConditionReport
 
@@ -49,10 +49,10 @@ class SubgroupData:
 
     right_inverse maps each value in im B to a preimage (least index by
     default); a_of_right_inverse caches A applied to those preimages, and
-    a_kernel_image is the subgroup A(ker B).  a_on_image is A on im B, in
-    image order.  b_values is B at every element, indexed by element, and
-    coset labels every element with the least element of its coset of
-    A(ker B), so coset[x] == x exactly at the coset representatives.
+    a_kernel_image is the subgroup A(ker B).  coset labels every element
+    with the least element of its coset of A(ker B), so coset[x] == x
+    exactly at the coset representatives.  A and B at every element are
+    A.values() and B.values().
     """
 
     kernel: tuple
@@ -60,18 +60,16 @@ class SubgroupData:
     right_inverse: dict
     a_kernel_image: tuple
     a_of_right_inverse: dict
-    a_on_image: tuple
-    b_values: tuple
     coset: tuple
 
 
 def subgroup_data(A: AdditivePoly, B: AdditivePoly, *, preimage: str = "least") -> SubgroupData:
-    """Exhaustively evaluate B (and A where needed) over the field.
+    """Kernel, image and right inverse of B, and A's action on them, read
+    from the walks B.values() and A.values().
 
-    One scalar walk of B gives its values, kernel, image and right inverse;
-    A is evaluated on ker B and on the preimages only.  The coset labels
-    take q more additions: walking F_q upwards, each element not yet
-    labelled is the least of its coset and labels the whole coset.
+    The coset labels take q more additions: walking F_q upwards, each
+    element not yet labelled is the least of its coset and labels the whole
+    coset.
 
     preimage selects which representative the right inverse table stores:
     "least" (canonical) or "greatest" (used to test that the coset criterion
@@ -82,29 +80,21 @@ def subgroup_data(A: AdditivePoly, B: AdditivePoly, *, preimage: str = "least") 
     field = A.field
     if field != B.field:
         raise FieldError("A and B must live over the same field")
-    check_expansion(field.work(0, field.q), f"a walk of F_q for q={field.q}")
-    rinv: dict[int, int] = {}
-    kernel = []
-    b_values = []
-    for x in field.elements():
-        v = B.eval(x)
-        b_values.append(v)
-        if v == 0:
-            kernel.append(x)
-        if preimage == "greatest" or v not in rinv:
-            rinv[v] = x
+    bv, av = B.values(), A.values()
+    kernel = tuple(x for x, v in enumerate(bv) if v == 0)
+    # the last preimage written for a value is the one kept
+    pairs = enumerate(bv) if preimage == "greatest" else reversed(tuple(enumerate(bv)))
+    rinv = {v: x for x, v in pairs}
     image = tuple(sorted(rinv))
-    a_kernel_image = tuple(sorted({A.eval(beta) for beta in kernel}))
+    a_kernel_image = tuple(sorted({av[beta] for beta in kernel}))
     coset = [None] * field.q
     add = field.add
     for x in field.elements():
         if coset[x] is None:
             for s in a_kernel_image:
                 coset[add(x, s)] = x
-    a_of_rinv = {gamma: A.eval(rinv[gamma]) for gamma in image}
-    a_on_image = tuple(A.eval(gamma) for gamma in image)
-    return SubgroupData(tuple(kernel), image, rinv, a_kernel_image, a_of_rinv, a_on_image,
-                        tuple(b_values), tuple(coset))
+    a_of_rinv = {gamma: av[rinv[gamma]] for gamma in image}
+    return SubgroupData(kernel, image, rinv, a_kernel_image, a_of_rinv, tuple(coset))
 
 
 def _fhat_values(tr: AdditiveTriple, data: SubgroupData, g_on_image=None) -> list:
@@ -172,9 +162,8 @@ def commuting_criterion_check(tr: AdditiveTriple, *, data: SubgroupData = None,
     c1 = data.a_kernel_image == data.kernel
     if g_on_image is None:
         g_on_image = {gamma: tr.g.eval(gamma) for gamma in data.image}
-    b_values = data.b_values
-    vals = sorted(field.add(a_gamma, b_values[g_on_image[gamma]])
-                  for gamma, a_gamma in zip(data.image, data.a_on_image))
+    av, bv = tr.A.values(), tr.B.values()
+    vals = sorted(field.add(av[gamma], bv[g_on_image[gamma]]) for gamma in data.image)
     c2 = vals == list(data.image)
     return ConditionReport.build((
         Condition(COR2_A_PERM, c1),
@@ -194,9 +183,7 @@ def triple_poly(tr: AdditiveTriple) -> FqPoly:
 
 @functools.lru_cache(maxsize=None)
 def _trace_kernel(field: Field) -> tuple:
-    check_expansion(field.work(0, field.q), f"a walk of F_q for q={field.q}")
-    B = trace_poly(field)
-    return tuple(x for x in field.elements() if B.eval(x) == 0)
+    return tuple(x for x, v in enumerate(trace_poly(field).values()) if v == 0)
 
 
 @functools.lru_cache(maxsize=256)

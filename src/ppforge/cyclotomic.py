@@ -45,10 +45,9 @@ def lemma_check(cf: CyclotomicForm) -> ConditionReport:
     c1 = math.gcd(cf.u, (cf.field.q - 1) // cf.d) == 1
     mu, image = _induced_map(cf)
     c2 = sorted(image) == sorted(mu)
-    witness = None
-    if not c2:
-        missing = sorted(set(mu) - set(image))
-        witness = f"mu_d element {missing[0]} not attained" if missing else "image leaves mu_d"
+    # d images against the d distinct elements of mu_d: unless they are a
+    # permutation of mu_d, one element is missed
+    witness = None if c2 else f"mu_d element {min(set(mu) - set(image))} not attained"
     return ConditionReport.build((
         Condition(LEMMA_COPRIME, c1),
         Condition(LEMMA_MU_PERM, c2, witness),
@@ -223,14 +222,24 @@ class HermiteFamily:
     nonsquare_exp: int
 
 
+def hermite_coeff_ok(field: Field, a: int) -> bool:
+    """The coefficient half of hermite_sufficient: 2a is a square."""
+    return field.is_dth_power(field.add(a, a), 2)
+
+
+def hermite_exp_ok(field: Field, i: int) -> bool:
+    """The exponent half of hermite_sufficient: gcd(i, q-1) = 1."""
+    return math.gcd(i, field.q - 1) == 1
+
+
 def hermite_sufficient(hp: HermiteParams) -> ConditionReport:
     """The classical sufficient condition: 2a and 2b are squares and
     gcd(ij, q-1) = 1.  Needs no expansion, so it answers at any q."""
     field = hp.field
     return ConditionReport.build((
-        Condition(HERMITE_2A_SQUARE, field.is_dth_power(field.add(hp.a, hp.a), 2)),
-        Condition(HERMITE_2B_SQUARE, field.is_dth_power(field.add(hp.b, hp.b), 2)),
-        Condition(HERMITE_COPRIME, math.gcd(hp.i * hp.j, field.q - 1) == 1),
+        Condition(HERMITE_2A_SQUARE, hermite_coeff_ok(field, hp.a)),
+        Condition(HERMITE_2B_SQUARE, hermite_coeff_ok(field, hp.b)),
+        Condition(HERMITE_COPRIME, hermite_exp_ok(field, hp.i) and hermite_exp_ok(field, hp.j)),
     ))
 
 

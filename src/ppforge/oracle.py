@@ -14,7 +14,6 @@ pins the batched rows against value_table on sampled parameters.
 """
 
 import itertools
-import math
 import random
 import time
 from dataclasses import dataclass, field as _dc_field
@@ -25,8 +24,8 @@ from .additive import (AdditiveTriple, TraceTheoremParams, example_family,
                        necessary_conditions_check, proposition_check,
                        commuting_criterion_check, subgroup_data,
                        trace_theorem_check)
-from .cyclotomic import (HermiteParams, Theorem1Params, hermite_family,
-                         hermite_sufficient, lemma_check, theorem1_check)
+from .cyclotomic import (HermiteParams, Theorem1Params, hermite_coeff_ok, hermite_exp_ok,
+                         hermite_family, hermite_sufficient, lemma_check, theorem1_check)
 from .errors import OracleBoundError, UnknownSuiteError
 from .field import VECTOR_MAX_Q, Field, divisors, parse_field
 from .poly import (AdditivePoly, CyclotomicForm, FqPoly, additive_commutes, h_d_poly,
@@ -294,14 +293,16 @@ class _AdditiveCache:
     """Caches shared by the proposition and corollary2 suites.
 
     col(X) is the value column of an additive polynomial.  g_on_image(B,
-    image) returns, once per B, the corpus g on im B, indexed by g position:
-    a list of dicts for the criteria and, within the oracle bound, the
-    (len(gs), q) table of the columns g(B(x)) for the oracle.
+    image) returns, once per B, the corpus g on im B as a list of dicts by
+    g position, for the criteria.  Within the oracle bound, G stacks the
+    value columns of the g corpus, so G[:, col(B)] is the (len(gs), q)
+    table of the columns g(B(x)).
     """
 
     def __init__(self, T, gs):
         self.T = T
         self.gs = gs
+        self.G = None if T is None else np.stack([value_table(g) for g in gs])
         self._cols = {}
         self._g = {}
 
@@ -311,30 +312,19 @@ class _AdditiveCache:
             c = self._cols[X] = value_table(X.expand())
         return c
 
-    def commutes(self, A: AdditivePoly, B: AdditivePoly) -> bool:
-        if self.T is None:
-            return additive_commutes(A, B)
-        ca, cb = self.col(A), self.col(B)
-        return np.array_equal(ca[cb], cb[ca])
+    def g_on_image(self, B: AdditivePoly, image) -> list:
+        gis = self._g.get(B)
+        if gis is None:
+            gis = self._g[B] = [{gamma: g.eval(gamma) for gamma in image} for g in self.gs]
+        return gis
 
-    def g_on_image(self, B: AdditivePoly, image) -> tuple:
-        hit = self._g.get(B)
-        if hit is None:
-            gis = [{gamma: g.eval(gamma) for gamma in image} for g in self.gs]
-            gcols = None
-            if self.T is not None:
-                luts = np.zeros((len(gis), self.T.q), dtype=np.int64)
-                luts[:, list(image)] = [list(gi.values()) for gi in gis]
-                gcols = luts[:, self.col(B)]
-            hit = self._g[B] = gis, gcols
-        return hit
-
-    def truths(self, A: AdditivePoly, gcols) -> list:
+    def truths(self, A: AdditivePoly, B: AdditivePoly) -> list:
         """Oracle verdicts on A(x) + g(B(x)) for every g of the corpus at
         once, one row per g; None each beyond the oracle bound."""
         if self.T is None:
             return [None] * len(self.gs)
-        return _perm_mask_rows(self.T.add_cols(self.col(A)[None, :], gcols), self.T.q).tolist()
+        rows = self.T.add_cols(self.col(A)[None, :], self.G[:, self.col(B)])
+        return _perm_mask_rows(rows, self.T.q).tolist()
 
 
 def _proposition_cases(fld, seed, T):
@@ -352,8 +342,8 @@ def _proposition_cases(fld, seed, T):
                 yield ("rank_nullity",
                        {"B": a_texts[bpos], "kernel": len(data.kernel), "image": len(data.image)},
                        True, len(data.kernel) * len(data.image) == q)
-            gis, gcols = cache.g_on_image(B, data.image)
-            truths = cache.truths(A, gcols)
+            gis = cache.g_on_image(B, data.image)
+            truths = cache.truths(A, B)
             for gpos, g in enumerate(gs):
                 gi, truth = gis[gpos], truths[gpos]
                 tr = AdditiveTriple(A, B, g)
@@ -372,7 +362,7 @@ def _corollary2_cases(fld, seed, T):
     As = additive_poly_corpus(fld, seed)
     gs = arbitrary_g_corpus(fld, seed)
     cache = _AdditiveCache(T, gs)
-    pairs = [(A, B) for A in As for B in As if cache.commutes(A, B)]
+    pairs = [(A, B) for A in As for B in As if additive_commutes(A, B)]
     trace_b = trace_poly(fld)
     seen = set(pairs)
     pairs += [(A, trace_b) for A in prime_field_additive_corpus(fld) if (A, trace_b) not in seen]
@@ -380,8 +370,8 @@ def _corollary2_cases(fld, seed, T):
     g_texts = [g.text() for g in gs]
     for ppos, (A, B) in enumerate(pairs):
         data = subgroup_data(A, B)
-        gis, gcols = cache.g_on_image(B, data.image)
-        truths = cache.truths(A, gcols)
+        gis = cache.g_on_image(B, data.image)
+        truths = cache.truths(A, B)
         for gpos, g in enumerate(gs):
             rpt = commuting_criterion_check(AdditiveTriple(A, B, g), data=data,
                                             g_on_image=gis[gpos], verified_commuting=True)
@@ -392,7 +382,7 @@ def _corollary2_cases(fld, seed, T):
 
 
 def _trace_theorem_cases(fld, seed, T):
-    p, q = fld.p, fld.q
+    q = fld.q
     As = prime_field_additive_corpus(fld)
     hs = prime_coeff_poly_corpus(fld)
     gs = trace_g_corpus(fld, seed)
@@ -401,12 +391,8 @@ def _trace_theorem_cases(fld, seed, T):
     truths = [None] * len(gs)
     if T is not None:
         bcol = value_table(trace_poly(fld).expand())
-
-        def on_trace(f):  # the column f(B(x)); B(x) lies in F_p
-            return np.array([f.eval(c) for c in range(p)], dtype=np.int64)[bcol]
-
-        gcols = np.stack([on_trace(g) for g in gs])
-        hcols = [on_trace(h) for h in hs]
+        gcols = np.stack([value_table(g)[bcol] for g in gs])
+        hcols = [value_table(h)[bcol] for h in hs]
     for apos, A in enumerate(As):
         a_text = A.expand().text()
         acol = None if T is None else value_table(A.expand())
@@ -424,8 +410,8 @@ def _trace_theorem_cases(fld, seed, T):
 
 def _hermite_cases(fld, seed, T):
     q = fld.q
-    good_coeffs = [a for a in fld.units() if fld.is_dth_power(fld.add(a, a), 2)]
-    good_exps = [i for i in range(1, q) if math.gcd(i, q - 1) == 1]
+    good_coeffs = [a for a in fld.units() if hermite_coeff_ok(fld, a)]
+    good_exps = [i for i in range(1, q) if hermite_exp_ok(fld, i)]
     if T is not None:
         sq_mask = np.asarray(T.pow_col((q - 1) // 2)) == 1
         ns_mask = ~sq_mask

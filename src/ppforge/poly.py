@@ -228,7 +228,7 @@ def _collect(field: Field, pairs) -> FqPoly:
 class AdditivePoly:
     """sum_i a_i * x^(p^i): a group endomorphism of (F_q, +)."""
 
-    __slots__ = ("field", "add_coeffs")
+    __slots__ = ("field", "add_coeffs", "_values")
 
     def __init__(self, field: Field, add_coeffs=()):
         cs = list(add_coeffs)
@@ -240,6 +240,7 @@ class AdditivePoly:
             cs.pop()
         self.field = field
         self.add_coeffs = tuple(cs)
+        self._values = None
 
     def __eq__(self, other):
         return (isinstance(other, AdditivePoly) and self.field == other.field
@@ -263,6 +264,15 @@ class AdditivePoly:
                 acc = f.add(acc, f.mul(c, x))
             x = f.pow(x, f.p)
         return acc
+
+    def values(self) -> tuple:
+        """The map at every element, indexed by element: one walk of F_q,
+        made on the first call and kept on this object."""
+        if self._values is None:
+            f = self.field
+            check_expansion(f.work(0, f.q), f"a walk of F_q for q={f.q}")
+            self._values = tuple(self.eval(a) for a in f.elements())
+        return self._values
 
     def expand(self) -> FqPoly:
         """The FqPoly with terms a_i * x^(p^i)."""
@@ -294,9 +304,8 @@ def to_additive(f: FqPoly) -> AdditivePoly:
 
 def additive_commutes(A: AdditivePoly, B: AdditivePoly) -> bool:
     """Exhaustive check that A(B(a)) = B(A(a)) for every a in F_q."""
-    f = A.field
-    check_expansion(f.work(0, f.q), f"a walk of F_q for q={f.q}")
-    return all(A.eval(B.eval(a)) == B.eval(A.eval(a)) for a in f.elements())
+    av, bv = A.values(), B.values()
+    return all(av[b] == bv[a] for a, b in zip(av, bv))
 
 
 def h_d_poly(field: Field, d: int) -> FqPoly:

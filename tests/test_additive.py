@@ -12,8 +12,9 @@ from ppforge.additive import (AdditiveTriple, TraceTheoremParams,
                               trace_theorem_check, trace_theorem_poly,
                               triple_poly)
 from ppforge.errors import FieldError, ScopeError
-from ppforge.field import make_field
-from ppforge.oracle import additive_poly_corpus, arbitrary_g_corpus, is_permutation
+from ppforge.field import make_field, parse_field
+from ppforge.oracle import (additive_poly_corpus, arbitrary_g_corpus, is_permutation,
+                            value_table)
 from ppforge.poly import AdditivePoly, FqPoly, parse_poly, trace_poly
 
 F5 = make_field(5)
@@ -35,13 +36,14 @@ def test_subgroup_data_trace_f9():
         assert sd.a_of_right_inverse[gamma] == A_ID.eval(sd.right_inverse[gamma])
 
 
-@pytest.mark.parametrize("fld", [F9, F8, F25])
-def test_subgroup_data_a_on_image(fld):
-    B = trace_poly(fld)
-    for cs in [(1,), (0, 1), (2, 1), (1, 0, 1)]:
-        A = AdditivePoly(fld, cs[:fld.n])
-        sd = subgroup_data(A, B)
-        assert sd.a_on_image == tuple(A.eval(gamma) for gamma in sd.image)
+@pytest.mark.parametrize("spec", ["13", "7^3", "2^4", "2^10", "3^7", "251^2"])
+def test_values_match_the_oracle_column(spec):
+    # one field per arithmetic tier: the scalar walk against eval_col
+    fld = parse_field(spec)
+    rng = random.Random(f"values/{spec}")
+    for X in (AdditivePoly(fld, (1,)), trace_poly(fld),
+              AdditivePoly(fld, [rng.randrange(fld.q) for _ in range(3)])):
+        assert X.values() == tuple(value_table(X.expand()))
 
 
 def test_trace_condition_1_per_a():
@@ -174,7 +176,7 @@ def test_coset_label_cover_matches_the_sumset(p, n, sample):
             rinv.setdefault(v, x)
         a_kernel = {A.eval(beta) for beta in kernel}
         data = subgroup_data(A, B)
-        assert data.b_values == tuple(values)
+        assert B.values() == tuple(values)
         assert data.coset == tuple(min(fld.add(x, s) for s in a_kernel)
                                    for x in fld.elements())
         for g in gs:

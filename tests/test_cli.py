@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import ppforge
 import ppforge.cli
 import ppforge.cyclotomic
+import ppforge.poly
 from ppforge.cli import main
 from ppforge.field import divisors, parse_field
 from ppforge.report import ConditionReport
@@ -270,6 +271,23 @@ def test_check_theorem1_builds_g_once(capsys, monkeypatch):
                            "--k", "0", "--b", "2", "--g0", "1")
     assert code == 0 and json_lines(out)[0]["parameters"]["g"] == "x^2+x+1"
     assert len(calls) == 1
+
+
+def test_check_corollary2_walks_a_and_b_once_each(capsys, monkeypatch):
+    # the commute test, the kernel/image data and condition 2 all read the
+    # same two walks of F_9
+    calls = []
+    original = ppforge.poly.AdditivePoly.eval
+
+    def counted(self, a):
+        calls.append(a)
+        return original(self, a)
+
+    monkeypatch.setattr(ppforge.poly.AdditivePoly, "eval", counted)
+    code, out, _ = run_cli(capsys, "check", "corollary2", "3^2", "--A", "x",
+                           "--B", "x^3+x", "--g", "3*x^2")
+    assert code == 0 and json_lines(out)[0]["verdict"] is True
+    assert len(calls) == 2 * 9
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):

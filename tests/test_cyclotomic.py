@@ -45,6 +45,15 @@ def test_lemma_gcd_violation():
         assert not rpt.verdict
 
 
+def test_lemma_witness_names_the_least_missed_mu_d_element():
+    # F_13, d=3: the induced map sends mu_3 = {1, 3, 9} to {1, 3, 3}
+    cond = lemma_check(CyclotomicForm(5, 3, parse_poly(F13, "x^2+2"))).conditions[1]
+    assert not cond.holds and cond.witness == "mu_d element 9 not attained"
+    # h(6) = 0 sends 6 in mu_2 to 0, outside mu_2: the missed element still names it
+    cond = lemma_check(CyclotomicForm(1, 2, parse_poly(F7, "x+1"))).conditions[1]
+    assert not cond.holds and cond.witness == "mu_d element 6 not attained"
+
+
 def test_lemma_rejects_non_divisor():
     with pytest.raises(ScopeError):
         lemma_check(CyclotomicForm(1, 4, FqPoly.one(F7)))
@@ -72,6 +81,12 @@ def test_theorem1_condition4_false():
     rpt = theorem1_check(params)
     assert [c.holds for c in rpt.conditions] == [True, True, True, False]
     assert not is_permutation(theorem1_poly(params))
+
+
+def test_theorem1_witness_when_1_plus_g1_over_b_is_zero():
+    # g(1) = 3 and 3/4 = 6 in F_7, so 1+g(1)/b = 0, which is no d-th power in F_q*
+    cond = theorem1_check(Theorem1Params(3, 1, 0, 4, FqPoly.one(F7))).conditions[3]
+    assert not cond.holds and cond.witness == "1+g(1)/b = 0 is zero"
 
 
 def test_theorem1_scope_errors():

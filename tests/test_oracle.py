@@ -1,13 +1,15 @@
 """Brute-force oracle contract, its vector/scalar consistency, and the
 suite driver, including its power to catch a broken criterion."""
 
+import collections
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
 
-from ppforge import oracle
+from ppforge import additive, oracle
 from ppforge.additive import (AdditiveTriple, TraceTheoremParams, trace_theorem_poly,
                               triple_poly)
 from ppforge.cyclotomic import Theorem1Params, theorem1_poly
@@ -16,7 +18,7 @@ from ppforge.field import VECTOR_MAX_Q, divisors, make_field, parse_field
 from ppforge.oracle import (SUITE_NAMES, additive_poly_corpus, is_permutation,
                             lemma_h_corpus, run_equivalence_suite,
                             theorem1_g0_corpus, value_table)
-from ppforge.poly import FqPoly, additive_commutes, parse_additive, parse_poly
+from ppforge.poly import AdditivePoly, FqPoly, additive_commutes, parse_additive, parse_poly
 from ppforge.report import ConditionReport
 
 F7 = make_field(7)
@@ -115,6 +117,77 @@ def test_batched_additive_truths_match_the_expanded_polynomial(suite, spec):
         assert rows
         for params in rng.sample(rows, min(len(rows), 60)):
             assert is_permutation(_expanded(suite, fld, params)) == truth, params
+
+
+def _counting_eval(monkeypatch):
+    """Patch AdditivePoly.eval to count calls per polynomial object."""
+    calls, keep = collections.Counter(), []
+    real = AdditivePoly.eval
+
+    def counted(self, a):
+        if id(self) not in calls:
+            keep.append(self)  # keeps ids unique while counting
+        calls[id(self)] += 1
+        return real(self, a)
+    monkeypatch.setattr(AdditivePoly, "eval", counted)
+    return calls
+
+
+@pytest.mark.parametrize("suite,spec", [("proposition", "2^2"), ("proposition", "3"),
+                                        ("corollary2", "2^2"), ("corollary2", "3")])
+def test_each_additive_map_is_walked_once(monkeypatch, suite, spec):
+    # every walk of F_q goes through AdditivePoly.values(), kept per object:
+    # no polynomial is evaluated more than q times, however many cells use it
+    fld = parse_field(spec)
+    maps = len(additive_poly_corpus(fld, oracle.SAMPLE_SEED))
+    if suite == "corollary2":
+        maps += 1 + len(oracle.prime_field_additive_corpus(fld))  # the trace pairs
+    calls = _counting_eval(monkeypatch)
+    for _ in oracle.SUITES[suite][1](fld, oracle.SAMPLE_SEED, fld.tables()):
+        pass
+    assert max(calls.values()) == fld.q
+    assert sum(calls.values()) <= maps * fld.q
+
+
+def test_values_is_one_walk(monkeypatch):
+    A = parse_additive(F9, "x^3+3*x")
+    calls = _counting_eval(monkeypatch)
+    first = A.values()
+    assert sum(calls.values()) == F9.q
+    assert A.values() is first and sum(calls.values()) == F9.q
+
+
+def _verdicts_and_truths(suite, spec):
+    fld = parse_field(spec)
+    rows = [(verdict, truth) for construction, _, verdict, truth
+            in oracle.SUITES[suite][1](fld, oracle.SAMPLE_SEED, fld.tables())
+            if construction == suite]
+    return [v for v, _ in rows], [t for _, t in rows]
+
+
+def test_oracle_truths_read_no_criterion_data(monkeypatch):
+    # corrupt what the criteria read (the image of B, and scalar FqPoly.eval):
+    # the verdicts change, the oracle's truths must not
+    cases = [("proposition", "3"), ("corollary2", "2^2"), ("trace_theorem", "2^3")]
+    clean = [_verdicts_and_truths(*case) for case in cases]
+    real_subgroup_data, real_eval = oracle.subgroup_data, FqPoly.eval
+
+    def short_image(*args, **kwargs):
+        data = real_subgroup_data(*args, **kwargs)
+        return dataclasses.replace(data, image=data.image[:-1])
+    monkeypatch.setattr(oracle, "subgroup_data", short_image)
+    monkeypatch.setattr(FqPoly, "eval", lambda self, a: self.field.add(real_eval(self, a), 1))
+    memos = (additive._fp_row, additive._trace_row, additive._permutes_trace_kernel)
+    try:
+        for memo in memos:
+            memo.cache_clear()
+        for case, (verdicts, truths) in zip(cases, clean):
+            patched_verdicts, patched_truths = _verdicts_and_truths(*case)
+            assert patched_verdicts != verdicts, case
+            assert patched_truths == truths, case
+    finally:
+        for memo in memos:  # the patched eval poisons them
+            memo.cache_clear()
 
 
 def test_run_suite_unknown_name():
@@ -246,8 +319,8 @@ def test_corpora_are_deterministic_and_sized():
 
 
 def test_suite_commute_filter_matches_library_op():
-    # the corollary2 suite filters pairs with table lookups; the library
-    # predicate must agree on the whole corpus
+    # the corollary2 suite filters pairs with additive_commutes, which reads
+    # the scalar walks; pin it against composed value columns
     T = F9.tables()
     corpus = additive_poly_corpus(F9, 1009)
     cols = {A: T.eval_col(A.expand().reduce_exponents().terms) for A in corpus}
