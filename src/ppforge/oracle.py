@@ -2,9 +2,9 @@
 
 is_permutation evaluates a polynomial at every field element and checks that
 the image has q distinct values; no probabilistic shortcut is taken.  The
-equivalence suites sweep parameter grids for each construction, compare the
-criterion verdict case by case against the brute-force verdict, and report
-every disagreement (there must be none).
+equivalence suites sweep parameter grids for each construction one cell at a
+time, compare the criterion verdicts of a cell's rows against the brute-force
+verdicts as two arrays, and report every disagreement (there must be none).
 
 The suites batch the brute-force side with integer table lookups.  Where a
 whole coefficient axis is swept (the b axis of the four-condition family),
@@ -221,24 +221,32 @@ def example_h_corpus(fld: Field, seed) -> list:
 #
 # A suite is a generator cases(fld, seed, T, **options) that walks its grid
 # on one field.  T is the field's tables, or None beyond the brute-force
-# bound.  It yields (construction, params, verdict, truth): a tuple named
-# after the suite is one case, with truth the oracle's verdict (None beyond
-# the bound); any other name is a structural invariant, yielded with the
-# orientation (theorem_verdict, oracle_verdict) of the record it makes when
-# the two differ.  Counting, comparing and recording belong to the driver.
+# bound.  It yields one block per cell, (construction, verdicts, truths,
+# params): a cell is one setting of the data a criterion holds fixed, and
+# its rows run along the free axis (b for theorem1, u for the lemma, g for
+# the additive suites).  verdicts is a bool sequence over the rows and
+# truths a bool sequence of the same length, or None beyond the bound.  A
+# block named after the suite holds cases, with truths the oracle's
+# verdicts; any other name is a structural invariant, whose rows record
+# (theorem_verdict, oracle_verdict) = (verdict, truth) when the two differ.
+# params(i) builds row i's parameter dict; the driver calls it only for a
+# row it records, and before it asks for the next block, since params reads
+# the generator's loop variables.  Records therefore come out grouped by
+# construction within a cell.  Counting, comparing and recording belong to
+# the driver.
 
 def _lemma_cases(fld, seed, T, h_corpus=None):
     q = fld.q
+    us = range(1, q)
     for d in divisors(q - 1):
         hs = h_corpus if h_corpus is not None else lemma_h_corpus(fld, d, seed)
         m = (q - 1) // d
         for hpos, h in enumerate(hs):
-            h_text = h.text()
             w = None if T is None else value_table(h.substituted_power(m))
-            for u in range(1, q):
-                verdict = lemma_check(CyclotomicForm(u, d, h)).verdict
-                truth = None if T is None else _perm_col(T.mul_cols(T.pow_col(u), w), q)
-                yield "lemma", {"d": d, "u": u, "h": h_text, "h_pos": hpos}, verdict, truth
+            truths = None if T is None else [_perm_col(T.mul_cols(T.pow_col(u), w), q)
+                                             for u in us]
+            yield ("lemma", [lemma_check(CyclotomicForm(u, d, h)).verdict for u in us], truths,
+                   lambda i: {"d": d, "u": us[i], "h": h.text(), "h_pos": hpos})
 
 
 def _theorem1_cases(fld, seed, T, g0s=None):
@@ -261,32 +269,28 @@ def _theorem1_cases(fld, seed, T, g0s=None):
                     powu = T.pow_col(u)
                     v2 = T.mul_cols(powu, w)
                 for k in range(d):
-                    truths = [None] * q
-                    if T is not None:
-                        v1 = T.pow_col(u + k * m)
-                        truths = _perm_mask_rows(
-                            T.add_cols(T.mul_cols(b_all[:, None], v1[None, :]), v2[None, :]),
-                            q).tolist()
-                    for b, truth in enumerate(truths):
-                        verdict = theorem1_check(Theorem1Params(d, u, k, b, g0)).verdict
-                        yield ("theorem1",
-                               {"d": d, "u": u, "k": k, "b": b, "g0": g0_text, "g0_pos": g0pos},
-                               verdict, truth)
+                    v1 = None if T is None else T.pow_col(u + k * m)
+                    truths = None if T is None else _perm_mask_rows(
+                        T.add_cols(T.mul_cols(b_all[:, None], v1[None, :]), v2[None, :]), q)
+                    yield ("theorem1", [theorem1_check(Theorem1Params(d, u, k, b, g0)).verdict
+                                        for b in range(q)], truths,
+                           lambda b: {"d": d, "u": u, "k": k, "b": b, "g0": g0_text,
+                                      "g0_pos": g0pos})
                     if T is None:
                         continue
                     # induced map collapses to b^((q-1)/d) * z^(u+k(q-1)/d)
-                    # away from 1; verify the law on the whole grid, yielding
-                    # only a broken law since its witness costs a search
+                    # away from 1; one row checks the law on the whole grid,
+                    # and its witness is searched for only when it is broken
                     inner = T.add_cols(T.mul_cols(b_all[1:, None], T.pow_col(k)[mu_not1][None, :]),
                                        g_mu[None, :])
                     lhs = T.mul_cols(powu[mu_not1][None, :], powm[inner])
                     rhs = T.mul_cols(powm[b_all[1:, None]], v1[mu_not1][None, :])
-                    if not np.array_equal(lhs, rhs):
+
+                    def witness(_):
                         bad_b, bad_z = np.argwhere(lhs != rhs)[0]
-                        yield ("fhat_monomial_law",
-                               {"d": d, "u": u, "k": k, "b": int(bad_b) + 1,
-                                "zeta": int(mu_not1[bad_z]), "g0": g0_text},
-                               True, False)
+                        return {"d": d, "u": u, "k": k, "b": int(bad_b) + 1,
+                                "zeta": int(mu_not1[bad_z]), "g0": g0_text}
+                    yield "fhat_monomial_law", (True,), (np.array_equal(lhs, rhs),), witness
 
 
 class _AdditiveCache:
@@ -296,7 +300,8 @@ class _AdditiveCache:
     image) returns, once per B, the corpus g on im B as a list of dicts by
     g position, for the criteria.  Within the oracle bound, G stacks the
     value columns of the g corpus, so G[:, col(B)] is the (len(gs), q)
-    table of the columns g(B(x)).
+    table of the columns g(B(x)), and truths(A, B) is the truths array of
+    the (A, B) cell's block, one row per g.
     """
 
     def __init__(self, T, gs):
@@ -318,13 +323,13 @@ class _AdditiveCache:
             gis = self._g[B] = [{gamma: g.eval(gamma) for gamma in image} for g in self.gs]
         return gis
 
-    def truths(self, A: AdditivePoly, B: AdditivePoly) -> list:
+    def truths(self, A: AdditivePoly, B: AdditivePoly):
         """Oracle verdicts on A(x) + g(B(x)) for every g of the corpus at
-        once, one row per g; None each beyond the oracle bound."""
+        once, as a bool array by g position; None beyond the oracle bound."""
         if self.T is None:
-            return [None] * len(self.gs)
+            return None
         rows = self.T.add_cols(self.col(A)[None, :], self.G[:, self.col(B)])
-        return _perm_mask_rows(rows, self.T.q).tolist()
+        return _perm_mask_rows(rows, self.T.q)
 
 
 def _proposition_cases(fld, seed, T):
@@ -339,23 +344,27 @@ def _proposition_cases(fld, seed, T):
             data = subgroup_data(A, B)
             data_swap = subgroup_data(A, B, preimage="greatest")
             if apos == 0:
-                yield ("rank_nullity",
-                       {"B": a_texts[bpos], "kernel": len(data.kernel), "image": len(data.image)},
-                       True, len(data.kernel) * len(data.image) == q)
+                yield ("rank_nullity", (True,), (len(data.kernel) * len(data.image) == q,),
+                       lambda _: {"B": a_texts[bpos], "kernel": len(data.kernel),
+                                  "image": len(data.image)})
             gis = cache.g_on_image(B, data.image)
+            trs = [AdditiveTriple(A, B, g) for g in gs]
+            # the verdicts under the least and under the greatest preimage
+            verdicts, swapped = ([proposition_check(tr, data=dt, g_on_image=gi).verdict
+                                  for tr, gi in zip(trs, gis)] for dt in (data, data_swap))
+
+            def params(gpos):
+                return {"A_pos": apos, "B_pos": bpos, "g_pos": gpos,
+                        "A": a_texts[apos], "B": a_texts[bpos], "g": g_texts[gpos]}
+            yield "right_inverse_swap", verdicts, swapped, params
             truths = cache.truths(A, B)
-            for gpos, g in enumerate(gs):
-                gi, truth = gis[gpos], truths[gpos]
-                tr = AdditiveTriple(A, B, g)
-                verdict = proposition_check(tr, data=data, g_on_image=gi).verdict
-                swapped = proposition_check(tr, data=data_swap, g_on_image=gi).verdict
-                params = {"A_pos": apos, "B_pos": bpos, "g_pos": gpos,
-                          "A": a_texts[apos], "B": a_texts[bpos], "g": g_texts[gpos]}
-                yield "right_inverse_swap", params, verdict, swapped
-                yield "proposition", params, verdict, truth
-                if truth:
-                    nec = necessary_conditions_check(tr, data=data, g_on_image=gi)
-                    yield "corollary1", params, nec.verdict, truth
+            yield "proposition", verdicts, truths, params
+            if truths is not None:
+                held = np.flatnonzero(truths).tolist()
+                yield ("corollary1",
+                       [necessary_conditions_check(trs[r], data=data, g_on_image=gis[r]).verdict
+                        for r in held],
+                       truths[held], lambda i: params(held[i]))
 
 
 def _corollary2_cases(fld, seed, T):
@@ -371,14 +380,13 @@ def _corollary2_cases(fld, seed, T):
     for ppos, (A, B) in enumerate(pairs):
         data = subgroup_data(A, B)
         gis = cache.g_on_image(B, data.image)
-        truths = cache.truths(A, B)
-        for gpos, g in enumerate(gs):
-            rpt = commuting_criterion_check(AdditiveTriple(A, B, g), data=data,
-                                            g_on_image=gis[gpos], verified_commuting=True)
-            yield ("corollary2",
-                   {"pair_pos": ppos, "g_pos": gpos,
-                    "A": texts[A], "B": texts[B], "g": g_texts[gpos]},
-                   rpt.verdict, truths[gpos])
+        yield ("corollary2",
+               [commuting_criterion_check(AdditiveTriple(A, B, g), data=data, g_on_image=gi,
+                                          verified_commuting=True).verdict
+                for g, gi in zip(gs, gis)],
+               cache.truths(A, B),
+               lambda gpos: {"pair_pos": ppos, "g_pos": gpos,
+                             "A": texts[A], "B": texts[B], "g": g_texts[gpos]})
 
 
 def _trace_theorem_cases(fld, seed, T):
@@ -388,60 +396,64 @@ def _trace_theorem_cases(fld, seed, T):
     gs = trace_g_corpus(fld, seed)
     h_texts = [h.text() for h in hs]
     g_texts = [g.text() for g in gs]
-    truths = [None] * len(gs)
     if T is not None:
         bcol = value_table(trace_poly(fld).expand())
         gcols = np.stack([value_table(g)[bcol] for g in gs])
         hcols = [value_table(h)[bcol] for h in hs]
     for apos, A in enumerate(As):
-        a_text = A.expand().text()
         acol = None if T is None else value_table(A.expand())
         for hpos, h in enumerate(hs):
-            if T is not None:
-                hacol = T.mul_cols(hcols[hpos], acol)
-                truths = _perm_mask_rows(T.add_cols(gcols, hacol[None, :]), q).tolist()
-            for gpos, g in enumerate(gs):
-                verdict = trace_theorem_check(TraceTheoremParams(g, A, h)).verdict
-                yield ("trace_theorem",
-                       {"A_pos": apos, "h_pos": hpos, "g_pos": gpos,
-                        "A": a_text, "h": h_texts[hpos], "g": g_texts[gpos]},
-                       verdict, truths[gpos])
+            truths = None if T is None else _perm_mask_rows(
+                T.add_cols(gcols, T.mul_cols(hcols[hpos], acol)[None, :]), q)
+            yield ("trace_theorem",
+                   [trace_theorem_check(TraceTheoremParams(g, A, h)).verdict for g in gs], truths,
+                   lambda gpos: {"A_pos": apos, "h_pos": hpos, "g_pos": gpos,
+                                 "A": A.expand().text(), "h": h_texts[hpos], "g": g_texts[gpos]})
 
 
 def _hermite_cases(fld, seed, T):
+    # the grid is filtered to the sufficient conditions, so every verdict is
+    # True; a cell fixes (a, b), and its rows run over the exponents (i, j)
     q = fld.q
     good_coeffs = [a for a in fld.units() if hermite_coeff_ok(fld, a)]
     good_exps = [i for i in range(1, q) if hermite_exp_ok(fld, i)]
+    exps = list(itertools.product(good_exps, good_exps))
+    verdicts = [True] * len(exps)
     if T is not None:
-        sq_mask = np.asarray(T.pow_col((q - 1) // 2)) == 1
-        ns_mask = ~sq_mask
-        ns_mask[0] = False
-    for a, b, i, j in itertools.product(good_coeffs, good_coeffs, good_exps, good_exps):
-        hp = HermiteParams(fld, a, b, i, j)
-        fam = hermite_family(hp)
-        params = {"a": a, "b": b, "i": i, "j": j}
-        yield "hermite_sufficient", params, True, hermite_sufficient(hp).verdict
+        half = T.pow_col((q - 1) // 2)
+        sq_mask, ns_mask = half == 1, half == fld.neg(1)
+    for a, b in itertools.product(good_coeffs, good_coeffs):
+        hps = [HermiteParams(fld, a, b, i, j) for i, j in exps]
+
+        def params(r):
+            return {"a": a, "b": b, "i": exps[r][0], "j": exps[r][1]}
+        yield "hermite_sufficient", verdicts, [hermite_sufficient(hp).verdict for hp in hps], params
         if T is None:
-            yield "hermite", params, True, None
+            yield "hermite", verdicts, None, params
             continue
-        vals = value_table(fam.poly)
-        yield "hermite", params, True, _perm_col(vals, q)
-        on_sq = T.scalar_mul(fam.square_coeff, T.pow_col(i))
-        on_ns = T.scalar_mul(fam.nonsquare_coeff, T.pow_col(j))
-        piecewise = (vals[0] == 0
-                     and np.array_equal(vals[sq_mask], on_sq[sq_mask])
-                     and np.array_equal(vals[ns_mask], on_ns[ns_mask]))
-        yield "hermite_piecewise", params, True, piecewise
+        truths, piecewise = [], []
+        for hp in hps:
+            fam = hermite_family(hp)
+            vals = value_table(fam.poly)
+            truths.append(_perm_col(vals, q))
+            on_sq = T.scalar_mul(fam.square_coeff, T.pow_col(hp.i))
+            on_ns = T.scalar_mul(fam.nonsquare_coeff, T.pow_col(hp.j))
+            piecewise.append(vals[0] == 0
+                             and np.array_equal(vals[sq_mask], on_sq[sq_mask])
+                             and np.array_equal(vals[ns_mask], on_ns[ns_mask]))
+        yield "hermite", verdicts, truths, params
+        yield "hermite_piecewise", verdicts, piecewise, params
 
 
 def _example_family_cases(fld, seed, T):
-    for hpos, h in enumerate(example_h_corpus(fld, seed)):
-        f = example_family(fld, h)
-        params = {"h": h.text(), "h_pos": hpos, "poly": f.text()}
-        if hpos == 0:
-            yield "example_degree", params, True, f.degree == 2 * fld.p
-        yield ("example_family", params, True,
-               None if T is None else _perm_col(value_table(f), fld.q))
+    hs = example_h_corpus(fld, seed)
+    fs = [example_family(fld, h) for h in hs]
+
+    def params(hpos):
+        return {"h": hs[hpos].text(), "h_pos": hpos, "poly": fs[hpos].text()}
+    yield "example_degree", (True,), (fs[0].degree == 2 * fld.p,), params
+    yield ("example_family", [True] * len(fs),
+           None if T is None else [_perm_col(value_table(f), fld.q) for f in fs], params)
 
 
 def _always(fld) -> bool:
@@ -482,7 +494,9 @@ def run_equivalence_suite(suite: str, fields=None, seed=SAMPLE_SEED,
     skipped and listed in the report.  Cases on fields beyond the
     brute-force bound are condition-checked only and counted in
     oracle_skipped.  Keyword options are forwarded to the suite (e.g.
-    h_corpus for the lemma suite to restrict its h grid).
+    h_corpus for the lemma suite to restrict its h grid).  A suite block
+    whose truths and verdicts differ in length raises ValueError rather
+    than being broadcast.
     """
     name = str(suite).replace("-", "_")
     if name == "example":
@@ -503,13 +517,15 @@ def run_equivalence_suite(suite: str, fields=None, seed=SAMPLE_SEED,
             rep.skipped_fields.append(fld.designation())
             continue
         T = fld.tables() if fld.q <= min(max_q, VECTOR_MAX_Q) else None
-        for construction, params, verdict, truth in cases(fld, seed, T, **options):
-            if construction == name:
-                rep.cases_run += 1
-                if truth is None:
-                    rep.oracle_skipped += 1
-                    continue
-            if verdict != truth:
-                rep.record(fld, construction, params, verdict, truth)
+        for construction, verdicts, truths, params in cases(fld, seed, T, **options):
+            rows = len(verdicts) if construction == name else 0
+            rep.cases_run += rows
+            if truths is None:
+                rep.oracle_skipped += rows
+                continue
+            if len(truths) != len(verdicts):
+                raise ValueError(f"{construction}: {len(verdicts)} verdicts, {len(truths)} truths")
+            for i in np.flatnonzero(np.not_equal(verdicts, truths)).tolist():
+                rep.record(fld, construction, params(i), verdicts[i], truths[i])
     rep.elapsed = time.perf_counter() - t0
     return rep

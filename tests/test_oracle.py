@@ -3,6 +3,7 @@ suite driver, including its power to catch a broken criterion."""
 
 import collections
 import dataclasses
+import functools
 import math
 import random
 
@@ -18,7 +19,8 @@ from ppforge.field import VECTOR_MAX_Q, divisors, make_field, parse_field
 from ppforge.oracle import (SUITE_NAMES, additive_poly_corpus, is_permutation,
                             lemma_h_corpus, run_equivalence_suite,
                             theorem1_g0_corpus, value_table)
-from ppforge.poly import AdditivePoly, FqPoly, additive_commutes, parse_additive, parse_poly
+from ppforge.poly import (AdditivePoly, CyclotomicForm, FqPoly, additive_commutes,
+                          expand_cyclotomic, parse_additive, parse_poly)
 from ppforge.report import ConditionReport
 
 F7 = make_field(7)
@@ -91,6 +93,15 @@ def test_batched_linearity_identity():
                     assert list(fb) == combined
 
 
+def _rows(suite, fld):
+    """The suite's blocks on fld, expanded into (construction, params,
+    verdict, truth) rows, with truth None beyond the oracle bound."""
+    for construction, verdicts, truths, params in oracle.SUITES[suite][1](
+            fld, oracle.SAMPLE_SEED, fld.tables()):
+        for i, verdict in enumerate(verdicts):
+            yield construction, params(i), verdict, None if truths is None else bool(truths[i])
+
+
 def _expanded(suite, fld, params) -> FqPoly:
     """The polynomial of one additive-suite case, rebuilt from its texts."""
     A, g = parse_additive(fld, params["A"]), parse_poly(fld, params["g"])
@@ -107,9 +118,8 @@ def test_batched_additive_truths_match_the_expanded_polynomial(suite, spec):
     # call; pin sampled truths of both signs against is_permutation of the
     # expanded polynomial, which shares no code with the criteria
     fld = parse_field(spec)
-    _, cases = oracle.SUITES[suite]
     by_truth = {True: [], False: []}
-    for construction, params, _, truth in cases(fld, oracle.SAMPLE_SEED, fld.tables()):
+    for construction, params, _, truth in _rows(suite, fld):
         if construction == suite:
             by_truth[truth].append(params)
     rng = random.Random(f"batched/{suite}/{spec}")
@@ -143,7 +153,7 @@ def test_each_additive_map_is_walked_once(monkeypatch, suite, spec):
     if suite == "corollary2":
         maps += 1 + len(oracle.prime_field_additive_corpus(fld))  # the trace pairs
     calls = _counting_eval(monkeypatch)
-    for _ in oracle.SUITES[suite][1](fld, oracle.SAMPLE_SEED, fld.tables()):
+    for _ in _rows(suite, fld):
         pass
     assert max(calls.values()) == fld.q
     assert sum(calls.values()) <= maps * fld.q
@@ -158,10 +168,8 @@ def test_values_is_one_walk(monkeypatch):
 
 
 def _verdicts_and_truths(suite, spec):
-    fld = parse_field(spec)
     rows = [(verdict, truth) for construction, _, verdict, truth
-            in oracle.SUITES[suite][1](fld, oracle.SAMPLE_SEED, fld.tables())
-            if construction == suite]
+            in _rows(suite, parse_field(spec)) if construction == suite]
     return [v for v, _ in rows], [t for _, t in rows]
 
 
@@ -248,6 +256,39 @@ def test_oracle_skipped_counting(suite):
         assert rep.cases_run == len(divisors(6)) * 6
 
 
+def test_driver_compares_blocks_and_builds_params_only_for_records(monkeypatch):
+    calls = []
+
+    def params_of(block):
+        def params(i):
+            calls.append((block, i))
+            return {"block": block, "row": i}
+        return params
+
+    def fake_cases(fld, seed, T):
+        truths = np.ones(6, dtype=bool)
+        truths[[1, 4]] = False
+        yield "fake", [True] * 6, truths, params_of("cases")
+        yield "fake_law", (True, True), (True, False), params_of("law")
+        yield "fake", [True, False, True], None, params_of("skipped")
+    monkeypatch.setitem(oracle.SUITES, "fake", (lambda fld: True, fake_cases))
+    rep = run_equivalence_suite("fake", fields=["7"])
+    assert (rep.cases_run, rep.oracle_skipped) == (6 + 3, 3)   # the law's rows are no cases
+    assert [(d.construction, d.parameters, d.theorem_verdict, d.oracle_verdict)
+            for d in rep.disagreements] == [("fake", {"block": "cases", "row": 1}, True, False),
+                                            ("fake", {"block": "cases", "row": 4}, True, False),
+                                            ("fake_law", {"block": "law", "row": 1}, True, False)]
+    assert calls == [("cases", 1), ("cases", 4), ("law", 1)]
+
+    def broadcast_cases(fld, seed, T):
+        # one truth against three verdicts would broadcast without the check
+        yield "fake", [True, False, True], np.ones(1, dtype=bool), params_of("broadcast")
+    monkeypatch.setitem(oracle.SUITES, "fake", (lambda fld: True, broadcast_cases))
+    with pytest.raises(ValueError):
+        run_equivalence_suite("fake", fields=["7"])
+    assert len(calls) == 3
+
+
 def _dropping(criterion, index):
     """The criterion with its index-th condition left out of the verdict."""
     def mutant(*args, **kwargs):
@@ -280,6 +321,55 @@ def test_theorem1_b_nonzero_is_covered_by_condition_4(monkeypatch):
     # no verdict: the grid cannot show that condition's necessity
     monkeypatch.setattr(oracle, "theorem1_check", _dropping(oracle.theorem1_check, 2))
     assert run_equivalence_suite("theorem1", fields=["7"]).passed()
+
+
+def _negating(criterion):
+    """The criterion with its verdict forced false."""
+    def mutant(*args, **kwargs):
+        return dataclasses.replace(criterion(*args, **kwargs), verdict=False)
+    return mutant
+
+
+@functools.cache
+def _corpus(name, fld, *args):
+    return getattr(oracle, name)(fld, *args, oracle.SAMPLE_SEED)
+
+
+def _rebuilt(suite, fld, params) -> FqPoly:
+    """The polynomial of one recorded case, rebuilt from its parameters."""
+    if suite == "theorem1":
+        g0 = _corpus("theorem1_g0_corpus", fld)[params["g0_pos"]]
+        return theorem1_poly(Theorem1Params(params["d"], params["u"], params["k"],
+                                            params["b"], g0))
+    if suite == "lemma":
+        h = _corpus("lemma_h_corpus", fld, params["d"])[params["h_pos"]]
+        return expand_cyclotomic(CyclotomicForm(params["u"], params["d"], h))
+    return _expanded(suite, fld, params)
+
+
+# (suite, criterion, mutant, field); corollary1 records only permuting rows,
+# mapped back to their g, so a necessity check that always fails records
+# every one of them
+REPRODUCED = [("theorem1", "theorem1_check", _dropping(oracle.theorem1_check, 0), "7"),
+              ("lemma", "lemma_check", _dropping(oracle.lemma_check, 1), "7"),
+              ("proposition", "proposition_check", _dropping(oracle.proposition_check, 0), "2"),
+              ("proposition", "necessary_conditions_check",
+               _negating(oracle.necessary_conditions_check), "3")]
+
+
+@pytest.mark.parametrize("suite,criterion,mutant,field", REPRODUCED,
+                         ids=["theorem1-drop0-7", "lemma-drop1-7", "proposition-drop0-2",
+                              "corollary1-negated-3"])
+def test_recorded_params_reproduce_their_disagreement(monkeypatch, suite, criterion, mutant,
+                                                      field):
+    # a misaligned params(i) would record a neighbouring row: rebuild each
+    # recorded polynomial and ask the oracle again
+    monkeypatch.setattr(oracle, criterion, mutant)
+    fld = parse_field(field)
+    rep = run_equivalence_suite(suite, fields=[fld])
+    assert rep.disagreements
+    for d in rep.disagreements:
+        assert is_permutation(_rebuilt(suite, fld, d.parameters)) == d.oracle_verdict, d
 
 
 def test_scalar_oracle_tier_beyond_the_vector_bound():
