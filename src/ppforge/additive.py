@@ -97,17 +97,13 @@ def subgroup_data(A: AdditivePoly, B: AdditivePoly, *, preimage: str = "least") 
     return SubgroupData(kernel, image, rinv, a_kernel_image, a_of_rinv, tuple(coset))
 
 
-def _fhat_values(tr: AdditiveTriple, data: SubgroupData, g_on_image=None) -> list:
+def _fhat_values(tr: AdditiveTriple, data: SubgroupData) -> list:
     """fhat(gamma) = g(gamma) + A(Bhat(gamma)) for gamma in im B, in image order."""
-    field = tr.field
-    if g_on_image is None:
-        g_on_image = {gamma: tr.g.eval(gamma) for gamma in data.image}
-    return [field.add(g_on_image[gamma], data.a_of_right_inverse[gamma])
-            for gamma in data.image]
+    add, gv = tr.field.add, tr.g.values()
+    return [add(gv[gamma], data.a_of_right_inverse[gamma]) for gamma in data.image]
 
 
-def proposition_check(tr: AdditiveTriple, *, data: SubgroupData = None,
-                      g_on_image: dict = None) -> ConditionReport:
+def proposition_check(tr: AdditiveTriple, *, data: SubgroupData = None) -> ConditionReport:
     """Coset criterion: f = A(x) + g(B(x)) permutes F_q iff the sumset
     A(ker B) + fhat(im B) is all of F_q.
 
@@ -117,27 +113,26 @@ def proposition_check(tr: AdditiveTriple, *, data: SubgroupData = None,
     the coset labels.  The witness of a failure is the least element left
     uncovered, the least coset label that fhat misses.
 
-    data and g_on_image are optional precomputed caches (pure functions of
-    (A, B) and (B, g) respectively); passing them changes nothing but speed.
+    data is an optional subgroup_data(A, B), shared across g; g is read
+    from g.values().
     """
     if data is None:
         data = subgroup_data(tr.A, tr.B)
     coset = data.coset
-    hit = {coset[v] for v in _fhat_values(tr, data, g_on_image)}
+    hit = {coset[v] for v in _fhat_values(tr, data)}
     ok = len(data.a_kernel_image) == len(data.kernel) and len(hit) == len(data.image)
     witness = None if ok else next(x for x, c in enumerate(coset) if c == x and x not in hit)
     return ConditionReport.build((Condition(PROP_COVER, ok, witness),))
 
 
-def necessary_conditions_check(tr: AdditiveTriple, *, data: SubgroupData = None,
-                               g_on_image: dict = None) -> ConditionReport:
+def necessary_conditions_check(tr: AdditiveTriple, *,
+                               data: SubgroupData = None) -> ConditionReport:
     """The two injectivity conditions that every permuting triple satisfies:
     A injective on ker B, and fhat injective on im B."""
     if data is None:
         data = subgroup_data(tr.A, tr.B)
     c1 = len(data.a_kernel_image) == len(data.kernel)
-    fhat = _fhat_values(tr, data, g_on_image)
-    c2 = len(set(fhat)) == len(data.image)
+    c2 = len(set(_fhat_values(tr, data))) == len(data.image)
     return ConditionReport.build((
         Condition(NEC_A_INJ, c1),
         Condition(NEC_FHAT_INJ, c2),
@@ -145,7 +140,6 @@ def necessary_conditions_check(tr: AdditiveTriple, *, data: SubgroupData = None,
 
 
 def commuting_criterion_check(tr: AdditiveTriple, *, data: SubgroupData = None,
-                              g_on_image: dict = None,
                               verified_commuting: bool = False) -> ConditionReport:
     """When A and B commute: f permutes F_q iff A permutes ker B and
     A(x) + B(g(x)) permutes im B.
@@ -158,13 +152,10 @@ def commuting_criterion_check(tr: AdditiveTriple, *, data: SubgroupData = None,
         raise ScopeError("A and B do not commute; the commuting criterion does not apply")
     if data is None:
         data = subgroup_data(tr.A, tr.B)
-    field = tr.field
+    add = tr.field.add
     c1 = data.a_kernel_image == data.kernel
-    if g_on_image is None:
-        g_on_image = {gamma: tr.g.eval(gamma) for gamma in data.image}
-    av, bv = tr.A.values(), tr.B.values()
-    vals = sorted(field.add(av[gamma], bv[g_on_image[gamma]]) for gamma in data.image)
-    c2 = vals == list(data.image)
+    av, bv, gv = tr.A.values(), tr.B.values(), tr.g.values()
+    c2 = sorted(add(av[gamma], bv[gv[gamma]]) for gamma in data.image) == list(data.image)
     return ConditionReport.build((
         Condition(COR2_A_PERM, c1),
         Condition(COR2_IM_PERM, c2),
@@ -182,28 +173,10 @@ def triple_poly(tr: AdditiveTriple) -> FqPoly:
 
 
 @functools.lru_cache(maxsize=None)
-def _trace_kernel(field: Field) -> tuple:
-    return tuple(x for x, v in enumerate(trace_poly(field).values()) if v == 0)
-
-
-@functools.lru_cache(maxsize=256)
-def _permutes_trace_kernel(A: AdditivePoly) -> bool:
-    kernel = _trace_kernel(A.field)
-    return sorted(A.eval(beta) for beta in kernel) == list(kernel)
-
-
-@functools.lru_cache(maxsize=256)
-def _fp_row(f) -> tuple:
-    """f at c = 0 .. p-1, the prime subfield (its elements are the indices
-    below p); f is an FqPoly or an AdditivePoly."""
-    return tuple(f.eval(c) for c in range(f.field.p))
-
-
-@functools.lru_cache(maxsize=256)
-def _trace_row(g: FqPoly) -> tuple:
-    """B(g(c)) for c = 0 .. p-1, B the trace map."""
-    B = trace_poly(g.field)
-    return tuple(B.eval(v) for v in _fp_row(g))
+def _trace_map(field: Field) -> tuple:
+    """The trace map's values and its kernel: one walk per field."""
+    tv = trace_poly(field).values()
+    return tv, tuple(x for x, v in enumerate(tv) if v == 0)
 
 
 @dataclass(frozen=True)
@@ -225,13 +198,6 @@ class TraceTheoremParams:
         if not self.h.coefficients_in_prime_field():
             raise FieldError("h has a coefficient outside F_p")
 
-    @classmethod
-    def gamma_delta(cls, h: FqPoly, A: AdditivePoly, gamma: int,
-                    delta: int) -> "TraceTheoremParams":
-        """Preset g = gamma*h + delta (gamma, delta element indices)."""
-        g = h.scaled(gamma) + FqPoly.constant(h.field, delta)
-        return cls(g, A, h)
-
     @property
     def field(self) -> Field:
         return self.g.field
@@ -244,18 +210,18 @@ def trace_theorem_check(tp: TraceTheoremParams) -> ConditionReport:
     permutes F_p; and h has no roots in F_p.  Together they are equivalent
     to f permuting F_q.  Prime fields are refused: with a trivial trace
     kernel the no-roots condition stops being necessary, so the three
-    conditions no longer characterize permutations there.
+    conditions no longer characterize permutations there.  A, g, h and
+    the trace map are read from their values().
     """
     field = tp.field
     if field.n == 1:
         raise ScopeError("the trace criterion needs a proper extension (n >= 2)")
-    c1 = _permutes_trace_kernel(tp.A)
-    h_row = _fp_row(tp.h)
-    add, mul = field.add, field.mul
-    vals = sorted(add(bg, mul(hc, ac))
-                  for bg, hc, ac in zip(_trace_row(tp.g), h_row, _fp_row(tp.A)))
-    c2 = vals == list(range(field.p))
-    root = next((c for c, hc in enumerate(h_row) if hc == 0), None)
+    tv, kernel = _trace_map(field)
+    av, gv, hv = tp.A.values(), tp.g.values(), tp.h.values()
+    c1 = sorted(av[beta] for beta in kernel) == list(kernel)
+    add, mul, fp = field.add, field.mul, range(field.p)
+    c2 = sorted(add(tv[gv[c]], mul(hv[c], av[c])) for c in fp) == list(fp)
+    root = next((c for c in fp if hv[c] == 0), None)
     c3 = root is None
     return ConditionReport.build((
         Condition(TRACE_A_PERM, c1),

@@ -137,12 +137,18 @@ def theorem1_poly(params: Theorem1Params) -> FqPoly:
 
 
 def cofactor_of(field: Field, d: int, g: FqPoly) -> FqPoly:
-    """g0 with g = h_d * g0; raises when g is not divisible by h_d."""
-    quot, rem = g.divmod(h_d_poly(field, d))
-    if not rem.is_zero():
-        raise FieldError(f"g = {g.text()} is not divisible by h_{d}; "
-                         f"remainder {rem.text()}")
-    return quot
+    """g0 with g = h_d * g0; raises when g is not divisible by h_d.
+
+    h_d is the product of x - z over the d-1 roots z != 1 of mu_d (p does
+    not divide d), so g is divisible by h_d iff it vanishes at each of
+    them: d-1 evaluations decide it before any long division is made.
+    """
+    _validate_d(field, d)
+    for z in field.mu_d(d)[1:]:
+        if g.eval(z):
+            raise FieldError(f"g = {g.text()} is not divisible by h_{d}: "
+                             f"it does not vanish at the root {z} of h_{d}")
+    return g.divmod(h_d_poly(field, d))[0]
 
 
 def theorem1_generate(field: Field, d: int, u_values=(1,), k_values=(0,),

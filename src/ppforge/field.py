@@ -396,15 +396,6 @@ class Field:
                     break
         return self._omega
 
-    def multiplicative_order(self, a: int) -> int:
-        if a == 0:
-            raise FieldError("zero has no multiplicative order")
-        order = self.q - 1
-        for r, _ in factorize(self.q - 1).items():
-            while order % r == 0 and self.pow(a, order // r) == 1:
-                order //= r
-        return order
-
     def mu_d(self, d: int) -> tuple:
         """The d-th roots of unity, as consecutive powers of the primitive element.
 

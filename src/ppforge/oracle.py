@@ -294,34 +294,25 @@ def _theorem1_cases(fld, seed, T, g0s=None):
 
 
 class _AdditiveCache:
-    """Caches shared by the proposition and corollary2 suites.
+    """Oracle-side caches shared by the proposition and corollary2 suites.
 
-    col(X) is the value column of an additive polynomial.  g_on_image(B,
-    image) returns, once per B, the corpus g on im B as a list of dicts by
-    g position, for the criteria.  Within the oracle bound, G stacks the
-    value columns of the g corpus, so G[:, col(B)] is the (len(gs), q)
-    table of the columns g(B(x)), and truths(A, B) is the truths array of
-    the (A, B) cell's block, one row per g.
+    col(X) is the value column of an additive polynomial.  Within the
+    oracle bound, G stacks the value columns of the g corpus, so
+    G[:, col(B)] is the (len(gs), q) table of the columns g(B(x)), and
+    truths(A, B) is the truths array of the (A, B) cell's block, one row
+    per g.  The criteria read nothing from here: they read g.values().
     """
 
     def __init__(self, T, gs):
         self.T = T
-        self.gs = gs
         self.G = None if T is None else np.stack([value_table(g) for g in gs])
         self._cols = {}
-        self._g = {}
 
     def col(self, X: AdditivePoly) -> np.ndarray:
         c = self._cols.get(X)
         if c is None:
             c = self._cols[X] = value_table(X.expand())
         return c
-
-    def g_on_image(self, B: AdditivePoly, image) -> list:
-        gis = self._g.get(B)
-        if gis is None:
-            gis = self._g[B] = [{gamma: g.eval(gamma) for gamma in image} for g in self.gs]
-        return gis
 
     def truths(self, A: AdditivePoly, B: AdditivePoly):
         """Oracle verdicts on A(x) + g(B(x)) for every g of the corpus at
@@ -347,11 +338,10 @@ def _proposition_cases(fld, seed, T):
                 yield ("rank_nullity", (True,), (len(data.kernel) * len(data.image) == q,),
                        lambda _: {"B": a_texts[bpos], "kernel": len(data.kernel),
                                   "image": len(data.image)})
-            gis = cache.g_on_image(B, data.image)
             trs = [AdditiveTriple(A, B, g) for g in gs]
             # the verdicts under the least and under the greatest preimage
-            verdicts, swapped = ([proposition_check(tr, data=dt, g_on_image=gi).verdict
-                                  for tr, gi in zip(trs, gis)] for dt in (data, data_swap))
+            verdicts, swapped = ([proposition_check(tr, data=dt).verdict for tr in trs]
+                                 for dt in (data, data_swap))
 
             def params(gpos):
                 return {"A_pos": apos, "B_pos": bpos, "g_pos": gpos,
@@ -362,8 +352,7 @@ def _proposition_cases(fld, seed, T):
             if truths is not None:
                 held = np.flatnonzero(truths).tolist()
                 yield ("corollary1",
-                       [necessary_conditions_check(trs[r], data=data, g_on_image=gis[r]).verdict
-                        for r in held],
+                       [necessary_conditions_check(trs[r], data=data).verdict for r in held],
                        truths[held], lambda i: params(held[i]))
 
 
@@ -379,11 +368,9 @@ def _corollary2_cases(fld, seed, T):
     g_texts = [g.text() for g in gs]
     for ppos, (A, B) in enumerate(pairs):
         data = subgroup_data(A, B)
-        gis = cache.g_on_image(B, data.image)
         yield ("corollary2",
-               [commuting_criterion_check(AdditiveTriple(A, B, g), data=data, g_on_image=gi,
-                                          verified_commuting=True).verdict
-                for g, gi in zip(gs, gis)],
+               [commuting_criterion_check(AdditiveTriple(A, B, g), data=data,
+                                          verified_commuting=True).verdict for g in gs],
                cache.truths(A, B),
                lambda gpos: {"pair_pos": ppos, "g_pos": gpos,
                              "A": texts[A], "B": texts[B], "g": g_texts[gpos]})

@@ -7,6 +7,8 @@ for minus infinity).  Nothing is allocated by degree, so x^(10^12) is one
 term.  Only the constructions that multiply terms out, products (and so
 composition), long division and h_d, can grow past the expansion guard
 (field.EXPANSION_MAX_TERMS); they refuse to with ExpansionTooLargeError.
+The walk of F_q, values(), is weighed against the same guard; both classes
+make it once per object and keep it.
 
 AdditivePoly keeps the coefficient vector of sum_i a_i * x^(p^i).  It is
 never expanded implicitly, so the additive structure stays visible in the
@@ -25,7 +27,22 @@ from .errors import FieldError, PolyParseError, ScopeError
 from .field import Field, check_expansion
 
 
-class FqPoly:
+class _Walked:
+    """The walk of F_q that FqPoly and AdditivePoly share, kept in _values."""
+
+    __slots__ = ("_values",)
+
+    def values(self) -> tuple:
+        """The map at every element, indexed by element: one walk of F_q,
+        made on the first call and kept on this object."""
+        if self._values is None:
+            f = self.field
+            check_expansion(f.work(0, f.q), f"a walk of F_q for q={f.q}")
+            self._values = tuple(self.eval(a) for a in f.elements())
+        return self._values
+
+
+class FqPoly(_Walked):
     """Polynomial over F_q held as its nonzero terms; immutable.
 
     FqPoly(field, coeffs) takes a dense coefficient sequence, constant term
@@ -42,6 +59,7 @@ class FqPoly:
             raise FieldError(f"coefficient {bad} out of range for q={q}")
         self.field = field
         self.terms = terms
+        self._values = None
 
     # -- constructors --------------------------------------------------------
 
@@ -212,6 +230,7 @@ def _poly(field: Field, terms) -> FqPoly:
     f = object.__new__(FqPoly)
     f.field = field
     f.terms = tuple(terms)
+    f._values = None
     return f
 
 
@@ -225,10 +244,10 @@ def _collect(field: Field, pairs) -> FqPoly:
     return _poly(field, sorted(t for t in acc.items() if t[1]))
 
 
-class AdditivePoly:
+class AdditivePoly(_Walked):
     """sum_i a_i * x^(p^i): a group endomorphism of (F_q, +)."""
 
-    __slots__ = ("field", "add_coeffs", "_values")
+    __slots__ = ("field", "add_coeffs")
 
     def __init__(self, field: Field, add_coeffs=()):
         cs = list(add_coeffs)
@@ -264,15 +283,6 @@ class AdditivePoly:
                 acc = f.add(acc, f.mul(c, x))
             x = f.pow(x, f.p)
         return acc
-
-    def values(self) -> tuple:
-        """The map at every element, indexed by element: one walk of F_q,
-        made on the first call and kept on this object."""
-        if self._values is None:
-            f = self.field
-            check_expansion(f.work(0, f.q), f"a walk of F_q for q={f.q}")
-            self._values = tuple(self.eval(a) for a in f.elements())
-        return self._values
 
     def expand(self) -> FqPoly:
         """The FqPoly with terms a_i * x^(p^i)."""

@@ -307,8 +307,7 @@ def test_trace_theorem_gamma_delta_preset():
         for _ in range(8):
             h = FqPoly(fld, [rng.randrange(fld.p) for _ in range(3)])
             A = AdditivePoly(fld, [rng.randrange(fld.p) for _ in range(2)])
-            tp = TraceTheoremParams.gamma_delta(h, A, gamma, delta)
-            assert tp.g == h.scaled(gamma) + FqPoly.constant(fld, delta)
+            tp = TraceTheoremParams(h.scaled(gamma) + FqPoly.constant(fld, delta), A, h)
             assert trace_theorem_check(tp).verdict == is_permutation(trace_theorem_poly(tp))
 
 

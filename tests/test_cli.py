@@ -175,11 +175,17 @@ def test_check_theorem1_with_huge_d_is_quick():
     assert rec["polynomial"] is None
 
 
-def test_check_lemma_with_huge_d_exits_2_quickly():
-    proc = run_subprocess("check", "lemma", "4611686018427377339",
-                          "--d", "2305843009213688669", "--u", "1", "--h", "x")
-    assert proc.returncode == 2
-    assert "mu_d" in proc.stderr and "1000000" in proc.stderr
+@pytest.mark.parametrize("argv,messages", [
+    (("lemma", "4611686018427377339", "--d", "2305843009213688669", "--u", "1", "--h", "x"),
+     ("mu_d", "1000000")),
+    # g is refused at a root of h_d before any long division is made
+    (("theorem1", "7", "--d", "3", "--u", "1", "--k", "0", "--b", "1",
+      "--g", "x^1000000000000"), ("not divisible",)),
+], ids=["lemma_huge_d", "theorem1_huge_g"])
+def test_check_exits_2_quickly(argv, messages):
+    proc = run_subprocess("check", *argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert all(m in proc.stderr for m in messages)
 
 
 @pytest.mark.parametrize("argv", [

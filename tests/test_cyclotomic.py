@@ -5,6 +5,7 @@ square/non-square family."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ppforge.cyclotomic import (HermiteParams, Theorem1Params, cofactor_of,
                                 fhat_on_mu_d, hermite_family,
@@ -135,6 +136,33 @@ def test_generate_explicit_g_rejects_nondivisible():
         list(theorem1_generate(F11, 5, (5,), (7,), g=g))
     bad = Theorem1Params(5, 5, 7, 4, FqPoly.one(F11))  # divisible stand-in
     assert theorem1_check(bad) is not None  # the structural type cannot express the bad g
+
+
+@st.composite
+def _g_and_d(draw):
+    """A field, a divisor d > 2 of q-1 and a g of up to 5 terms; half the
+    draws are multiples of h_d, the others are left as drawn."""
+    fld = draw(st.sampled_from([F7, F9, F13, make_field(2, 4), make_field(5, 2)]))
+    d = draw(st.sampled_from([d for d in divisors(fld.q - 1) if d > 2]))
+    terms = draw(st.dictionaries(st.integers(0, 2 * fld.q), st.integers(0, fld.q - 1),
+                                 max_size=5))
+    g = FqPoly(fld, [terms.get(e, 0) for e in range(max(terms, default=-1) + 1)])
+    if draw(st.booleans()):
+        g = h_d_poly(fld, d) * g
+    return fld, d, g
+
+
+@settings(max_examples=150, deadline=None)
+@given(_g_and_d())
+def test_cofactor_root_test_agrees_with_division(case):
+    # g vanishes on mu_d minus {1} exactly when h_d divides it
+    fld, d, g = case
+    quot, rem = g.divmod(h_d_poly(fld, d))
+    if rem.is_zero():
+        assert cofactor_of(fld, d, g) == quot
+    else:
+        with pytest.raises(FieldError, match="not divisible"):
+            cofactor_of(fld, d, g)
 
 
 def test_generate_empty_bounds():

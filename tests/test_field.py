@@ -208,16 +208,21 @@ def test_mu_d_structure(p, n):
         assert all(c == m for c in fibers.values())
 
 
+def _has_full_order(fld, a) -> bool:
+    """a has order q-1: a^((q-1)/r) != 1 for each prime r dividing q-1."""
+    m = fld.q - 1
+    return all(fld.pow(a, m // r) != 1 for r in factorize(m))
+
+
 def test_primitive_element_examples():
     assert make_field(7).primitive_element() == 3   # 2 has order 3
     assert make_field(5).primitive_element() == 2
     assert make_field(2).primitive_element() == 1   # q-1 = 1
     F9 = make_field(3, 2)
     w = F9.primitive_element()
-    assert F9.multiplicative_order(w) == 8
+    assert _has_full_order(F9, w)
     # least index: nothing below w has full order
-    for a in range(1, w):
-        assert F9.multiplicative_order(a) < 8
+    assert not any(_has_full_order(F9, a) for a in range(1, w))
 
 
 def test_is_prime():
@@ -330,8 +335,8 @@ def test_exp_table_matches_sequential_walk(p, n):
 def test_primitive_element_tier_fields(p, n, omega):
     fld = make_field(p, n)
     assert fld.primitive_element() == omega
-    assert fld.multiplicative_order(omega) == fld.q - 1
-    assert all(fld.multiplicative_order(a) < fld.q - 1 for a in range(1, omega))
+    assert _has_full_order(fld, omega)
+    assert not any(_has_full_order(fld, a) for a in range(1, omega))
 
 
 # --- eval_col: sparse terms, summed per tier (add table, XOR, packed digits) --

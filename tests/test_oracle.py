@@ -10,7 +10,7 @@ import random
 import numpy as np
 import pytest
 
-from ppforge import additive, oracle
+from ppforge import oracle
 from ppforge.additive import (AdditiveTriple, TraceTheoremParams, trace_theorem_poly,
                               triple_poly)
 from ppforge.cyclotomic import Theorem1Params, theorem1_poly
@@ -129,42 +129,56 @@ def test_batched_additive_truths_match_the_expanded_polynomial(suite, spec):
             assert is_permutation(_expanded(suite, fld, params)) == truth, params
 
 
-def _counting_eval(monkeypatch):
-    """Patch AdditivePoly.eval to count calls per polynomial object."""
+def _counting_eval(monkeypatch, cls):
+    """Patch cls.eval to count calls per polynomial object."""
     calls, keep = collections.Counter(), []
-    real = AdditivePoly.eval
+    real = cls.eval
 
     def counted(self, a):
         if id(self) not in calls:
             keep.append(self)  # keeps ids unique while counting
         calls[id(self)] += 1
         return real(self, a)
-    monkeypatch.setattr(AdditivePoly, "eval", counted)
+    monkeypatch.setattr(cls, "eval", counted)
     return calls
 
 
 @pytest.mark.parametrize("suite,spec", [("proposition", "2^2"), ("proposition", "3"),
-                                        ("corollary2", "2^2"), ("corollary2", "3")])
+                                        ("corollary2", "2^2"), ("corollary2", "3"),
+                                        ("trace_theorem", "2^3")])
 def test_each_additive_map_is_walked_once(monkeypatch, suite, spec):
-    # every walk of F_q goes through AdditivePoly.values(), kept per object:
-    # no polynomial is evaluated more than q times, however many cells use it
+    # every walk of F_q goes through values(), kept per object: no additive
+    # map and no g (or h) is evaluated more than q times, however many cells
+    # use it
     fld = parse_field(spec)
-    maps = len(additive_poly_corpus(fld, oracle.SAMPLE_SEED))
+    seed = oracle.SAMPLE_SEED
+    if suite == "trace_theorem":
+        maps = len(oracle.prime_field_additive_corpus(fld)) + 1  # and the trace map
+        polys = len(oracle.prime_coeff_poly_corpus(fld)) + len(oracle.trace_g_corpus(fld, seed))
+    else:
+        maps = len(additive_poly_corpus(fld, seed))
+        polys = len(oracle.arbitrary_g_corpus(fld, seed))
     if suite == "corollary2":
         maps += 1 + len(oracle.prime_field_additive_corpus(fld))  # the trace pairs
-    calls = _counting_eval(monkeypatch)
+    calls = _counting_eval(monkeypatch, AdditivePoly)
+    g_calls = _counting_eval(monkeypatch, FqPoly)
     for _ in _rows(suite, fld):
         pass
     assert max(calls.values()) == fld.q
     assert sum(calls.values()) <= maps * fld.q
+    assert max(g_calls.values()) == fld.q
+    assert sum(g_calls.values()) <= polys * fld.q
 
 
 def test_values_is_one_walk(monkeypatch):
-    A = parse_additive(F9, "x^3+3*x")
-    calls = _counting_eval(monkeypatch)
-    first = A.values()
-    assert sum(calls.values()) == F9.q
-    assert A.values() is first and sum(calls.values()) == F9.q
+    # the one kept walk, for an additive map and for an FqPoly
+    A, g = parse_additive(F9, "x^3+3*x"), parse_poly(F9, "x^5+3*x^2+1")
+    for X, expanded in ((A, A.expand()), (g, g)):
+        calls = _counting_eval(monkeypatch, type(X))
+        first = X.values()
+        assert sum(calls.values()) == F9.q
+        assert X.values() is first and sum(calls.values()) == F9.q
+        assert first == tuple(value_table(expanded))
 
 
 def _verdicts_and_truths(suite, spec):
@@ -185,17 +199,10 @@ def test_oracle_truths_read_no_criterion_data(monkeypatch):
         return dataclasses.replace(data, image=data.image[:-1])
     monkeypatch.setattr(oracle, "subgroup_data", short_image)
     monkeypatch.setattr(FqPoly, "eval", lambda self, a: self.field.add(real_eval(self, a), 1))
-    memos = (additive._fp_row, additive._trace_row, additive._permutes_trace_kernel)
-    try:
-        for memo in memos:
-            memo.cache_clear()
-        for case, (verdicts, truths) in zip(cases, clean):
-            patched_verdicts, patched_truths = _verdicts_and_truths(*case)
-            assert patched_verdicts != verdicts, case
-            assert patched_truths == truths, case
-    finally:
-        for memo in memos:  # the patched eval poisons them
-            memo.cache_clear()
+    for case, (verdicts, truths) in zip(cases, clean):
+        patched_verdicts, patched_truths = _verdicts_and_truths(*case)
+        assert patched_verdicts != verdicts, case
+        assert patched_truths == truths, case
 
 
 def test_run_suite_unknown_name():
