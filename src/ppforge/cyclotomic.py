@@ -28,11 +28,13 @@ HERMITE_COPRIME = "gcd(i*j,q-1)=1"
 
 
 def _induced_map(cf: CyclotomicForm) -> tuple:
-    """(mu_d, images): the induced map z -> z^u * h(z)^((q-1)/d) on mu_d."""
-    field = cf.field
-    m = (field.q - 1) // cf.d
-    mu = field.mu_d(cf.d)
-    return mu, [field.mul(field.pow(z, cf.u), field.pow(cf.h.eval(z), m)) for z in mu]
+    """(mu_d, images): the induced map z -> z^u * h(z)^((q-1)/d) on mu_d.
+    h is read through its kept values on mu_d, which do not depend on u."""
+    field, d = cf.field, cf.d
+    m = (field.q - 1) // d
+    mu = field.mu_d(d)
+    return mu, [field.mul(field.pow(z, cf.u), field.pow(hz, m))
+                for z, hz in zip(mu, cf.h.mu_values(d))]
 
 
 def lemma_check(cf: CyclotomicForm) -> ConditionReport:
@@ -114,8 +116,9 @@ def theorem1_check(params: Theorem1Params) -> ConditionReport:
     c2 = math.gcd(d, u + k * m) == 1
     c3 = b != 0
     if c3:
-        # h_d(1) = d, and p does not divide d since d | q-1
-        g1 = field.mul(d % field.p, params.g0.eval(1))
+        # h_d(1) = d, and p does not divide d since d | q-1; g0(1) is g0's
+        # kept value on mu_1 = {1}
+        g1 = field.mul(d % field.p, params.g0.mu_values(1)[0])
         val = field.add(1, field.div(g1, b))
         c4 = val != 0 and field.is_dth_power(val, d)
         witness4 = None if c4 else (f"1+g(1)/b = {val} is zero" if val == 0

@@ -151,12 +151,23 @@ def _fp_trim(c):
 
 
 def _fp_mulmod(a, b, mod, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    """a*b modulo the monic `mod`: the products are summed exactly, then
+    each coefficient from the top down is reduced mod p once and, at or
+    above deg mod, folded into the ones below it."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _fp_divmod(out, mod, p)[1]
+                out[i + j] += ai * bj
+    n = len(mod) - 1
+    for i in range(len(out) - 1, n - 1, -1):
+        c = out[i] % p
+        if c:
+            for j in range(n):
+                out[i - n + j] -= c * mod[j]
+    return _fp_trim([c % p for c in out[:n]])
 
 
 def _fp_divmod(a, b, p):
@@ -409,11 +420,11 @@ class Field:
         check_expansion(self.work(0, d), f"mu_d for d={d}")
         cached = self._mu_cache.get(d)
         if cached is None:
-            step = self.pow(self.primitive_element(), (self.q - 1) // d)
-            out, cur = [], 1
-            for _ in range(d):
-                out.append(cur)
-                cur = self.mul(cur, step)
+            out = [1]
+            if d > 1:  # mu_1 = {1} needs no primitive element
+                step = self.pow(self.primitive_element(), (self.q - 1) // d)
+                for _ in range(d - 1):
+                    out.append(self.mul(out[-1], step))
             cached = self._mu_cache[d] = tuple(out)
         return cached
 

@@ -9,10 +9,12 @@ verdicts as two arrays, and report every disagreement (there must be none).
 The suites batch the brute-force side with integer table lookups.  Where a
 whole coefficient axis is swept (the b axis of the four-condition family),
 the value tables for all b are obtained at once via linearity of polynomial
-evaluation in the coefficients; this is an exact identity, and a unit test
-pins the batched rows against value_table on sampled parameters.
+evaluation in the coefficients; this is an exact identity, and unit tests
+pin the batched rows against value_table and is_permutation of the expanded
+polynomial on sampled parameters.
 """
 
+import functools
 import itertools
 import random
 import time
@@ -72,6 +74,21 @@ def _perm_mask_rows(vals: np.ndarray, q: int) -> np.ndarray:
     offs = np.arange(r, dtype=np.int64) * q
     counts = np.bincount((vals + offs[:, None]).ravel(), minlength=r * q)
     return counts.reshape(r, q).max(axis=1) == 1
+
+
+# the most entries one stacked oracle table may hold: the size of the
+# 512 x 512 add table
+STACK_MAX_ENTRIES = 1 << 18
+
+
+def _by_slices(rows: int, width: int, block) -> list:
+    """Run block(lo, hi) over consecutive row slices of a stacked table
+    whose rows hold `width` entries, each slice at most STACK_MAX_ENTRIES
+    entries (one row at least); block returns a tuple of arrays along its
+    rows, and each is concatenated over the slices."""
+    step = max(1, STACK_MAX_ENTRIES // width)
+    parts = [block(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+    return [np.concatenate(col) for col in zip(*parts)]
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +240,11 @@ def example_h_corpus(fld: Field, seed) -> list:
 # on one field.  T is the field's tables, or None beyond the brute-force
 # bound.  It yields one block per cell, (construction, verdicts, truths,
 # params): a cell is one setting of the data a criterion holds fixed, and
-# its rows run along the free axis (b for theorem1, u for the lemma, g for
-# the additive suites).  verdicts is a bool sequence over the rows and
+# its rows run along the free axes ((k, b) for theorem1 at fixed (d, g0, u),
+# u for the lemma, (i, j) for hermite, g for the additive suites).  Each
+# cell's truths come from one stacked oracle table, its rows' value columns
+# side by side, of at most STACK_MAX_ENTRIES entries; past that the rows are
+# stacked in slices (_by_slices).  verdicts is a bool sequence over the rows and
 # truths a bool sequence of the same length, or None beyond the bound.  A
 # block named after the suite holds cases, with truths the oracle's
 # verdicts; any other name is a structural invariant, whose rows record
@@ -238,22 +258,30 @@ def example_h_corpus(fld: Field, seed) -> list:
 def _lemma_cases(fld, seed, T, h_corpus=None):
     q = fld.q
     us = range(1, q)
+    # the columns x^u of one row slice, stacked by u; the slice is the whole
+    # u axis on every default grid, and then it is built once per field
+    u_pows = functools.lru_cache(maxsize=1)(
+        lambda lo, hi: np.stack([T.pow_col(u) for u in us[lo:hi]]))
     for d in divisors(q - 1):
         hs = h_corpus if h_corpus is not None else lemma_h_corpus(fld, d, seed)
         m = (q - 1) // d
         for hpos, h in enumerate(hs):
-            w = None if T is None else value_table(h.substituted_power(m))
-            truths = None if T is None else [_perm_col(T.mul_cols(T.pow_col(u), w), q)
-                                             for u in us]
+            truths = None
+            if T is not None:
+                w = value_table(h.substituted_power(m))
+                truths, = _by_slices(q - 1, q, lambda lo, hi: (
+                    _perm_mask_rows(T.mul_cols(u_pows(lo, hi), w[None, :]), q),))
             yield ("lemma", [lemma_check(CyclotomicForm(u, d, h)).verdict for u in us], truths,
                    lambda i: {"d": d, "u": us[i], "h": h.text(), "h_pos": hpos})
 
 
 def _theorem1_cases(fld, seed, T, g0s=None):
+    # a cell fixes (d, g0, u); its d*q rows run over (k, b), row i at
+    # k = i // q and b = i % q
     q = fld.q
     if g0s is None:
         g0s = theorem1_g0_corpus(fld, seed)
-    b_all = np.arange(q, dtype=np.int64)
+    b_not0 = np.arange(1, q, dtype=np.int64)
     for d in (d for d in divisors(q - 1) if d > 2):
         m = (q - 1) // d
         mu_not1 = np.array(fld.mu_d(d)[1:], dtype=np.int64)
@@ -265,32 +293,49 @@ def _theorem1_cases(fld, seed, T, g0s=None):
                 w = value_table(g.substituted_power(m))
                 g_mu = value_table(g)[mu_not1]
             for u in range(1, q):
-                if T is not None:
-                    powu = T.pow_col(u)
-                    v2 = T.mul_cols(powu, w)
-                for k in range(d):
-                    v1 = None if T is None else T.pow_col(u + k * m)
-                    truths = None if T is None else _perm_mask_rows(
-                        T.add_cols(T.mul_cols(b_all[:, None], v1[None, :]), v2[None, :]), q)
-                    yield ("theorem1", [theorem1_check(Theorem1Params(d, u, k, b, g0)).verdict
-                                        for b in range(q)], truths,
-                           lambda b: {"d": d, "u": u, "k": k, "b": b, "g0": g0_text,
-                                      "g0_pos": g0pos})
-                    if T is None:
-                        continue
-                    # induced map collapses to b^((q-1)/d) * z^(u+k(q-1)/d)
-                    # away from 1; one row checks the law on the whole grid,
-                    # and its witness is searched for only when it is broken
-                    inner = T.add_cols(T.mul_cols(b_all[1:, None], T.pow_col(k)[mu_not1][None, :]),
-                                       g_mu[None, :])
-                    lhs = T.mul_cols(powu[mu_not1][None, :], powm[inner])
-                    rhs = T.mul_cols(powm[b_all[1:, None]], v1[mu_not1][None, :])
+                verdicts = [theorem1_check(Theorem1Params(d, u, k, b, g0)).verdict
+                            for k in range(d) for b in range(q)]
 
-                    def witness(_):
-                        bad_b, bad_z = np.argwhere(lhs != rhs)[0]
-                        return {"d": d, "u": u, "k": k, "b": int(bad_b) + 1,
-                                "zeta": int(mu_not1[bad_z]), "g0": g0_text}
-                    yield "fhat_monomial_law", (True,), (np.array_equal(lhs, rhs),), witness
+                def params(i):
+                    return {"d": d, "u": u, "k": i // q, "b": i % q, "g0": g0_text,
+                            "g0_pos": g0pos}
+                if T is None:
+                    yield "theorem1", verdicts, None, params
+                    continue
+                powu = T.pow_col(u)
+                v2 = T.mul_cols(powu, w)
+
+                def stacked(lo, hi):
+                    # rows lo..hi-1 of b*x^(u+km) + x^u*g(x^m), linear in b
+                    rows = np.arange(lo, hi)
+                    ks = rows // q
+                    v1 = np.stack([T.pow_col(u + k * m) for k in range(ks[0], ks[-1] + 1)])
+                    return (_perm_mask_rows(T.add_cols(
+                        T.mul_cols((rows % q)[:, None], v1[ks - ks[0]]), v2[None, :]), q),)
+                truths, = _by_slices(d * q, q, stacked)
+                yield "theorem1", verdicts, truths, params
+
+                # the induced map collapses to b^((q-1)/d) * z^(u+k(q-1)/d)
+                # away from 1: one row per k checks the law for every b != 0,
+                # and its witness is searched for only when it is broken
+                def law(lo, hi):
+                    """Both sides of the law for k in lo..hi-1, as (k, b-1, z)
+                    arrays over z in mu_d minus {1}."""
+                    ks = range(lo, hi)
+                    zk = np.stack([T.pow_col(k)[mu_not1] for k in ks])
+                    inner = T.add_cols(T.mul_cols(b_not0[None, :, None], zk[:, None, :]), g_mu)
+                    v1 = np.stack([T.pow_col(u + k * m)[mu_not1] for k in ks])
+                    return (T.mul_cols(powu[mu_not1], powm[inner]),
+                            T.mul_cols(powm[b_not0][None, :, None], v1[:, None, :]))
+
+                def witness(k):
+                    lhs, rhs = law(k, k + 1)
+                    _, bad_b, bad_z = np.argwhere(lhs != rhs)[0]
+                    return {"d": d, "u": u, "k": k, "b": int(b_not0[bad_b]),
+                            "zeta": int(mu_not1[bad_z]), "g0": g0_text}
+                held, = _by_slices(d, (q - 1) * (d - 1), lambda lo, hi: (
+                    np.equal(*law(lo, hi)).all(axis=(1, 2)),))
+                yield "fhat_monomial_law", (True,) * d, held, witness
 
 
 class _AdditiveCache:
@@ -407,8 +452,7 @@ def _hermite_cases(fld, seed, T):
     exps = list(itertools.product(good_exps, good_exps))
     verdicts = [True] * len(exps)
     if T is not None:
-        half = T.pow_col((q - 1) // 2)
-        sq_mask, ns_mask = half == 1, half == fld.neg(1)
+        sq_mask = T.pow_col((q - 1) // 2) == 1   # the nonzero squares
     for a, b in itertools.product(good_coeffs, good_coeffs):
         hps = [HermiteParams(fld, a, b, i, j) for i, j in exps]
 
@@ -418,16 +462,34 @@ def _hermite_cases(fld, seed, T):
         if T is None:
             yield "hermite", verdicts, None, params
             continue
-        truths, piecewise = [], []
-        for hp in hps:
-            fam = hermite_family(hp)
-            vals = value_table(fam.poly)
-            truths.append(_perm_col(vals, q))
-            on_sq = T.scalar_mul(fam.square_coeff, T.pow_col(hp.i))
-            on_ns = T.scalar_mul(fam.nonsquare_coeff, T.pow_col(hp.j))
-            piecewise.append(vals[0] == 0
-                             and np.array_equal(vals[sq_mask], on_sq[sq_mask])
-                             and np.array_equal(vals[ns_mask], on_ns[ns_mask]))
+        fams = [hermite_family(hp) for hp in hps]
+        # the cell's polynomials from their terms: exponent and coefficient
+        # arrays, zero-padded (a zero coefficient adds nothing) and followed
+        # by the two monomials of the piecewise description
+        width = max(len(fam.poly.terms) for fam in fams)
+        es, cs = [], []
+        for fam in fams:
+            pad = width - len(fam.poly.terms)
+            es.append([e for e, _ in fam.poly.terms] + [fam.square_exp] * pad
+                      + [fam.square_exp, fam.nonsquare_exp])
+            cs.append([c for _, c in fam.poly.terms] + [0] * pad
+                      + [fam.square_coeff, fam.nonsquare_coeff])
+        es, cs = np.array(es, dtype=np.int64), np.array(cs, dtype=np.int64)
+
+        def cell(lo, hi):
+            # one pow_col per distinct exponent of the slice
+            uniq, pos = np.unique(es[lo:hi], return_inverse=True)
+            cols = np.stack([T.pow_col(int(e)) for e in uniq])
+            pos = pos.reshape(hi - lo, width + 2)
+            c = cs[lo:hi, :, None]
+            vals = T.mul_cols(c[:, 0], cols[pos[:, 0]])
+            for t in range(1, width):
+                vals = T.add_cols(vals, T.mul_cols(c[:, t], cols[pos[:, t]]))
+            pieces = np.where(sq_mask, T.mul_cols(c[:, width], cols[pos[:, width]]),
+                              T.mul_cols(c[:, width + 1], cols[pos[:, width + 1]]))
+            pieces[:, 0] = 0
+            return _perm_mask_rows(vals, q), (vals == pieces).all(axis=1)
+        truths, piecewise = _by_slices(len(exps), (width + 2) * q, cell)
         yield "hermite", verdicts, truths, params
         yield "hermite_piecewise", verdicts, piecewise, params
 

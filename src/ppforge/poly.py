@@ -8,7 +8,8 @@ term.  Only the constructions that multiply terms out, products (and so
 composition), long division and h_d, can grow past the expansion guard
 (field.EXPANSION_MAX_TERMS); they refuse to with ExpansionTooLargeError.
 The walk of F_q, values(), is weighed against the same guard; both classes
-make it once per object and keep it.
+make it once per object and keep it.  FqPoly keeps its values on the d-th
+roots of unity the same way, once per d (mu_values).
 
 AdditivePoly keeps the coefficient vector of sum_i a_i * x^(p^i).  It is
 never expanded implicitly, so the additive structure stays visible in the
@@ -49,7 +50,7 @@ class FqPoly(_Walked):
     first; zeros are dropped.
     """
 
-    __slots__ = ("field", "terms")
+    __slots__ = ("field", "terms", "_mu")
 
     def __init__(self, field: Field, coeffs=()):
         q = field.q
@@ -60,6 +61,7 @@ class FqPoly(_Walked):
         self.field = field
         self.terms = terms
         self._values = None
+        self._mu = {}
 
     # -- constructors --------------------------------------------------------
 
@@ -123,6 +125,15 @@ class FqPoly(_Walked):
                 acc = c
             low = e
         return f.mul(acc, f.pow(a, low)) if low else acc
+
+    def mu_values(self, d: int) -> tuple:
+        """The polynomial at the d-th roots of unity, in the order of
+        Field.mu_d(d): d evals, made on the first call per d and kept on
+        this object."""
+        vals = self._mu.get(d)
+        if vals is None:
+            vals = self._mu[d] = tuple(self.eval(z) for z in self.field.mu_d(d))
+        return vals
 
     # -- ring operations --------------------------------------------------------
 
@@ -231,6 +242,7 @@ def _poly(field: Field, terms) -> FqPoly:
     f.field = field
     f.terms = tuple(terms)
     f._values = None
+    f._mu = {}
     return f
 
 

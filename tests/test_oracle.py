@@ -6,6 +6,7 @@ import dataclasses
 import functools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from ppforge import oracle
 from ppforge.additive import (AdditiveTriple, TraceTheoremParams, trace_theorem_poly,
                               triple_poly)
-from ppforge.cyclotomic import Theorem1Params, theorem1_poly
+from ppforge.cyclotomic import HermiteParams, Theorem1Params, hermite_family, theorem1_poly
 from ppforge.errors import OracleBoundError, UnknownSuiteError
 from ppforge.field import VECTOR_MAX_Q, divisors, make_field, parse_field
 from ppforge.oracle import (SUITE_NAMES, additive_poly_corpus, is_permutation,
@@ -95,11 +96,14 @@ def test_batched_linearity_identity():
 
 def _rows(suite, fld):
     """The suite's blocks on fld, expanded into (construction, params,
-    verdict, truth) rows, with truth None beyond the oracle bound."""
+    verdict, truth) rows, with truth None beyond the oracle bound.  params
+    is built for the suite's own cases only: an invariant's params(i) may
+    be its witness, which exists only when the invariant is broken."""
     for construction, verdicts, truths, params in oracle.SUITES[suite][1](
             fld, oracle.SAMPLE_SEED, fld.tables()):
         for i, verdict in enumerate(verdicts):
-            yield construction, params(i), verdict, None if truths is None else bool(truths[i])
+            yield (construction, params(i) if construction == suite else None, verdict,
+                   None if truths is None else bool(truths[i]))
 
 
 def _expanded(suite, fld, params) -> FqPoly:
@@ -112,21 +116,25 @@ def _expanded(suite, fld, params) -> FqPoly:
 
 @pytest.mark.parametrize("suite,spec", [("proposition", "3"), ("proposition", "2^2"),
                                         ("corollary2", "2^2"), ("corollary2", "3^2"),
-                                        ("trace_theorem", "2^3"), ("trace_theorem", "3^2")])
+                                        ("trace_theorem", "2^3"), ("trace_theorem", "3^2"),
+                                        ("theorem1", "7"), ("theorem1", "3^2"),
+                                        ("lemma", "7"), ("lemma", "3^2"),
+                                        ("hermite", "7"), ("hermite", "3^2")])
 def test_batched_additive_truths_match_the_expanded_polynomial(suite, spec):
-    # the additive suites decide all g of a cell with one row-batched oracle
-    # call; pin sampled truths of both signs against is_permutation of the
-    # expanded polynomial, which shares no code with the criteria
+    # every suite decides the rows of a cell with one stacked oracle table;
+    # pin sampled truths of both signs (hermite's grid holds only permutations)
+    # against is_permutation of the polynomial rebuilt from the recorded
+    # params, which shares no code with the criteria
     fld = parse_field(spec)
     by_truth = {True: [], False: []}
     for construction, params, _, truth in _rows(suite, fld):
         if construction == suite:
             by_truth[truth].append(params)
+    assert by_truth[True] and (suite == "hermite") != bool(by_truth[False])
     rng = random.Random(f"batched/{suite}/{spec}")
     for truth, rows in by_truth.items():
-        assert rows
         for params in rng.sample(rows, min(len(rows), 60)):
-            assert is_permutation(_expanded(suite, fld, params)) == truth, params
+            assert is_permutation(_rebuilt(suite, fld, params)) == truth, params
 
 
 def _counting_eval(monkeypatch, cls):
@@ -170,6 +178,34 @@ def test_each_additive_map_is_walked_once(monkeypatch, suite, spec):
     assert sum(g_calls.values()) <= polys * fld.q
 
 
+def test_lemma_reads_h_once_per_root(monkeypatch):
+    # h(z) does not depend on u: the lemma suite evaluates each h of a
+    # (d, h) cell at most once per root of mu_d, however many u it decides
+    calls = _counting_eval(monkeypatch, FqPoly)
+    rows = roots = 0
+    for fld in (parse_field("13"), parse_field("3^2")):
+        rows += sum(1 for _ in _rows("lemma", fld))
+        roots += sum(oracle.LEMMA_H_COUNT * d for d in divisors(fld.q - 1))
+    assert rows == oracle.LEMMA_H_COUNT * (6 * 12 + 4 * 8)
+    assert sum(calls.values()) <= roots
+
+
+def test_stacked_tables_stay_within_the_entry_bound():
+    # one stacked table of the lemma on 2^10 would hold 1023 x 1024 entries
+    # (8 MB a copy); the rows are stacked in slices of at most
+    # STACK_MAX_ENTRIES entries
+    fld = parse_field("2^10")
+    one = FqPoly.one(fld)
+    tracemalloc.start()
+    try:
+        rep = run_equivalence_suite("lemma", fields=[fld], h_corpus=[one])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.passed() and rep.cases_run == 8184
+    assert peak < 16 * 2 ** 20
+
+
 def test_values_is_one_walk(monkeypatch):
     # the one kept walk, for an additive map and for an FqPoly
     A, g = parse_additive(F9, "x^3+3*x"), parse_poly(F9, "x^5+3*x^2+1")
@@ -190,7 +226,8 @@ def _verdicts_and_truths(suite, spec):
 def test_oracle_truths_read_no_criterion_data(monkeypatch):
     # corrupt what the criteria read (the image of B, and scalar FqPoly.eval):
     # the verdicts change, the oracle's truths must not
-    cases = [("proposition", "3"), ("corollary2", "2^2"), ("trace_theorem", "2^3")]
+    cases = [("proposition", "3"), ("corollary2", "2^2"), ("trace_theorem", "2^3"),
+             ("lemma", "7")]
     clean = [_verdicts_and_truths(*case) for case in cases]
     real_subgroup_data, real_eval = oracle.subgroup_data, FqPoly.eval
 
@@ -351,6 +388,9 @@ def _rebuilt(suite, fld, params) -> FqPoly:
     if suite == "lemma":
         h = _corpus("lemma_h_corpus", fld, params["d"])[params["h_pos"]]
         return expand_cyclotomic(CyclotomicForm(params["u"], params["d"], h))
+    if suite == "hermite":
+        return hermite_family(HermiteParams(fld, params["a"], params["b"], params["i"],
+                                            params["j"])).poly
     return _expanded(suite, fld, params)
 
 

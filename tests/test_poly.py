@@ -177,6 +177,21 @@ def test_compose_and_divmod():
         g.divmod(FqPoly.zero(F9))
 
 
+def test_mu_values_are_the_evals_on_mu_d_and_kept():
+    # the values on mu_d of polynomials from the dense constructor and from
+    # ring operations, made once per d and kept
+    rng = random.Random("mu-values")
+    for fld in (F7, F9, F8, make_field(13)):
+        for _ in range(4):
+            f = FqPoly(fld, [rng.randrange(fld.q) for _ in range(5)])
+            g = parse_poly(fld, "x^3+1")
+            for h in (f, f * g + FqPoly.x(fld), (f - g).shifted(3), f.substituted_power(2)):
+                for d in divisors(fld.q - 1):
+                    vals = h.mu_values(d)
+                    assert vals == tuple(h.eval(z) for z in fld.mu_d(d))
+                    assert h.mu_values(d) is vals
+
+
 def test_huge_exponents_are_one_term():
     # nothing is allocated by degree: x^(10^12) is one term, and reducing
     # it is one fold
