@@ -51,8 +51,9 @@ class SubgroupData:
     default); a_of_right_inverse caches A applied to those preimages, and
     a_kernel_image is the subgroup A(ker B).  coset labels every element
     with the least element of its coset of A(ker B), so coset[x] == x
-    exactly at the coset representatives.  A and B at every element are
-    A.values() and B.values().
+    exactly at the coset representatives.  commutes says whether A and B
+    commute, the hypothesis of the commuting criterion.  A and B at every
+    element are A.values() and B.values().
     """
 
     kernel: tuple
@@ -61,6 +62,7 @@ class SubgroupData:
     a_kernel_image: tuple
     a_of_right_inverse: dict
     coset: tuple
+    commutes: bool
 
 
 def subgroup_data(A: AdditivePoly, B: AdditivePoly, *, preimage: str = "least") -> SubgroupData:
@@ -94,7 +96,8 @@ def subgroup_data(A: AdditivePoly, B: AdditivePoly, *, preimage: str = "least") 
             for s in a_kernel_image:
                 coset[add(x, s)] = x
     a_of_rinv = {gamma: av[rinv[gamma]] for gamma in image}
-    return SubgroupData(kernel, image, rinv, a_kernel_image, a_of_rinv, tuple(coset))
+    return SubgroupData(kernel, image, rinv, a_kernel_image, a_of_rinv, tuple(coset),
+                        additive_commutes(A, B))
 
 
 def _fhat_values(tr: AdditiveTriple, data: SubgroupData) -> list:
@@ -139,19 +142,19 @@ def necessary_conditions_check(tr: AdditiveTriple, *,
     ))
 
 
-def commuting_criterion_check(tr: AdditiveTriple, *, data: SubgroupData = None,
-                              verified_commuting: bool = False) -> ConditionReport:
+def commuting_criterion_check(tr: AdditiveTriple, *,
+                              data: SubgroupData = None) -> ConditionReport:
     """When A and B commute: f permutes F_q iff A permutes ker B and
     A(x) + B(g(x)) permutes im B.
 
     Raises ScopeError when A and B do not commute (the criterion does not
-    apply).  verified_commuting skips the exhaustive re-check for callers
-    that already filtered on it.
+    apply), as data.commutes records.  data is an optional
+    subgroup_data(A, B), shared across g.
     """
-    if not verified_commuting and not additive_commutes(tr.A, tr.B):
-        raise ScopeError("A and B do not commute; the commuting criterion does not apply")
     if data is None:
         data = subgroup_data(tr.A, tr.B)
+    if not data.commutes:
+        raise ScopeError("A and B do not commute; the commuting criterion does not apply")
     add = tr.field.add
     c1 = data.a_kernel_image == data.kernel
     av, bv, gv = tr.A.values(), tr.B.values(), tr.g.values()

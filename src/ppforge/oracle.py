@@ -29,7 +29,7 @@ from .additive import (AdditiveTriple, TraceTheoremParams, example_family,
 from .cyclotomic import (HermiteParams, Theorem1Params, hermite_coeff_ok, hermite_exp_ok,
                          hermite_family, hermite_sufficient, lemma_check, theorem1_check)
 from .errors import OracleBoundError, UnknownSuiteError
-from .field import VECTOR_MAX_Q, Field, divisors, parse_field
+from .field import VECTOR_MAX_Q, Field, check_expansion, divisors, parse_field
 from .poly import (AdditivePoly, CyclotomicForm, FqPoly, additive_commutes, h_d_poly,
                    trace_poly)
 
@@ -48,24 +48,12 @@ def value_table(f: FqPoly) -> np.ndarray:
     return np.fromiter((f.eval(a) for a in fld.elements()), dtype=np.int64, count=fld.q)
 
 
-def _perm_col(vals: np.ndarray, q: int) -> bool:
-    return bool(np.bincount(vals, minlength=q).max() == 1)
-
-
 def is_permutation(f: FqPoly, *, max_q: int = DEFAULT_MAX_Q) -> bool:
     """Brute force: true iff the value table has q distinct entries."""
     q = f.field.q
     if q > max_q:
         raise OracleBoundError(f"q={q} exceeds the brute-force bound {max_q}")
-    if q <= VECTOR_MAX_Q:
-        return _perm_col(value_table(f), q)
-    seen = set()
-    for a in f.field.elements():
-        v = f.eval(a)
-        if v in seen:
-            return False
-        seen.add(v)
-    return True
+    return bool(_perm_mask_rows(value_table(f)[None, :], q)[0])
 
 
 def _perm_mask_rows(vals: np.ndarray, q: int) -> np.ndarray:
@@ -81,14 +69,14 @@ def _perm_mask_rows(vals: np.ndarray, q: int) -> np.ndarray:
 STACK_MAX_ENTRIES = 1 << 18
 
 
-def _by_slices(rows: int, width: int, block) -> list:
+def _by_slices(rows: int, width: int, block) -> np.ndarray:
     """Run block(lo, hi) over consecutive row slices of a stacked table
     whose rows hold `width` entries, each slice at most STACK_MAX_ENTRIES
-    entries (one row at least); block returns a tuple of arrays along its
-    rows, and each is concatenated over the slices."""
+    entries (one row at least); block returns an array whose last axis runs
+    along its rows, and the slices are concatenated along it."""
     step = max(1, STACK_MAX_ENTRIES // width)
-    parts = [block(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
-    return [np.concatenate(col) for col in zip(*parts)]
+    return np.concatenate([block(lo, min(lo + step, rows)) for lo in range(0, rows, step)],
+                          axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -241,19 +229,22 @@ def example_h_corpus(fld: Field, seed) -> list:
 # bound.  It yields one block per cell, (construction, verdicts, truths,
 # params): a cell is one setting of the data a criterion holds fixed, and
 # its rows run along the free axes ((k, b) for theorem1 at fixed (d, g0, u),
-# u for the lemma, (i, j) for hermite, g for the additive suites).  Each
-# cell's truths come from one stacked oracle table, its rows' value columns
-# side by side, of at most STACK_MAX_ENTRIES entries; past that the rows are
-# stacked in slices (_by_slices).  verdicts is a bool sequence over the rows and
-# truths a bool sequence of the same length, or None beyond the bound.  A
-# block named after the suite holds cases, with truths the oracle's
-# verdicts; any other name is a structural invariant, whose rows record
-# (theorem_verdict, oracle_verdict) = (verdict, truth) when the two differ.
-# params(i) builds row i's parameter dict; the driver calls it only for a
-# row it records, and before it asks for the next block, since params reads
-# the generator's loop variables.  Records therefore come out grouped by
-# construction within a cell.  Counting, comparing and recording belong to
-# the driver.
+# u for the lemma, (i, j) for hermite, g for the additive suites, h for the
+# example family).  Each cell's truths come from one stacked oracle table,
+# its rows' value columns side by side, of at most STACK_MAX_ENTRIES
+# entries; past that the rows are stacked in slices (_by_slices).  What does
+# not depend on a cell's data is made once for the cells that share it:
+# theorem1's rows x^u*H(x^m) multiply u-free H(x^m) rows, and its law is
+# checked in u-free form, once per (d, g0).  verdicts is a bool sequence
+# over the rows and truths a bool sequence of the same length, or None
+# beyond the bound.  A block named after the suite holds cases, with truths
+# the oracle's verdicts; any other name is a structural invariant, whose
+# rows record (theorem_verdict, oracle_verdict) = (verdict, truth) when the
+# two differ.  params(i) builds row i's parameter dict; the driver calls it
+# only for a row it records, and before it asks for the next block, since
+# params reads the generator's loop variables.  Records therefore come out
+# grouped by construction within a cell.  Counting, comparing and recording
+# belong to the driver.
 
 def _lemma_cases(fld, seed, T, h_corpus=None):
     q = fld.q
@@ -269,15 +260,16 @@ def _lemma_cases(fld, seed, T, h_corpus=None):
             truths = None
             if T is not None:
                 w = value_table(h.substituted_power(m))
-                truths, = _by_slices(q - 1, q, lambda lo, hi: (
-                    _perm_mask_rows(T.mul_cols(u_pows(lo, hi), w[None, :]), q),))
+                truths = _by_slices(q - 1, q, lambda lo, hi: _perm_mask_rows(
+                    T.mul_cols(u_pows(lo, hi), w[None, :]), q))
             yield ("lemma", [lemma_check(CyclotomicForm(u, d, h)).verdict for u in us], truths,
                    lambda i: {"d": d, "u": us[i], "h": h.text(), "h_pos": hpos})
 
 
 def _theorem1_cases(fld, seed, T, g0s=None):
-    # a cell fixes (d, g0, u); its d*q rows run over (k, b), row i at
-    # k = i // q and b = i % q
+    # f = x^u * H(x^m) with H = b*x^k + g; a cell fixes (d, g0, u), and its
+    # d*q rows run over (k, b), row i at k = i // q and b = i % q.  Neither
+    # the H(x^m) rows nor the law depend on u: both are made per (d, g0)
     q = fld.q
     if g0s is None:
         g0s = theorem1_g0_corpus(fld, seed)
@@ -292,6 +284,31 @@ def _theorem1_cases(fld, seed, T, g0s=None):
                 g = h_d_poly(fld, d) * g0
                 w = value_table(g.substituted_power(m))
                 g_mu = value_table(g)[mu_not1]
+
+                # the H(x^m) rows of one slice, linear in b; the slice is all
+                # d*q rows on every default grid, and then they are built once
+                @functools.lru_cache(maxsize=1)
+                def h_rows(lo, hi):
+                    rows = np.arange(lo, hi)
+                    ks = rows // q
+                    v1 = np.stack([T.pow_col(k * m) for k in range(ks[0], ks[-1] + 1)])
+                    return T.add_cols(T.mul_cols((rows % q)[:, None], v1[ks - ks[0]]),
+                                      w[None, :])
+
+                # away from 1 the induced map is z^u * (b*z^k + g(z))^m; z^u is a
+                # unit, so the law b^m * z^(u+km) holds for one u exactly when
+                # (b*z^k + g(z))^m = b^m * z^(km): one row per k checks it for
+                # every b != 0, and its witness is searched for only when broken
+                def law(lo, hi):
+                    """Both sides of the u-free law for k in lo..hi-1, as
+                    (k, b-1, z) arrays over z in mu_d minus {1}."""
+                    ks = range(lo, hi)
+                    zk = np.stack([T.pow_col(k)[mu_not1] for k in ks])
+                    inner = T.add_cols(T.mul_cols(b_not0[None, :, None], zk[:, None, :]), g_mu)
+                    zkm = np.stack([T.pow_col(k * m)[mu_not1] for k in ks])
+                    return powm[inner], T.mul_cols(powm[b_not0][None, :, None], zkm[:, None, :])
+                held = _by_slices(d, (q - 1) * (d - 1),
+                                  lambda lo, hi: np.equal(*law(lo, hi)).all(axis=(1, 2)))
             for u in range(1, q):
                 verdicts = [theorem1_check(Theorem1Params(d, u, k, b, g0)).verdict
                             for k in range(d) for b in range(q)]
@@ -303,38 +320,14 @@ def _theorem1_cases(fld, seed, T, g0s=None):
                     yield "theorem1", verdicts, None, params
                     continue
                 powu = T.pow_col(u)
-                v2 = T.mul_cols(powu, w)
-
-                def stacked(lo, hi):
-                    # rows lo..hi-1 of b*x^(u+km) + x^u*g(x^m), linear in b
-                    rows = np.arange(lo, hi)
-                    ks = rows // q
-                    v1 = np.stack([T.pow_col(u + k * m) for k in range(ks[0], ks[-1] + 1)])
-                    return (_perm_mask_rows(T.add_cols(
-                        T.mul_cols((rows % q)[:, None], v1[ks - ks[0]]), v2[None, :]), q),)
-                truths, = _by_slices(d * q, q, stacked)
-                yield "theorem1", verdicts, truths, params
-
-                # the induced map collapses to b^((q-1)/d) * z^(u+k(q-1)/d)
-                # away from 1: one row per k checks the law for every b != 0,
-                # and its witness is searched for only when it is broken
-                def law(lo, hi):
-                    """Both sides of the law for k in lo..hi-1, as (k, b-1, z)
-                    arrays over z in mu_d minus {1}."""
-                    ks = range(lo, hi)
-                    zk = np.stack([T.pow_col(k)[mu_not1] for k in ks])
-                    inner = T.add_cols(T.mul_cols(b_not0[None, :, None], zk[:, None, :]), g_mu)
-                    v1 = np.stack([T.pow_col(u + k * m)[mu_not1] for k in ks])
-                    return (T.mul_cols(powu[mu_not1], powm[inner]),
-                            T.mul_cols(powm[b_not0][None, :, None], v1[:, None, :]))
+                yield "theorem1", verdicts, _by_slices(d * q, q, lambda lo, hi: _perm_mask_rows(
+                    T.mul_cols(powu[None, :], h_rows(lo, hi)), q)), params
 
                 def witness(k):
                     lhs, rhs = law(k, k + 1)
                     _, bad_b, bad_z = np.argwhere(lhs != rhs)[0]
                     return {"d": d, "u": u, "k": k, "b": int(b_not0[bad_b]),
                             "zeta": int(mu_not1[bad_z]), "g0": g0_text}
-                held, = _by_slices(d, (q - 1) * (d - 1), lambda lo, hi: (
-                    np.equal(*law(lo, hi)).all(axis=(1, 2)),))
                 yield "fhat_monomial_law", (True,) * d, held, witness
 
 
@@ -414,8 +407,8 @@ def _corollary2_cases(fld, seed, T):
     for ppos, (A, B) in enumerate(pairs):
         data = subgroup_data(A, B)
         yield ("corollary2",
-               [commuting_criterion_check(AdditiveTriple(A, B, g), data=data,
-                                          verified_commuting=True).verdict for g in gs],
+               [commuting_criterion_check(AdditiveTriple(A, B, g), data=data).verdict
+                for g in gs],
                cache.truths(A, B),
                lambda gpos: {"pair_pos": ppos, "g_pos": gpos,
                              "A": texts[A], "B": texts[B], "g": g_texts[gpos]})
@@ -449,6 +442,7 @@ def _hermite_cases(fld, seed, T):
     q = fld.q
     good_coeffs = [a for a in fld.units() if hermite_coeff_ok(fld, a)]
     good_exps = [i for i in range(1, q) if hermite_exp_ok(fld, i)]
+    check_expansion(len(good_exps) ** 2, f"the hermite exponent grid for q={q}")
     exps = list(itertools.product(good_exps, good_exps))
     verdicts = [True] * len(exps)
     if T is not None:
@@ -488,7 +482,7 @@ def _hermite_cases(fld, seed, T):
             pieces = np.where(sq_mask, T.mul_cols(c[:, width], cols[pos[:, width]]),
                               T.mul_cols(c[:, width + 1], cols[pos[:, width + 1]]))
             pieces[:, 0] = 0
-            return _perm_mask_rows(vals, q), (vals == pieces).all(axis=1)
+            return np.stack([_perm_mask_rows(vals, q), (vals == pieces).all(axis=1)])
         truths, piecewise = _by_slices(len(exps), (width + 2) * q, cell)
         yield "hermite", verdicts, truths, params
         yield "hermite_piecewise", verdicts, piecewise, params
@@ -502,7 +496,8 @@ def _example_family_cases(fld, seed, T):
         return {"h": hs[hpos].text(), "h_pos": hpos, "poly": fs[hpos].text()}
     yield "example_degree", (True,), (fs[0].degree == 2 * fld.p,), params
     yield ("example_family", [True] * len(fs),
-           None if T is None else [_perm_col(value_table(f), fld.q) for f in fs], params)
+           None if T is None else _perm_mask_rows(np.stack([value_table(f) for f in fs]), fld.q),
+           params)
 
 
 def _always(fld) -> bool:

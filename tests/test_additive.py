@@ -15,7 +15,7 @@ from ppforge.errors import FieldError, ScopeError
 from ppforge.field import make_field, parse_field
 from ppforge.oracle import (additive_poly_corpus, arbitrary_g_corpus, is_permutation,
                             value_table)
-from ppforge.poly import AdditivePoly, FqPoly, parse_poly, trace_poly
+from ppforge.poly import AdditivePoly, FqPoly, additive_commutes, parse_poly, trace_poly
 
 F5 = make_field(5)
 F9 = make_field(3, 2)
@@ -229,6 +229,23 @@ def test_commuting_criterion_rejects_noncommuting():
     B = AdditivePoly(F9, (0, 1))          # x^3
     with pytest.raises(ScopeError):
         commuting_criterion_check(AdditiveTriple(A, B, FqPoly.zero(F9)))
+
+
+def test_commutation_belongs_to_the_subgroup_data():
+    # the commuting criterion's hypothesis is read from subgroup_data(A, B)
+    seen = set()
+    for fld in (make_field(2, 2), make_field(3)):
+        corpus = additive_poly_corpus(fld, 1009)
+        for A in corpus:
+            for B in corpus:
+                data = subgroup_data(A, B)
+                assert data.commutes == additive_commutes(A, B)
+                seen.add(data.commutes)
+                if not data.commutes:
+                    with pytest.raises(ScopeError):
+                        commuting_criterion_check(AdditiveTriple(A, B, FqPoly.zero(fld)),
+                                                  data=data)
+    assert seen == {True, False}
 
 
 def test_commuting_criterion_matches_oracle_sampled():

@@ -513,6 +513,14 @@ def test_selftest_unknown_suite(capsys):
     assert code == 2 and "unknown suite" in err
 
 
+@pytest.mark.parametrize("field", ["65537", "65521"])
+def test_selftest_hermite_past_the_guard_exits_2_quickly(field):
+    # phi(q-1)^2 exponent pairs (2^30 on 65537) are refused before any is built
+    proc = run_subprocess("selftest", "--suite", "hermite", "--fields", field)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "hermite exponent grid" in proc.stderr and "1000000" in proc.stderr
+
+
 def test_selftest_output_is_deterministic(capsys):
     args = ("selftest", "--suite", "hermite", "--suite", "example_family",
             "--fields", "7,3^2")

@@ -14,14 +14,16 @@ import pytest
 from ppforge import oracle
 from ppforge.additive import (AdditiveTriple, TraceTheoremParams, trace_theorem_poly,
                               triple_poly)
-from ppforge.cyclotomic import HermiteParams, Theorem1Params, hermite_family, theorem1_poly
-from ppforge.errors import OracleBoundError, UnknownSuiteError
+from ppforge import cyclotomic
+from ppforge.cyclotomic import (HermiteParams, Theorem1Params, fhat_on_mu_d, hermite_family,
+                                theorem1_poly)
+from ppforge.errors import ExpansionTooLargeError, OracleBoundError, UnknownSuiteError
 from ppforge.field import VECTOR_MAX_Q, divisors, make_field, parse_field
 from ppforge.oracle import (SUITE_NAMES, additive_poly_corpus, is_permutation,
                             lemma_h_corpus, run_equivalence_suite,
                             theorem1_g0_corpus, value_table)
 from ppforge.poly import (AdditivePoly, CyclotomicForm, FqPoly, additive_commutes,
-                          expand_cyclotomic, parse_additive, parse_poly)
+                          expand_cyclotomic, h_d_poly, parse_additive, parse_poly)
 from ppforge.report import ConditionReport
 
 F7 = make_field(7)
@@ -73,7 +75,7 @@ def test_bound_errors():
 
 
 def test_batched_linearity_identity():
-    # the theorem1 suite evaluates f_b = b*x^(u+km) + x^u*g(x^m) for all b
+    # the theorem1 suite evaluates f_b = x^u*(b*x^(km) + g(x^m)) for all b
     # through linearity in b; pin that identity against value_table
     rng = random.Random("linb")
     for fld in (F7, F9):
@@ -417,6 +419,37 @@ def test_recorded_params_reproduce_their_disagreement(monkeypatch, suite, criter
     assert rep.disagreements
     for d in rep.disagreements:
         assert is_permutation(_rebuilt(suite, fld, d.parameters)) == d.oracle_verdict, d
+
+
+def test_theorem1_law_is_checked_once_per_d_g0(monkeypatch):
+    # with g = (h_d + x)*g0 the law breaks; the suite checks it in its u-free
+    # form, once per (d, g0), so each broken (d, g0, k) is recorded once per
+    # u with the same witness, and that witness breaks the full law with z^u
+    fld = F7
+    monkeypatch.setattr(oracle, "h_d_poly", lambda f, d: h_d_poly(f, d) + FqPoly.x(f))
+    monkeypatch.setattr(cyclotomic, "h_d_poly", oracle.h_d_poly)
+    g0s = {g0.text(): g0 for g0 in theorem1_g0_corpus(fld, oracle.SAMPLE_SEED)}
+    assert len(g0s) == len(theorem1_g0_corpus(fld, oracle.SAMPLE_SEED))
+    by_cell = collections.defaultdict(list)
+    for rec in run_equivalence_suite("theorem1", fields=[fld]).disagreements:
+        if rec.construction == "fhat_monomial_law":
+            p = rec.parameters
+            by_cell[p["d"], p["g0"], p["k"]].append((p["u"], p["b"], p["zeta"]))
+    assert by_cell
+    for (d, g0_text, k), rows in by_cell.items():
+        assert [u for u, _, _ in rows] == list(range(1, fld.q))
+        assert len({(b, zeta) for _, b, zeta in rows}) == 1
+        m = (fld.q - 1) // d
+        for u, b, zeta in rows:
+            fhat = dict(fhat_on_mu_d(Theorem1Params(d, u, k, b, g0s[g0_text])))
+            assert fhat[zeta] != fld.mul(fld.pow(b, m), fld.pow(zeta, u + k * m))
+
+
+def test_hermite_grid_past_the_guard_is_refused():
+    # 65521 has phi(65520)^2 = 1.9e8 exponent pairs: refused before the
+    # product is built
+    with pytest.raises(ExpansionTooLargeError):
+        run_equivalence_suite("hermite", fields=["65521"])
 
 
 def test_scalar_oracle_tier_beyond_the_vector_bound():
