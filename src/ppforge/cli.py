@@ -20,8 +20,9 @@ from .additive import (AdditiveTriple, TraceTheoremParams,
                        gamma_search, proposition_check, trace_theorem_check,
                        trace_theorem_poly, triple_poly)
 from .cyclotomic import (HermiteParams, Theorem1Params, cofactor_of,
-                         hermite_family, hermite_sufficient, lemma_check,
-                         theorem1_check, theorem1_generate)
+                         hermite_coeff_ok, hermite_exp_ok, hermite_family,
+                         hermite_sufficient, lemma_check, theorem1_check,
+                         theorem1_generate)
 from .errors import ExpansionTooLargeError, PPForgeError
 from .field import Field, parse_field
 from .oracle import (DEFAULT_MAX_Q, SUITE_NAMES, is_permutation,
@@ -199,19 +200,6 @@ def _generate_example(args, fld):
            lambda: poly)
 
 
-def _replayable(values):
-    """A re-iterable view of `values` that draws from it only as far as an
-    iteration reaches, keeping what it drew for the next iteration."""
-    drawn, source = [], iter(values)
-
-    def replay():
-        yield from drawn
-        for v in source:
-            drawn.append(v)
-            yield v
-    return replay
-
-
 def _generate_hermite(args, fld):
     axes = [range(1, fld.q) if r is None else _parse_range(r)
             for r in (args.a, args.b, args.i, args.j)]
@@ -220,21 +208,13 @@ def _generate_hermite(args, fld):
     for corner in (0, -1):  # each bound is an interval: the corners validate the grid
         HermiteParams(fld, *(axis[corner] for axis in axes))
     # each condition reads one axis ("2a is a square", "2b is a square", and
-    # gcd(i*j, q-1) = 1 splits over i and j), so an axis is filtered by
-    # probing the criterion with the other axes pinned where they pass: at
-    # 1/2, whose double 1 is a square, and at the exponent 1
-    half = fld.inv(fld.add(1, 1))
-    pins = (half, half, 1, 1)
-
-    def passing(k):
-        probe = list(pins)
-        for v in axes[k]:
-            probe[k] = v
-            if hermite_sufficient(HermiteParams(fld, *probe)).verdict:
-                yield v
-
-    a_ok, b_ok, i_ok, j_ok = axes_ok = [_replayable(passing(k)) for k in range(4)]
-    if any(next(axis(), None) is None for axis in axes_ok):
+    # gcd(i*j, q-1) = 1 splits over i and j): each pass of a loop filters
+    # its axis again, as far as that pass reaches
+    a_ok, b_ok, i_ok, j_ok = passing = [
+        functools.partial(filter, functools.partial(ok, fld), axis)
+        for ok, axis in zip((hermite_coeff_ok, hermite_coeff_ok, hermite_exp_ok,
+                             hermite_exp_ok), axes)]
+    if any(next(axis(), None) is None for axis in passing):
         return  # an axis where nothing passes empties the grid
     for a in a_ok():
         for b in b_ok():

@@ -160,9 +160,14 @@ def theorem1_generate(field: Field, d: int, u_values=(1,), k_values=(0,),
     tuple, report being the theorem1_check report that admitted it.
 
     Order is lexicographic in (u, k, b index, g0 position), so output is
-    stable.  An explicit g may be given instead of cofactors; it is divided
-    by h_d and rejected on a nonzero remainder.  An empty stream is valid,
-    and builds no g.
+    stable.  u_values and k_values are sequences, ranges included; their
+    first and last entries are validated before anything is emitted.  An
+    explicit g may be given instead of cofactors; it is divided by h_d and
+    rejected on a nonzero remainder.  An empty stream is valid, and builds
+    no g.
+
+    Each condition is tested in the loop over the axes it reads: (1) once
+    per u, (2) once per (u, k), and (3)-(4) by theorem1_check for each b.
     """
     gs = {}  # g0 -> h_d * g0, built when g0 first yields a polynomial
     if g is not None:
@@ -174,8 +179,23 @@ def theorem1_generate(field: Field, d: int, u_values=(1,), k_values=(0,),
         g0s = (FqPoly.one(field),)
     g0s = tuple(g0s)
     _validate_d(field, d)
+    if not (u_values and k_values and g0s):
+        return
+    for corner in (0, -1):  # each bound is an interval: the corners validate the grid
+        Theorem1Params(d, u_values[corner], k_values[corner], 0, g0s[0])
+    m = (field.q - 1) // d
+    if m == 1:
+        # the only (q-1)-th power is 1, so (4) needs g(1) = 0, that is
+        # g0(1) = 0 since p does not divide d
+        g0s = tuple(g0 for g0 in g0s if g0.mu_values(1)[0] == 0)
+        if not g0s:
+            return
     for u in u_values:
+        if math.gcd(u, m) != 1:
+            continue
         for k in k_values:
+            if math.gcd(d, u + k * m) != 1:
+                continue
             for b in field.elements():
                 for g0 in g0s:
                     params = Theorem1Params(d, u, k, b, g0)

@@ -246,7 +246,7 @@ def example_h_corpus(fld: Field, seed) -> list:
 # grouped by construction within a cell.  Counting, comparing and recording
 # belong to the driver.
 
-def _lemma_cases(fld, seed, T, h_corpus=None):
+def _lemma_cases(fld, seed, T):
     q = fld.q
     us = range(1, q)
     # the columns x^u of one row slice, stacked by u; the slice is the whole
@@ -254,9 +254,8 @@ def _lemma_cases(fld, seed, T, h_corpus=None):
     u_pows = functools.lru_cache(maxsize=1)(
         lambda lo, hi: np.stack([T.pow_col(u) for u in us[lo:hi]]))
     for d in divisors(q - 1):
-        hs = h_corpus if h_corpus is not None else lemma_h_corpus(fld, d, seed)
         m = (q - 1) // d
-        for hpos, h in enumerate(hs):
+        for hpos, h in enumerate(lemma_h_corpus(fld, d, seed)):
             truths = None
             if T is not None:
                 w = value_table(h.substituted_power(m))
@@ -331,34 +330,20 @@ def _theorem1_cases(fld, seed, T, g0s=None):
                 yield "fhat_monomial_law", (True,) * d, held, witness
 
 
-class _AdditiveCache:
-    """Oracle-side caches shared by the proposition and corollary2 suites.
-
-    col(X) is the value column of an additive polynomial.  Within the
-    oracle bound, G stacks the value columns of the g corpus, so
-    G[:, col(B)] is the (len(gs), q) table of the columns g(B(x)), and
-    truths(A, B) is the truths array of the (A, B) cell's block, one row
-    per g.  The criteria read nothing from here: they read g.values().
+def _additive_truths(T, gs):
+    """The oracle side shared by the proposition and corollary2 suites:
+    truths(A, B) gives the oracle verdicts on A(x) + g(B(x)) for every g of
+    the corpus at once, as a bool array by g position, or None beyond the
+    oracle bound.  G stacks the value columns of the g corpus, so
+    G[:, col(B)] is the (len(gs), q) table of the columns g(B(x)); col keeps
+    one value column per additive map.  The criteria read nothing from
+    here: they read g.values().
     """
-
-    def __init__(self, T, gs):
-        self.T = T
-        self.G = None if T is None else np.stack([value_table(g) for g in gs])
-        self._cols = {}
-
-    def col(self, X: AdditivePoly) -> np.ndarray:
-        c = self._cols.get(X)
-        if c is None:
-            c = self._cols[X] = value_table(X.expand())
-        return c
-
-    def truths(self, A: AdditivePoly, B: AdditivePoly):
-        """Oracle verdicts on A(x) + g(B(x)) for every g of the corpus at
-        once, as a bool array by g position; None beyond the oracle bound."""
-        if self.T is None:
-            return None
-        rows = self.T.add_cols(self.col(A)[None, :], self.G[:, self.col(B)])
-        return _perm_mask_rows(rows, self.T.q)
+    if T is None:
+        return lambda A, B: None
+    G = np.stack([value_table(g) for g in gs])
+    col = functools.cache(lambda X: value_table(X.expand()))
+    return lambda A, B: _perm_mask_rows(T.add_cols(col(A)[None, :], G[:, col(B)]), T.q)
 
 
 def _proposition_cases(fld, seed, T):
@@ -367,7 +352,7 @@ def _proposition_cases(fld, seed, T):
     gs = arbitrary_g_corpus(fld, seed)
     a_texts = [A.expand().text() for A in As]
     g_texts = [g.text() for g in gs]
-    cache = _AdditiveCache(T, gs)
+    truths_of = _additive_truths(T, gs)
     for bpos, B in enumerate(As):
         for apos, A in enumerate(As):
             data = subgroup_data(A, B)
@@ -385,7 +370,7 @@ def _proposition_cases(fld, seed, T):
                 return {"A_pos": apos, "B_pos": bpos, "g_pos": gpos,
                         "A": a_texts[apos], "B": a_texts[bpos], "g": g_texts[gpos]}
             yield "right_inverse_swap", verdicts, swapped, params
-            truths = cache.truths(A, B)
+            truths = truths_of(A, B)
             yield "proposition", verdicts, truths, params
             if truths is not None:
                 held = np.flatnonzero(truths).tolist()
@@ -397,7 +382,7 @@ def _proposition_cases(fld, seed, T):
 def _corollary2_cases(fld, seed, T):
     As = additive_poly_corpus(fld, seed)
     gs = arbitrary_g_corpus(fld, seed)
-    cache = _AdditiveCache(T, gs)
+    truths_of = _additive_truths(T, gs)
     pairs = [(A, B) for A in As for B in As if additive_commutes(A, B)]
     trace_b = trace_poly(fld)
     seen = set(pairs)
@@ -409,7 +394,7 @@ def _corollary2_cases(fld, seed, T):
         yield ("corollary2",
                [commuting_criterion_check(AdditiveTriple(A, B, g), data=data).verdict
                 for g in gs],
-               cache.truths(A, B),
+               truths_of(A, B),
                lambda gpos: {"pair_pos": ppos, "g_pos": gpos,
                              "A": texts[A], "B": texts[B], "g": g_texts[gpos]})
 
@@ -538,7 +523,7 @@ def run_equivalence_suite(suite: str, fields=None, seed=SAMPLE_SEED,
     skipped and listed in the report.  Cases on fields beyond the
     brute-force bound are condition-checked only and counted in
     oracle_skipped.  Keyword options are forwarded to the suite (e.g.
-    h_corpus for the lemma suite to restrict its h grid).  A suite block
+    g0s for the theorem1 suite to restrict its g0 grid).  A suite block
     whose truths and verdicts differ in length raises ValueError rather
     than being broadcast.
     """

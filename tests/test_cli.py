@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import resource
@@ -18,6 +19,7 @@ import ppforge.cli
 import ppforge.cyclotomic
 import ppforge.poly
 from ppforge.cli import main
+from ppforge.cyclotomic import HermiteParams, hermite_sufficient
 from ppforge.field import divisors, parse_field
 from ppforge.report import ConditionReport
 
@@ -436,6 +438,19 @@ def test_generate_negative_limit_exits_2(capsys):
     assert code == 2 and out == "" and "--limit" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--d", "3", "--u", "0..6"),
+    ("--d", "3", "--u", "2", "--k=-1..0"),
+    ("--d", "6", "--u", "0"),
+], ids=["u-0", "k-negative", "d-q-1"])
+def test_generate_theorem1_invalid_value_exits_2(capsys, argv):
+    # an invalid u or k exits 2 even where (1), (2) or the g0 filter at
+    # d = q-1 would skip it before any b is walked
+    code, out, err = run_cli(capsys, "generate", "theorem1", "7", *argv)
+    assert code == 2 and out == ""
+    assert "need u >= 1 and k >= 0" in err
+
+
 def test_generate_theorem1_judges_each_candidate_once(capsys, monkeypatch):
     calls = []
     original = ppforge.cyclotomic.theorem1_check
@@ -449,7 +464,9 @@ def test_generate_theorem1_judges_each_candidate_once(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "generate", "theorem1", "7", "--d", "3",
                            "--u", "1..6", "--k", "0..2")
     assert code == 0 and len(json_lines(out)) == 6
-    assert len(calls) == 6 * 3 * 7  # one per (u, k, b), emitted or not
+    # one per b, emitted or not, for each of the 6 (u, k) that pass (1)-(2):
+    # u odd, and u + 2k prime to 3
+    assert len(calls) == 6 * 7
 
 
 @pytest.mark.parametrize("argv", [
@@ -458,9 +475,12 @@ def test_generate_theorem1_judges_each_candidate_once(capsys, monkeypatch):
 ], ids=["check", "generate"])
 def test_hermite_verdict_true_on_a_non_permutation_exits_2(capsys, monkeypatch, argv):
     # f = 6x^2 does not permute F_7; a sufficient criterion that claims it
-    # does is wrong, in check and in generate alike
+    # does is wrong, in check and in generate alike (generate filters its
+    # axes with the criterion's two halves)
     forced = ConditionReport((), True)
     monkeypatch.setattr(ppforge.cli, "hermite_sufficient", lambda hp: forced)
+    monkeypatch.setattr(ppforge.cli, "hermite_coeff_ok", lambda fld, a: True)
+    monkeypatch.setattr(ppforge.cli, "hermite_exp_ok", lambda fld, i: True)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert "internal" in err and "contradicts the oracle" in err
@@ -474,16 +494,40 @@ def test_generate_hermite_all_confirmed(capsys):
     assert all(r["verdict"] and r["oracle"] == "confirmed" for r in recs)
 
 
+def test_generate_hermite_is_the_filter_of_the_criterion(capsys):
+    for spec, ranges in (("7", ("2..5", "1..6", "1..6", "2..5")),
+                         ("3^2", ("3..8", "1..4", "1..8", "3..7"))):
+        fld = parse_field(spec)
+        code, out, _ = run_cli(capsys, "generate", "hermite", spec, "--no-oracle",
+                               *(arg for axis, r in zip("abij", ranges)
+                                 for arg in ("--" + axis, r)))
+        grid = [dict(zip("abij", abij)) for abij in itertools.product(
+                    *(range(int(lo), int(hi) + 1) for lo, hi in (r.split("..") for r in ranges)))
+                if hermite_sufficient(HermiteParams(fld, *abij)).verdict]
+        assert code == 0 and [r["parameters"] for r in json_lines(out)] == grid and grid
+
+
 @pytest.mark.parametrize("argv", [
-    ("1009", "--a", "11", "--b", "11"),
-    ("10007", "--a", "5", "--b", "5"),
-    ("1000003^2", "--b", "1000004"),
-], ids=["1009", "10007", "1000003^2"])
-def test_generate_hermite_empty_filter_answers_quickly(argv):
-    # 2a (2b) is not a square, so no (a, b, i, j) passes; that axis is
-    # filtered before the grid is walked: the (q-1)^2 exponent pairs, 10^8
-    # of them on 10007, or on 1000003^2 every a with 10^24 pairs each
-    proc = run_subprocess("generate", "hermite", *argv, "--limit", "1")
+    ("hermite", "1009", "--a", "11", "--b", "11"),
+    ("hermite", "10007", "--a", "5", "--b", "5"),
+    ("hermite", "1000003^2", "--b", "1000004"),
+    ("theorem1", "1000003", "--d", "3", "--u", "2", "--k", "0..1"),
+    ("theorem1", "1000003", "--d", "1000002", "--u", "1"),
+    ("theorem1", "1000003^3", "--d", "3", "--u", "2"),
+    ("theorem1", "1000003^3", "--d", "3", "--u", "2", "--k", "0..1000000000000"),
+    ("theorem1", "1000003^3", "--d", "1000009000027000026", "--u", "1"),
+    ("theorem1", "1000003", "--d", "1000002", "--u", "1..1000000000000"),
+], ids=["1009", "10007", "1000003^2", "theorem1-1000003-u-even", "theorem1-1000003-d-q-1",
+        "theorem1-1000003^3-u-even", "theorem1-1000003^3-k-range",
+        "theorem1-1000003^3-d-q-1", "theorem1-1000003-d-q-1-u-range"])
+def test_generate_empty_filter_answers_quickly(argv):
+    # hermite: 2a (2b) is not a square, so no (a, b, i, j) passes; that axis
+    # is filtered before the grid is walked: the (q-1)^2 exponent pairs, 10^8
+    # of them on 10007, or on 1000003^2 every a with 10^24 pairs each.
+    # theorem1: an even u fails (1), gcd(u, (q-1)/d) = 1, before any k or b
+    # is walked; at d = q-1 the only d-th power is 1, so g0 = 1 with
+    # g0(1) != 0 fails (4) for every b, before any u is walked
+    proc = run_subprocess("generate", *argv, "--limit", "1")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ""
 

@@ -116,6 +116,14 @@ def test_generate_matches_oracle_on_a_grid():
             for b in F7.elements():
                 params = Theorem1Params(3, u, k, b, FqPoly.one(F7))
                 assert (b in emitted) == is_permutation(theorem1_poly(params))
+    # F_13 at every d > 2; at d = 12, m = 1 and x+12 is the g0 with g0(1) = 0
+    g0s = [parse_poly(F13, t) for t in ("1", "2", "x+12")]
+    for d in (d for d in divisors(12) if d > 2):
+        us, ks = range(1, 13), range(d + 1)
+        stream = [(p.u, p.k, p.b, p.g0) for p, _, _ in theorem1_generate(F13, d, us, ks, g0s)]
+        grid = [(u, k, b, g0) for u in us for k in ks for b in F13.elements() for g0 in g0s
+                if theorem1_check(Theorem1Params(d, u, k, b, g0)).verdict]
+        assert stream == grid and stream, d
 
 
 def test_generate_explicit_g_divisible_k_beyond_d():

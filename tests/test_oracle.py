@@ -192,15 +192,20 @@ def test_lemma_reads_h_once_per_root(monkeypatch):
     assert sum(calls.values()) <= roots
 
 
-def test_stacked_tables_stay_within_the_entry_bound():
+def _lemma_h_one(monkeypatch):
+    """Restrict the lemma suite's h grid to h = 1, where f = x^u."""
+    monkeypatch.setattr(oracle, "lemma_h_corpus", lambda fld, d, seed: [FqPoly.one(fld)])
+
+
+def test_stacked_tables_stay_within_the_entry_bound(monkeypatch):
     # one stacked table of the lemma on 2^10 would hold 1023 x 1024 entries
     # (8 MB a copy); the rows are stacked in slices of at most
     # STACK_MAX_ENTRIES entries
     fld = parse_field("2^10")
-    one = FqPoly.one(fld)
+    _lemma_h_one(monkeypatch)
     tracemalloc.start()
     try:
-        rep = run_equivalence_suite("lemma", fields=[fld], h_corpus=[one])
+        rep = run_equivalence_suite("lemma", fields=[fld])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -260,10 +265,11 @@ def test_run_suite_example_alias():
     assert rep.cases_run == 10 and rep.passed()
 
 
-def test_lemma_suite_restricted_to_monomials():
+def test_lemma_suite_restricted_to_monomials(monkeypatch):
     # h = 1 makes f = x^u, so the lemma must reproduce the gcd criterion;
     # the suite compares against brute force on exactly that grid
-    rep = run_equivalence_suite("lemma", fields=["7"], h_corpus=[FqPoly.one(F7)])
+    _lemma_h_one(monkeypatch)
+    rep = run_equivalence_suite("lemma", fields=["7"])
     assert rep.cases_run == len(divisors(6)) * 6
     assert rep.passed()
 
@@ -278,22 +284,24 @@ def test_inapplicable_fields_are_skipped():
     assert rep3.skipped_fields == ["2^2"] and rep3.cases_run == 0
 
 
-# (suite, fields, options, fields outside the suite's hypotheses)
+# (suite, fields, fields outside the suite's hypotheses); the lemma's h
+# grid is restricted to h = 1
 SKIPPED_GRIDS = {
-    "lemma": (["7"], {"h_corpus": [FqPoly.one(F7)]}, []),
-    "theorem1": (["3", "7"], {}, ["3"]),
-    "proposition": (["5"], {}, []),
-    "corollary2": (["5"], {}, []),
-    "trace_theorem": (["5", "2^3"], {}, ["5"]),
-    "hermite": (["2^2", "7"], {}, ["2^2"]),
-    "example_family": (["7", "3^2"], {}, ["7"]),
+    "lemma": (["7"], []),
+    "theorem1": (["3", "7"], ["3"]),
+    "proposition": (["5"], []),
+    "corollary2": (["5"], []),
+    "trace_theorem": (["5", "2^3"], ["5"]),
+    "hermite": (["2^2", "7"], ["2^2"]),
+    "example_family": (["7", "3^2"], ["7"]),
 }
 
 
 @pytest.mark.parametrize("suite", SUITE_NAMES)
-def test_oracle_skipped_counting(suite):
-    fields, options, skipped = SKIPPED_GRIDS[suite]
-    rep = run_equivalence_suite(suite, fields=fields, max_q=3, **options)
+def test_oracle_skipped_counting(suite, monkeypatch):
+    fields, skipped = SKIPPED_GRIDS[suite]
+    _lemma_h_one(monkeypatch)
+    rep = run_equivalence_suite(suite, fields=fields, max_q=3)
     assert rep.cases_run > 0
     assert rep.oracle_skipped == rep.cases_run
     assert rep.skipped_fields == skipped
@@ -466,8 +474,9 @@ def test_scalar_oracle_tier_beyond_the_vector_bound():
         is_permutation(cube)
 
 
-def test_report_json_shape_excludes_elapsed():
-    rep = run_equivalence_suite("lemma", fields=["7"], h_corpus=[FqPoly.one(F7)])
+def test_report_json_shape_excludes_elapsed(monkeypatch):
+    _lemma_h_one(monkeypatch)
+    rep = run_equivalence_suite("lemma", fields=["7"])
     d = rep.to_json_dict()
     assert "elapsed" not in d
     assert d["suite"] == "lemma" and d["fields"] == ["7"]
