@@ -505,10 +505,11 @@ class FieldTables:
     b, zero included; exp is the cycle w^0 .. w^(q-2), a view of exp_ext.
     For odd p the full q x q addition table is materialized up to
     ADD_TABLE_MAX_Q; above it, odd p gets the packed digit word `spread`
-    that add_cols and eval_col sum in.  In characteristic 2 addition is XOR
-    and needs no table.  The arrays total at most 6q + n int64 words beside
-    the add table.  All arrays are exact integer data; callers must not
-    mutate them.
+    that add_cols and eval_col sum in; eval_col sums on the subgroup the
+    exponents generate, not on all q elements.  In characteristic 2
+    addition is XOR and needs no table.  The arrays total at most 6q + n
+    int64 words beside the add table.  All arrays are exact integer data;
+    callers must not mutate them.
     """
 
     __slots__ = ("field", "q", "pvec", "exp", "exp_ext", "log",
@@ -587,19 +588,36 @@ class FieldTables:
 
     def eval_col(self, terms) -> np.ndarray:
         """Value table of the polynomial with the given (exponent, coefficient)
-        terms, coefficients being element indices.
+        terms, a sequence whose coefficients are element indices.
 
-        Exact.  Each term is c times an exp/log power column, so exponents
-        need no reduction.  The terms are summed by XOR of indices
-        in characteristic 2, through the add table where there is one, and
-        otherwise in the packed `spread` encoding, reduced mod p digit-wise
-        once at the end (and whenever another term could overflow a slot).
+        Exact, folded onto the subgroup the exponents generate.  F_q^* is
+        cyclic, so with a = w^l and e0 the first term's exponent,
+        f(a) = a^e0 * P(l) where P(l) = sum c * w^(l (e - e0)).  Every e - e0
+        is a multiple of g = gcd(q-1, e - e0 over the terms), so P has period
+        r = (q-1)/g: one scalar_mul per term on an r-length column, then one
+        lift to every a, P[log a mod r] times the power column a^e0.  f(0) is
+        the sum of the coefficients at e = 0 exactly (0^0 = 1, 0^e = 0 for
+        e >= 1), so x^0 and x^(q-1) differ there.  Exponents need no
+        reduction.  The cost is O(terms * r + q).
         """
         q = self.q
-        cols = (self.scalar_mul(c, self.pow_col(e)) for e, c in terms)
+        e0 = terms[0][0] if terms else 0
+        r = (q - 1) // math.gcd(q - 1, *(e - e0 for e, _ in terms))
+        ramp = np.arange(r, dtype=np.int64)
+        P = self._sum_cols((self.scalar_mul(c, self.exp[ramp * ((e - e0) % (q - 1)) % (q - 1)])
+                            for e, c in terms), r)
+        col = self.mul_cols(P[self.log % r], self.pow_col(e0))
+        col[0] = functools.reduce(self.field.add, (c for e, c in terms if e == 0), 0)
+        return col
+
+    def _sum_cols(self, cols, r: int) -> np.ndarray:
+        """Field sum of index columns of length r (zeros when there are none):
+        XOR of indices in characteristic 2, the add table where there is one,
+        and otherwise the packed `spread` encoding, reduced mod p digit-wise
+        once at the end (and whenever another term could overflow a slot)."""
         first = next(cols, None)
         if first is None:
-            return np.zeros(q, dtype=np.int64)
+            return np.zeros(r, dtype=np.int64)
         if self.field.p == 2:
             for col in cols:
                 first ^= col  # in place: scalar_mul returned a new array
@@ -607,8 +625,8 @@ class FieldTables:
         if self.addf is not None:
             acc = first
             for col in cols:
-                acc = self.addf[acc * q + col]
-            return acc.astype(np.int64, copy=False)
+                acc = self.addf[acc * self.q + col]
+            return acc
         spread = self.spread
         # terms a slot can hold: each adds a digit of at most p-1
         room = ((1 << _spread_bits(self.field.n)) - 1) // (self.field.p - 1)

@@ -1,5 +1,7 @@
 """Field construction, encoding, arithmetic, and multiplicative structure."""
 
+import functools
+import math
 import random
 
 import numpy as np
@@ -374,6 +376,83 @@ def test_eval_col_matches_scalar_sum(p, n):
         assert [int(col[a]) for a in points] == [_eval_ref(fld, terms, a) for a in points]
     if q > ADD_TABLE_MAX_Q:
         assert not T._pow_cache
+
+
+def _unfolded(T, terms):
+    """sum c * a^e over all q elements, one full power column per term
+    (column ops pinned below per tier)."""
+    acc = np.zeros(T.q, dtype=np.int64)
+    for e, c in terms:
+        acc = T.add_cols(acc, T.scalar_mul(c, T.pow_col(e)))
+    return acc
+
+
+def _spy(monkeypatch, name) -> list:
+    """The last arguments of the FieldTables.<name> calls made from now on."""
+    method = getattr(FieldTables, name)
+    seen = []
+
+    def spy(self, *args):
+        seen.append(args[-1])
+        return method(self, *args)
+    monkeypatch.setattr(FieldTables, name, spy)
+    return seen
+
+
+def _fold_shapes(fld, rng):
+    """(terms, period r of the folded sum) per shape; r None: not pinned."""
+    p, q = fld.p, fld.q
+    c = functools.partial(rng.randrange, 1, q)
+    shapes = []
+    proper = [d for d in divisors(q - 1) if 1 < d < q - 1]
+    for d in (proper[0], proper[-1]):  # x^u H(x^m), H holding x^0 and x^1: r = d
+        m, u = (q - 1) // d, rng.randrange(q)
+        js = {0, 1} | {rng.randrange(d) for _ in range(4)}
+        shapes.append(([(u + m * j, c()) for j in sorted(js)], d))
+    shapes += [
+        ([(1, c()), (p, c()), (p * p, c())], (q - 1) // math.gcd(q - 1, p - 1, p * p - 1)),
+        ([(0, c()), (q - 1, c())], 1),
+        ([(0, c())], 1), ([(q - 1, c())], 1), ([(q, c())], 1), ([(2 * q + 3, c())], 1),
+        ([(0, c()), (1, c()), (2, c())] + [(e, c()) for e in rng.sample(range(3, q), 5)], q - 1),
+        (sorted({rng.randrange(3 * q): c() for _ in range(8)}.items()), None),
+    ]
+    return shapes
+
+
+@pytest.mark.parametrize("p,n", EVAL_FIELDS)
+def test_eval_col_fold_matches_the_unfolded_sum(p, n, monkeypatch):
+    # every a != 0 is w^l: the terms are summed on the r logs of the subgroup
+    # their exponents generate, and f(0) keeps 0^0 = 1, 0^e = 0 for e >= 1
+    fld = make_field(p, n)
+    T = fld.tables()
+    for terms, r in _fold_shapes(fld, random.Random(f"fold/{fld.q}")):
+        expect = _unfolded(T, terms)
+        with monkeypatch.context() as mp:
+            columns = _spy(mp, "scalar_mul")
+            col = T.eval_col(terms)
+        assert col.dtype == np.int64
+        assert col.tolist() == expect.tolist(), terms
+        if r is not None:
+            assert [len(xs) for xs in columns] == [r] * len(terms), terms
+    if fld.q > ADD_TABLE_MAX_Q:
+        assert not T._pow_cache
+
+
+def test_eval_col_works_on_the_subgroup_not_on_q(monkeypatch):
+    # x^u H(x^m) on 251^2 with d = 63: every term column holds 63 values,
+    # and the lift to all q elements takes one power column
+    fld = make_field(251, 2)
+    d = 63
+    m = (fld.q - 1) // d
+    rng = random.Random("fold/work")
+    terms = [(5 + m * j, rng.randrange(1, fld.q)) for j in range(d)]
+    columns = _spy(monkeypatch, "scalar_mul")
+    exponents = _spy(monkeypatch, "pow_col")
+    col = fld.tables().eval_col(terms)
+    assert [len(xs) for xs in columns] == [d] * d
+    assert exponents == [5]
+    monkeypatch.undo()
+    assert col.tolist() == _unfolded(fld.tables(), terms).tolist()
 
 
 # --- column ops: one field per multiplication and addition path -----------
