@@ -8,6 +8,7 @@ condition on u and the behaviour of an induced map on the d points of mu_d.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import FieldError, ScopeError
 from .field import Field
@@ -28,8 +29,9 @@ HERMITE_COPRIME = "gcd(i*j,q-1)=1"
 
 
 def _induced_map(cf: CyclotomicForm) -> tuple:
-    """(mu_d, images): the induced map z -> z^u * h(z)^((q-1)/d) on mu_d.
-    h is read through its kept values on mu_d, which do not depend on u."""
+    """(mu_d, images): the induced map z -> z^u * h(z)^((q-1)/d) on mu_d,
+    enumerated with two powers per root; the reference that fhat_on_mu_d
+    tabulates, against which lemma_check's index form is tested."""
     field, d = cf.field, cf.d
     m = (field.q - 1) // d
     mu = field.mu_d(d)
@@ -42,43 +44,47 @@ def lemma_check(cf: CyclotomicForm) -> ConditionReport:
 
     Two conditions are necessary and sufficient: gcd(u, (q-1)/d) = 1, and
     the induced map z -> z^u * h(z)^((q-1)/d) being a bijection of mu_d.
-    The second is decided by direct enumeration of the d images.
+    The second is decided in index form: with mu_d ordered as z_j = zeta^j,
+    z_j^u is z_(j*u mod d) and h(z_j)^((q-1)/d) is z_(t_j), or 0, with t_j
+    kept on h (FqPoly.mu_positions), so z_j maps to z_((j*u + t_j) mod d)
+    and the map is a bijection when those d indices are distinct.
     """
-    c1 = math.gcd(cf.u, (cf.field.q - 1) // cf.d) == 1
-    mu, image = _induced_map(cf)
-    c2 = sorted(image) == sorted(mu)
-    # d images against the d distinct elements of mu_d: unless they are a
-    # permutation of mu_d, one element is missed
-    witness = None if c2 else f"mu_d element {min(set(mu) - set(image))} not attained"
+    d, u = cf.d, cf.u
+    c1 = math.gcd(u, (cf.field.q - 1) // d) == 1
+    hit = {(j * u + t) % d for j, t in enumerate(cf.h.mu_positions(d)) if t is not None}
+    c2 = len(hit) == d
+    witness = None
+    if not c2:
+        # fewer than d positions hit: the least root at a missed one is named
+        missed = min(z for j, z in enumerate(cf.field.mu_d(d)) if j not in hit)
+        witness = f"mu_d element {missed} not attained"
     return ConditionReport.build((
         Condition(LEMMA_COPRIME, c1),
         Condition(LEMMA_MU_PERM, c2, witness),
     ))
 
 
-@dataclass(frozen=True)
-class Theorem1Params:
+class Theorem1Params(NamedTuple("Theorem1Params", [("d", int), ("u", int), ("k", int),
+                                                    ("b", int), ("g0", FqPoly)])):
     """Parameters of f(x) = x^u * (b*x^(k(q-1)/d) + g(x^((q-1)/d))).
 
     f is the lemma's x^u * h(x^((q-1)/d)) with h = b*x^k + g (see form).
     g is supplied through its cofactor g0, with g = h_d * g0, which makes
     the required divisibility structural.  b is an element index.  The
     check never forms g: since h_d(1) = d, g(1) = (d mod p) * g0(1).
+    A tuple-backed record, validated when it is made.
     """
 
-    d: int
-    u: int
-    k: int
-    b: int
-    g0: FqPoly
+    __slots__ = ()
 
-    def __post_init__(self):
-        field = self.field
-        _validate_d(field, self.d)
-        if self.u < 1 or self.k < 0:
-            raise ScopeError(f"need u >= 1 and k >= 0, got u={self.u}, k={self.k}")
-        if not 0 <= self.b < field.q:
-            raise FieldError(f"b={self.b} is not an element index (q={field.q})")
+    def __new__(cls, d: int, u: int, k: int, b: int, g0: FqPoly):
+        field = g0.field
+        _validate_d(field, d)
+        if u < 1 or k < 0:
+            raise ScopeError(f"need u >= 1 and k >= 0, got u={u}, k={k}")
+        if not 0 <= b < field.q:
+            raise FieldError(f"b={b} is not an element index (q={field.q})")
+        return tuple.__new__(cls, (d, u, k, b, g0))
 
     @property
     def field(self) -> Field:

@@ -9,7 +9,8 @@ composition), long division and h_d, can grow past the expansion guard
 (field.EXPANSION_MAX_TERMS); they refuse to with ExpansionTooLargeError.
 The walk of F_q, values(), is weighed against the same guard; both classes
 make it once per object and keep it.  FqPoly keeps its values on the d-th
-roots of unity the same way, once per d (mu_values).
+roots of unity the same way, once per d (mu_values), and the position in
+mu_d of each value raised to (q-1)/d (mu_positions), which the lemma reads.
 
 AdditivePoly keeps the coefficient vector of sum_i a_i * x^(p^i).  It is
 never expanded implicitly, so the additive structure stays visible in the
@@ -22,7 +23,7 @@ integer index of a field element.  Whitespace is ignored everywhere.
 
 import heapq
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import FieldError, PolyParseError, ScopeError
 from .field import Field, check_expansion
@@ -50,7 +51,7 @@ class FqPoly(_Walked):
     first; zeros are dropped.
     """
 
-    __slots__ = ("field", "terms", "_mu")
+    __slots__ = ("field", "terms", "_mu", "_mu_pos")
 
     def __init__(self, field: Field, coeffs=()):
         q = field.q
@@ -62,6 +63,7 @@ class FqPoly(_Walked):
         self.terms = terms
         self._values = None
         self._mu = {}
+        self._mu_pos = {}
 
     # -- constructors --------------------------------------------------------
 
@@ -134,6 +136,19 @@ class FqPoly(_Walked):
         if vals is None:
             vals = self._mu[d] = tuple(self.eval(z) for z in self.field.mu_d(d))
         return vals
+
+    def mu_positions(self, d: int) -> tuple:
+        """For each root z of Field.mu_d(d), in its order, the position in
+        mu_d of h(z)^((q-1)/d), or None where h(z) = 0: one power per root,
+        made on the first call per d and kept on this object."""
+        pos = self._mu_pos.get(d)
+        if pos is None:
+            f = self.field
+            m = (f.q - 1) // d
+            index = {z: j for j, z in enumerate(f.mu_d(d))}
+            pos = self._mu_pos[d] = tuple(index[f.pow(v, m)] if v else None
+                                          for v in self.mu_values(d))
+        return pos
 
     # -- ring operations --------------------------------------------------------
 
@@ -243,6 +258,7 @@ def _poly(field: Field, terms) -> FqPoly:
     f.terms = tuple(terms)
     f._values = None
     f._mu = {}
+    f._mu_pos = {}
     return f
 
 
@@ -347,20 +363,19 @@ def trace_poly(field: Field) -> AdditivePoly:
     return AdditivePoly(field, (1,) * field.n)
 
 
-@dataclass(frozen=True)
-class CyclotomicForm:
-    """f(x) = x^u * h(x^((q-1)/d)): a map respecting cosets of d-th powers."""
+class CyclotomicForm(NamedTuple("CyclotomicForm", [("u", int), ("d", int), ("h", FqPoly)])):
+    """f(x) = x^u * h(x^((q-1)/d)): a map respecting cosets of d-th powers.
+    A tuple-backed record, validated when it is made."""
 
-    u: int
-    d: int
-    h: FqPoly
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.u < 1:
-            raise ScopeError(f"u must be >= 1, got {self.u}")
-        q = self.h.field.q
-        if self.d < 1 or (q - 1) % self.d != 0:
-            raise ScopeError(f"d={self.d} does not divide q-1={q - 1}")
+    def __new__(cls, u: int, d: int, h: FqPoly):
+        if u < 1:
+            raise ScopeError(f"u must be >= 1, got {u}")
+        q = h.field.q
+        if d < 1 or (q - 1) % d != 0:
+            raise ScopeError(f"d={d} does not divide q-1={q - 1}")
+        return tuple.__new__(cls, (u, d, h))
 
     @property
     def field(self) -> Field:

@@ -1,10 +1,14 @@
-"""Structured pass/fail reports for the permutation criteria."""
+"""Structured pass/fail reports for the permutation criteria.
 
-from dataclasses import dataclass
+Both records are tuple-backed (typing.NamedTuple): immutable, made by one
+tuple allocation and read by field name.  The suites call a criterion once
+per case, so a report costs what its tuples cost.
+"""
+
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(NamedTuple):
     """One hypothesis of a criterion: a label, its truth value, and an
     optional witness explaining a failure (e.g. the offending element)."""
 
@@ -19,11 +23,10 @@ class Condition:
         return out
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Ordered condition list plus the conjunction verdict.  `witness` is
     never set here; it stays a field so a report can be rebuilt from its
-    three parts."""
+    three parts, ConditionReport(conditions, verdict, witness)."""
 
     conditions: tuple
     verdict: bool
@@ -32,7 +35,7 @@ class ConditionReport:
     @classmethod
     def build(cls, conditions) -> "ConditionReport":
         conds = tuple(conditions)
-        return cls(conds, all(c.holds for c in conds))
+        return cls(conds, all([c.holds for c in conds]))
 
     def condition(self, label: str) -> Condition:
         for c in self.conditions:

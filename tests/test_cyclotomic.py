@@ -2,18 +2,19 @@
 four-condition family, its generator, the induced-map laws, and the
 square/non-square family."""
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ppforge.cyclotomic import (HermiteParams, Theorem1Params, cofactor_of,
+from ppforge.cyclotomic import (HermiteParams, Theorem1Params, _induced_map, cofactor_of,
                                 fhat_on_mu_d, hermite_family,
                                 hermite_sufficient, lemma_check,
                                 theorem1_check, theorem1_generate,
                                 theorem1_poly)
 from ppforge.errors import FieldError, ScopeError
-from ppforge.field import divisors, make_field
+from ppforge.field import VECTOR_MAX_Q, divisors, make_field
 from ppforge.oracle import is_permutation
 from ppforge.poly import (CyclotomicForm, FqPoly, expand_cyclotomic,
                           h_d_poly, parse_poly)
@@ -58,6 +59,44 @@ def test_lemma_witness_names_the_least_missed_mu_d_element():
 def test_lemma_rejects_non_divisor():
     with pytest.raises(ScopeError):
         lemma_check(CyclotomicForm(1, 4, FqPoly.one(F7)))
+
+
+def _lemma_by_enumeration(cf):
+    """(c1, c2, witness) of the lemma from the d images enumerated by
+    _induced_map, two powers per root."""
+    mu, image = _induced_map(cf)
+    c2 = sorted(image) == sorted(mu)
+    witness = None if c2 else f"mu_d element {min(set(mu) - set(image))} not attained"
+    return math.gcd(cf.u, (cf.field.q - 1) // cf.d) == 1, c2, witness
+
+
+def _index_form_hs(fld, d, rng):
+    """1; h_d, zero at every root but 1; x+1, zero at -1 when d is even;
+    then seeded random h."""
+    hs = [FqPoly.one(fld), h_d_poly(fld, d), parse_poly(fld, "x+1")]
+    return hs + [FqPoly(fld, [rng.randrange(fld.q) for _ in range(d + 2)]) for _ in range(6)]
+
+
+def test_lemma_index_form_matches_the_induced_map():
+    # the index form j -> (j*u + t_j) mod d against the enumerated map: every
+    # divisor d and every u on table fields, and d = 3 on a prime field past
+    # the tables, where mu_d and the powers are computed without logs
+    rng = random.Random("lemma-index-form")
+    cells = [(fld, d, range(1, fld.q))
+             for fld in (F7, F9, F13, make_field(2, 4), make_field(5, 2))
+             for d in divisors(fld.q - 1)]
+    big = make_field(65539)
+    assert big.q > VECTOR_MAX_Q
+    cells.append((big, 3, [*range(1, 10), *rng.sample(range(10, big.q), 20)]))
+    failed = 0
+    for fld, d, us in cells:
+        for h in _index_form_hs(fld, d, rng):
+            for u in us:
+                cf = CyclotomicForm(u, d, h)
+                c1, c2 = lemma_check(cf).conditions
+                assert (c1.holds, c2.holds, c2.witness) == _lemma_by_enumeration(cf), (fld, d, h, u)
+                failed += not c2.holds
+    assert failed  # the witness text is compared on failing cases too
 
 
 def test_theorem1_example_true():

@@ -378,9 +378,11 @@ def test_theorem1_b_nonzero_is_covered_by_condition_4(monkeypatch):
 
 
 def _negating(criterion):
-    """The criterion with its verdict forced false."""
+    """The criterion with its verdict forced false: the report rebuilt from
+    its three parts."""
     def mutant(*args, **kwargs):
-        return dataclasses.replace(criterion(*args, **kwargs), verdict=False)
+        report = criterion(*args, **kwargs)
+        return ConditionReport(report.conditions, False, report.witness)
     return mutant
 
 
