@@ -10,6 +10,7 @@ obtained from the trace map.
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import FieldError, ScopeError
 from .field import Field
@@ -26,17 +27,19 @@ TRACE_FP_PERM = "B(g(x))+h(x)*A(x) permutes F_p"
 TRACE_NO_ROOTS = "h has no roots in F_p"
 
 
-@dataclass(frozen=True)
-class AdditiveTriple:
-    """The data of f(x) = A(x) + g(B(x))."""
+class AdditiveTriple(NamedTuple("AdditiveTriple", [("A", AdditivePoly), ("B", AdditivePoly),
+                                                    ("g", FqPoly)])):
+    """The data of f(x) = A(x) + g(B(x)).
 
-    A: AdditivePoly
-    B: AdditivePoly
-    g: FqPoly
+    A tuple-backed record, validated when it is made.
+    """
 
-    def __post_init__(self):
-        if not (self.A.field == self.B.field == self.g.field):
+    __slots__ = ()
+
+    def __new__(cls, A: AdditivePoly, B: AdditivePoly, g: FqPoly):
+        if not (A.field == B.field == g.field):
             raise FieldError("A, B and g must live over the same field")
+        return tuple.__new__(cls, (A, B, g))
 
     @property
     def field(self) -> Field:
@@ -182,24 +185,24 @@ def _trace_map(field: Field) -> tuple:
     return tv, tuple(x for x, v in enumerate(tv) if v == 0)
 
 
-@dataclass(frozen=True)
-class TraceTheoremParams:
+class TraceTheoremParams(NamedTuple("TraceTheoremParams", [("g", FqPoly), ("A", AdditivePoly),
+                                                            ("h", FqPoly)])):
     """f(x) = g(B(x)) + h(B(x)) * A(x) with B the trace polynomial.
 
     A and h must have all coefficients in the prime subfield; g is arbitrary.
+    A tuple-backed record, validated when it is made.
     """
 
-    g: FqPoly
-    A: AdditivePoly
-    h: FqPoly
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.g.field == self.A.field == self.h.field):
+    def __new__(cls, g: FqPoly, A: AdditivePoly, h: FqPoly):
+        if not (g.field == A.field == h.field):
             raise FieldError("g, A and h must live over the same field")
-        if not self.A.coefficients_in_prime_field():
+        if not A.coefficients_in_prime_field():
             raise FieldError("A has a coefficient outside F_p")
-        if not self.h.coefficients_in_prime_field():
+        if not h.coefficients_in_prime_field():
             raise FieldError("h has a coefficient outside F_p")
+        return tuple.__new__(cls, (g, A, h))
 
     @property
     def field(self) -> Field:

@@ -235,16 +235,17 @@ def example_h_corpus(fld: Field, seed) -> list:
 # entries; past that the rows are stacked in slices (_by_slices).  What does
 # not depend on a cell's data is made once for the cells that share it:
 # theorem1's rows x^u*H(x^m) multiply u-free H(x^m) rows, and its law is
-# checked in u-free form, once per (d, g0).  verdicts is a bool sequence
-# over the rows and truths a bool sequence of the same length, or None
-# beyond the bound.  A block named after the suite holds cases, with truths
-# the oracle's verdicts; any other name is a structural invariant, whose
-# rows record (theorem_verdict, oracle_verdict) = (verdict, truth) when the
-# two differ.  params(i) builds row i's parameter dict; the driver calls it
-# only for a row it records, and before it asks for the next block, since
-# params reads the generator's loop variables.  Records therefore come out
-# grouped by construction within a cell.  Counting, comparing and recording
-# belong to the driver.
+# checked in u-free form, once per (d, g0); the additive suites decide the
+# criterion side of each distinct cell of maps once (_replayed).  verdicts
+# is a bool sequence over the rows and truths a bool sequence of the same
+# length, or None beyond the bound.  A block named after the suite holds
+# cases, with truths the oracle's verdicts; any other name is a structural
+# invariant, whose rows record (theorem_verdict, oracle_verdict) =
+# (verdict, truth) when the two differ.  params(i) builds row i's parameter
+# dict; the driver calls it only for a row it records, and before it asks
+# for the next block, since params reads the generator's loop variables.
+# Records therefore come out grouped by construction within a cell.
+# Counting, comparing and recording belong to the driver.
 
 def _lemma_cases(fld, seed, T):
     q = fld.q
@@ -346,25 +347,71 @@ def _additive_truths(T, gs):
     return lambda A, B: _perm_mask_rows(T.add_cols(col(A)[None, :], G[:, col(B)]), T.q)
 
 
+def _map_ids(maps) -> list:
+    """Each entry's map id: the position of the first entry of maps with
+    equal values()."""
+    first = {}
+    return [first.setdefault(X.values(), pos) for pos, X in enumerate(maps)]
+
+
+def _replayed(keys, decide):
+    """decide(*key) for each key of the list in turn, made once per distinct
+    key and replayed to the key's later positions.  Every position of a key
+    gets the same result object, so decide returns tuples, not lists.
+
+    The additive criteria read their maps only through values(), so cells
+    keyed on map ids (_map_ids) have the same verdicts, and a cell is
+    decided with the objects at its id positions.  Only the criterion side
+    is replayed: the oracle side stays per position.  A result is dropped
+    at its key's last position, so on a corpus with no duplicate maps one
+    cell is kept at a time.
+    """
+    last = {key: i for i, key in enumerate(keys)}
+    kept = {}
+    for i, key in enumerate(keys):
+        cell = kept.pop(key) if key in kept else decide(*key)
+        if last[key] != i:
+            kept[key] = cell
+        yield cell
+
+
 def _proposition_cases(fld, seed, T):
     q = fld.q
     As = additive_poly_corpus(fld, seed)
+    ids = _map_ids(As)
     gs = arbitrary_g_corpus(fld, seed)
     a_texts = [A.expand().text() for A in As]
     g_texts = [g.text() for g in gs]
     truths_of = _additive_truths(T, gs)
+
+    def decide(ia, ib):
+        """subgroup_data, the verdicts under the least and under the
+        greatest preimage, and necessary(rows), the corollary1 verdicts of
+        those g rows, each row decided on its first demand and kept."""
+        A, B = As[ia], As[ib]
+        data = subgroup_data(A, B)
+        data_swap = subgroup_data(A, B, preimage="greatest")
+        trs = [AdditiveTriple(A, B, g) for g in gs]
+        verdicts, swapped = (tuple([proposition_check(tr, data=dt).verdict for tr in trs])
+                             for dt in (data, data_swap))
+        decided = {}
+
+        def necessary(rows):
+            for r in rows:
+                if r not in decided:
+                    decided[r] = necessary_conditions_check(trs[r], data=data).verdict
+            return [decided[r] for r in rows]
+        return data, verdicts, swapped, necessary
+
+    # the cells in the order of the loop below: B outer, A inner
+    cells = _replayed([(ia, ib) for ib in ids for ia in ids], decide)
     for bpos, B in enumerate(As):
         for apos, A in enumerate(As):
-            data = subgroup_data(A, B)
-            data_swap = subgroup_data(A, B, preimage="greatest")
+            data, verdicts, swapped, necessary = next(cells)
             if apos == 0:
                 yield ("rank_nullity", (True,), (len(data.kernel) * len(data.image) == q,),
                        lambda _: {"B": a_texts[bpos], "kernel": len(data.kernel),
                                   "image": len(data.image)})
-            trs = [AdditiveTriple(A, B, g) for g in gs]
-            # the verdicts under the least and under the greatest preimage
-            verdicts, swapped = ([proposition_check(tr, data=dt).verdict for tr in trs]
-                                 for dt in (data, data_swap))
 
             def params(gpos):
                 return {"A_pos": apos, "B_pos": bpos, "g_pos": gpos,
@@ -373,35 +420,44 @@ def _proposition_cases(fld, seed, T):
             truths = truths_of(A, B)
             yield "proposition", verdicts, truths, params
             if truths is not None:
+                # corollary1 is asked only on the rows the oracle holds
                 held = np.flatnonzero(truths).tolist()
-                yield ("corollary1",
-                       [necessary_conditions_check(trs[r], data=data).verdict for r in held],
-                       truths[held], lambda i: params(held[i]))
+                yield "corollary1", necessary(held), truths[held], lambda i: params(held[i])
 
 
 def _corollary2_cases(fld, seed, T):
     As = additive_poly_corpus(fld, seed)
     gs = arbitrary_g_corpus(fld, seed)
     truths_of = _additive_truths(T, gs)
-    pairs = [(A, B) for A in As for B in As if additive_commutes(A, B)]
-    trace_b = trace_poly(fld)
-    seen = set(pairs)
-    pairs += [(A, trace_b) for A in prime_field_additive_corpus(fld) if (A, trace_b) not in seen]
-    texts = {X: X.expand().text() for X in set(itertools.chain.from_iterable(pairs))}
+    # a pair is two positions in maps: As, then the F_p-coefficient A that
+    # are paired with the trace map, then the trace map
+    maps = As + prime_field_additive_corpus(fld) + [trace_poly(fld)]
+    ids = _map_ids(maps)
+    trace_b = len(maps) - 1
+    pairs = [(a, b) for a in range(len(As)) for b in range(len(As))
+             if additive_commutes(As[a], As[b])]
+    seen = {(maps[a], maps[b]) for a, b in pairs}
+    pairs += [(a, trace_b) for a in range(len(As), trace_b)
+              if (maps[a], maps[trace_b]) not in seen]
     g_texts = [g.text() for g in gs]
-    for ppos, (A, B) in enumerate(pairs):
+
+    def decide(ia, ib):
+        A, B = maps[ia], maps[ib]
         data = subgroup_data(A, B)
-        yield ("corollary2",
-               [commuting_criterion_check(AdditiveTriple(A, B, g), data=data).verdict
-                for g in gs],
-               truths_of(A, B),
-               lambda gpos: {"pair_pos": ppos, "g_pos": gpos,
-                             "A": texts[A], "B": texts[B], "g": g_texts[gpos]})
+        return tuple([commuting_criterion_check(AdditiveTriple(A, B, g), data=data).verdict
+                      for g in gs])
+
+    cells = _replayed([(ids[a], ids[b]) for a, b in pairs], decide)
+    for ppos, ((a, b), verdicts) in enumerate(zip(pairs, cells)):
+        yield ("corollary2", verdicts, truths_of(maps[a], maps[b]),
+               lambda gpos: {"pair_pos": ppos, "g_pos": gpos, "A": maps[a].expand().text(),
+                             "B": maps[b].expand().text(), "g": g_texts[gpos]})
 
 
 def _trace_theorem_cases(fld, seed, T):
     q = fld.q
     As = prime_field_additive_corpus(fld)
+    ids = _map_ids(As)
     hs = prime_coeff_poly_corpus(fld)
     gs = trace_g_corpus(fld, seed)
     h_texts = [h.text() for h in hs]
@@ -410,13 +466,19 @@ def _trace_theorem_cases(fld, seed, T):
         bcol = value_table(trace_poly(fld).expand())
         gcols = np.stack([value_table(g)[bcol] for g in gs])
         hcols = [value_table(h)[bcol] for h in hs]
+
+    def decide(ia, hpos):
+        A, h = As[ia], hs[hpos]
+        return tuple([trace_theorem_check(TraceTheoremParams(g, A, h)).verdict for g in gs])
+
+    # the cells in the order of the loop below: A outer, h inner
+    cells = _replayed([(ia, hpos) for ia in ids for hpos in range(len(hs))], decide)
     for apos, A in enumerate(As):
         acol = None if T is None else value_table(A.expand())
-        for hpos, h in enumerate(hs):
+        for hpos in range(len(hs)):
             truths = None if T is None else _perm_mask_rows(
                 T.add_cols(gcols, T.mul_cols(hcols[hpos], acol)[None, :]), q)
-            yield ("trace_theorem",
-                   [trace_theorem_check(TraceTheoremParams(g, A, h)).verdict for g in gs], truths,
+            yield ("trace_theorem", next(cells), truths,
                    lambda gpos: {"A_pos": apos, "h_pos": hpos, "g_pos": gpos,
                                  "A": A.expand().text(), "h": h_texts[hpos], "g": g_texts[gpos]})
 

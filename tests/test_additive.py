@@ -378,3 +378,44 @@ def test_example_family_validations():
         example_family(F9, parse_poly(F9, "3*x"))     # coefficient outside F_p
     with pytest.raises(ScopeError):
         example_family(make_field(3, 3), FqPoly.one(make_field(3, 3)))
+
+
+# ---------------------------------------------------------------------------
+# the parameter records: tuple-backed, immutable, validated when made
+
+def test_additive_records_are_tuples_read_by_field_name():
+    g, h = parse_poly(F9, "x^2+1"), parse_poly(F9, "x+2")
+    tr = AdditiveTriple(A_ID, B_TRACE9, g)
+    assert tr == AdditiveTriple(A=A_ID, B=B_TRACE9, g=g) == (A_ID, B_TRACE9, g)
+    assert (tr.A, tr.B, tr.g) == (A_ID, B_TRACE9, g) and tr.field is F9
+    tp = TraceTheoremParams(g, A_ID, h)
+    assert tp == TraceTheoremParams(g=g, A=A_ID, h=h) == (g, A_ID, h)
+    assert (tp.g, tp.A, tp.h) == (g, A_ID, h) and tp.field is F9
+    assert hash(tr) == hash(AdditiveTriple(A_ID, B_TRACE9, g))
+    assert not hasattr(tr, "__dict__") and not hasattr(tp, "__dict__")
+
+
+def test_additive_records_are_immutable():
+    tr = AdditiveTriple(A_ID, B_TRACE9, FqPoly.zero(F9))
+    tp = TraceTheoremParams(FqPoly.zero(F9), A_ID, FqPoly.one(F9))
+    with pytest.raises(AttributeError):
+        tr.g = FqPoly.one(F9)
+    with pytest.raises(AttributeError):
+        tp.h = FqPoly.zero(F9)
+    assert tr.g == FqPoly.zero(F9) and tp.h == FqPoly.one(F9)
+
+
+def test_additive_records_validate_when_made():
+    zero9, zero25 = FqPoly.zero(F9), FqPoly.zero(F25)
+    with pytest.raises(FieldError, match=r"^A, B and g must live over the same field$"):
+        AdditiveTriple(A_ID, B_TRACE9, zero25)
+    with pytest.raises(FieldError, match=r"^A, B and g must live over the same field$"):
+        AdditiveTriple(A_ID, AdditivePoly(F25, (1,)), zero9)
+    with pytest.raises(FieldError, match=r"^g, A and h must live over the same field$"):
+        TraceTheoremParams(zero25, A_ID, FqPoly.one(F9))
+    with pytest.raises(FieldError, match=r"^A has a coefficient outside F_p$"):
+        TraceTheoremParams(zero9, AdditivePoly(F9, (3,)), FqPoly.one(F9))
+    with pytest.raises(FieldError, match=r"^h has a coefficient outside F_p$"):
+        TraceTheoremParams(zero9, A_ID, parse_poly(F9, "3*x+1"))
+    # g is arbitrary: a coefficient outside F_p is allowed there
+    assert TraceTheoremParams(parse_poly(F9, "3*x"), A_ID, FqPoly.one(F9)).field is F9

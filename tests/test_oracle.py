@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from ppforge import oracle
-from ppforge.additive import (AdditiveTriple, TraceTheoremParams, trace_theorem_poly,
-                              triple_poly)
+from ppforge.additive import (AdditiveTriple, TraceTheoremParams, commuting_criterion_check,
+                              necessary_conditions_check, proposition_check, subgroup_data,
+                              trace_theorem_check, trace_theorem_poly, triple_poly)
 from ppforge import cyclotomic
 from ppforge.cyclotomic import (HermiteParams, Theorem1Params, fhat_on_mu_d, hermite_family,
                                 theorem1_poly)
@@ -178,6 +179,122 @@ def test_each_additive_map_is_walked_once(monkeypatch, suite, spec):
     assert sum(calls.values()) <= maps * fld.q
     assert max(g_calls.values()) == fld.q
     assert sum(g_calls.values()) <= polys * fld.q
+
+
+def _fresh_verdicts(suite, fld):
+    """fresh(construction, at, g_rows): the scalar verdicts of the rows of
+    one additive-suite block at the g positions g_rows, asked anew with the
+    objects at its corpus position (the params at) as pairs (verdict,
+    verdict under the greatest preimage).  Nothing is kept per map."""
+    seed = oracle.SAMPLE_SEED
+    if suite == "trace_theorem":
+        As, hs = oracle.prime_field_additive_corpus(fld), oracle.prime_coeff_poly_corpus(fld)
+        gs = oracle.trace_g_corpus(fld, seed)
+    else:
+        As, gs = additive_poly_corpus(fld, seed), oracle.arbitrary_g_corpus(fld, seed)
+
+    def fresh(construction, at, g_rows):
+        if construction == "trace_theorem":
+            A, h = As[at["A_pos"]], hs[at["h_pos"]]
+            return [(trace_theorem_check(TraceTheoremParams(gs[r], A, h)).verdict, None)
+                    for r in g_rows]
+        if construction == "corollary2":
+            A, B = parse_additive(fld, at["A"]), parse_additive(fld, at["B"])
+            data = subgroup_data(A, B)
+            return [(commuting_criterion_check(AdditiveTriple(A, B, gs[r]), data=data).verdict,
+                     None) for r in g_rows]
+        A, B = As[at["A_pos"]], As[at["B_pos"]]
+        data, swap = position_data(at["A_pos"], at["B_pos"])
+        trs = [AdditiveTriple(A, B, gs[r]) for r in g_rows]
+        if construction == "corollary1":
+            return [(necessary_conditions_check(tr, data=data).verdict, None) for tr in trs]
+        return [(proposition_check(tr, data=data).verdict,
+                 construction == "right_inverse_swap" and proposition_check(tr, data=swap).verdict)
+                for tr in trs]
+
+    # a position's blocks come one after another: its subgroup data is kept
+    # for them, and for no other position
+    @functools.lru_cache(maxsize=1)
+    def position_data(apos, bpos):
+        return (subgroup_data(As[apos], As[bpos]),
+                subgroup_data(As[apos], As[bpos], preimage="greatest"))
+    return fresh
+
+
+REPLAYED = [(suite, spec) for suite in ("proposition", "corollary2", "trace_theorem")
+            for spec in ("3", "5", "2^2", "3^2") if suite != "trace_theorem" or "^" in spec]
+
+
+@pytest.mark.parametrize("suite,spec", REPLAYED)
+def test_replayed_verdicts_equal_fresh_scalar_calls(suite, spec):
+    # each distinct additive cell is decided once and its verdicts replayed
+    # to every position with the same maps: every block's verdicts, the
+    # invariants' included, must be what the scalar criteria say when asked
+    # anew with the objects at that position
+    fld = parse_field(spec)
+    fresh_verdicts = _fresh_verdicts(suite, fld)
+    blocks = collections.Counter()
+    for construction, verdicts, truths, params in oracle.SUITES[suite][1](
+            fld, oracle.SAMPLE_SEED, fld.tables()):
+        blocks[construction] += 1
+        if not verdicts:
+            continue
+        at = params(0)
+        if construction == "rank_nullity":
+            data = subgroup_data(AdditivePoly(fld), parse_additive(fld, at["B"]))
+            assert tuple(truths) == (len(data.kernel) * len(data.image) == fld.q,)
+            continue
+        # a cell's rows run over the g corpus; corollary1 keeps the held ones
+        rows = range(len(verdicts))
+        g_rows = [params(i)["g_pos"] for i in rows] if construction == "corollary1" else rows
+        fresh = fresh_verdicts(construction, at, g_rows)
+        assert list(verdicts) == [v for v, _ in fresh], (construction, at)
+        if construction == "right_inverse_swap":
+            assert list(truths) == [s for _, s in fresh], at
+    assert set(blocks) == ({"rank_nullity", "right_inverse_swap", "proposition", "corollary1"}
+                           if suite == "proposition" else {suite})
+
+
+def _counting(monkeypatch, names):
+    """Patch each name in oracle to count its calls."""
+    calls = collections.Counter()
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+    for name in names:
+        monkeypatch.setattr(oracle, name, counted(name, getattr(oracle, name)))
+    return calls
+
+
+def test_each_distinct_proposition_cell_is_decided_once(monkeypatch):
+    # on F_5, x^5 = x: the 38 corpus entries are the 5 maps c*x, so the 38^2
+    # cells hold 25 distinct (A, B) map pairs, each decided once under both
+    # preimage rules over the 28 g
+    calls = _counting(monkeypatch, ("proposition_check", "subgroup_data",
+                                    "necessary_conditions_check"))
+    fld = parse_field("5")
+    gs = len(oracle.arbitrary_g_corpus(fld, oracle.SAMPLE_SEED))
+    rep = run_equivalence_suite("proposition", fields=[fld])
+    assert rep.passed() and rep.cases_run == 38 * 38 * gs
+    assert gs == 28 and calls["proposition_check"] == 2 * 5 * 5 * gs
+    assert calls["subgroup_data"] == 2 * 5 * 5
+    assert 0 < calls["necessary_conditions_check"] <= 5 * 5 * gs
+
+
+@pytest.mark.parametrize("suite,spec,criterion,cells", [
+    ("trace_theorem", "3^2", "trace_theorem_check", 9 * 27),   # a2*x^9 = a2*x: 9 maps
+    ("trace_theorem", "3^3", "trace_theorem_check", 27 * 27),  # no two A the same map
+    ("corollary2", "2^4", "commuting_criterion_check", None)])   # 57 maps: one per case
+def test_each_distinct_cell_is_decided_once(monkeypatch, suite, spec, criterion, cells):
+    # one criterion call per g row of each distinct cell; on a corpus with
+    # no duplicate maps that is one call per case, as without the replay
+    calls = _counting(monkeypatch, (criterion,))
+    rep = run_equivalence_suite(suite, fields=[spec])
+    rows = rep.cases_run if cells is None else cells * oracle.TRACE_G_COUNT
+    assert rep.passed() and calls[criterion] == rows
 
 
 def test_lemma_reads_h_once_per_root(monkeypatch):
