@@ -15,7 +15,7 @@ from typing import NamedTuple
 from .errors import FieldError, ScopeError
 from .field import Field
 from .poly import AdditivePoly, FqPoly, additive_commutes, trace_poly
-from .report import Condition, ConditionReport
+from .report import Condition, ConditionReport, shared_conditions
 
 PROP_COVER = "A(ker B) + fhat(im B) = F_q"
 NEC_A_INJ = "A is injective on ker B"
@@ -25,6 +25,16 @@ COR2_IM_PERM = "A(x)+B(g(x)) permutes im B"
 TRACE_A_PERM = "A permutes ker B"
 TRACE_FP_PERM = "B(g(x))+h(x)*A(x) permutes F_p"
 TRACE_NO_ROOTS = "h has no roots in F_p"
+
+# the witness-free conditions, indexed by truth value
+_PROP_COVER = shared_conditions(PROP_COVER)
+_NEC_A_INJ = shared_conditions(NEC_A_INJ)
+_NEC_FHAT_INJ = shared_conditions(NEC_FHAT_INJ)
+_COR2_A_PERM = shared_conditions(COR2_A_PERM)
+_COR2_IM_PERM = shared_conditions(COR2_IM_PERM)
+_TRACE_A_PERM = shared_conditions(TRACE_A_PERM)
+_TRACE_FP_PERM = shared_conditions(TRACE_FP_PERM)
+_TRACE_NO_ROOTS = shared_conditions(TRACE_NO_ROOTS)
 
 
 class AdditiveTriple(NamedTuple("AdditiveTriple", [("A", AdditivePoly), ("B", AdditivePoly),
@@ -126,9 +136,10 @@ def proposition_check(tr: AdditiveTriple, *, data: SubgroupData = None) -> Condi
         data = subgroup_data(tr.A, tr.B)
     coset = data.coset
     hit = {coset[v] for v in _fhat_values(tr, data)}
-    ok = len(data.a_kernel_image) == len(data.kernel) and len(hit) == len(data.image)
-    witness = None if ok else next(x for x, c in enumerate(coset) if c == x and x not in hit)
-    return ConditionReport.build((Condition(PROP_COVER, ok, witness),))
+    if len(data.a_kernel_image) == len(data.kernel) and len(hit) == len(data.image):
+        return ConditionReport.build((_PROP_COVER[True],))
+    witness = next(x for x, c in enumerate(coset) if c == x and x not in hit)
+    return ConditionReport.build((Condition(PROP_COVER, False, witness),))
 
 
 def necessary_conditions_check(tr: AdditiveTriple, *,
@@ -139,10 +150,7 @@ def necessary_conditions_check(tr: AdditiveTriple, *,
         data = subgroup_data(tr.A, tr.B)
     c1 = len(data.a_kernel_image) == len(data.kernel)
     c2 = len(set(_fhat_values(tr, data))) == len(data.image)
-    return ConditionReport.build((
-        Condition(NEC_A_INJ, c1),
-        Condition(NEC_FHAT_INJ, c2),
-    ))
+    return ConditionReport.build((_NEC_A_INJ[c1], _NEC_FHAT_INJ[c2]))
 
 
 def commuting_criterion_check(tr: AdditiveTriple, *,
@@ -162,10 +170,7 @@ def commuting_criterion_check(tr: AdditiveTriple, *,
     c1 = data.a_kernel_image == data.kernel
     av, bv, gv = tr.A.values(), tr.B.values(), tr.g.values()
     c2 = sorted(add(av[gamma], bv[gv[gamma]]) for gamma in data.image) == list(data.image)
-    return ConditionReport.build((
-        Condition(COR2_A_PERM, c1),
-        Condition(COR2_IM_PERM, c2),
-    ))
+    return ConditionReport.build((_COR2_A_PERM[c1], _COR2_IM_PERM[c2]))
 
 
 def triple_poly(tr: AdditiveTriple) -> FqPoly:
@@ -228,11 +233,11 @@ def trace_theorem_check(tp: TraceTheoremParams) -> ConditionReport:
     add, mul, fp = field.add, field.mul, range(field.p)
     c2 = sorted(add(tv[gv[c]], mul(hv[c], av[c])) for c in fp) == list(fp)
     root = next((c for c in fp if hv[c] == 0), None)
-    c3 = root is None
     return ConditionReport.build((
-        Condition(TRACE_A_PERM, c1),
-        Condition(TRACE_FP_PERM, c2),
-        Condition(TRACE_NO_ROOTS, c3, None if c3 else f"h({root}) = 0"),
+        _TRACE_A_PERM[c1],
+        _TRACE_FP_PERM[c2],
+        _TRACE_NO_ROOTS[True] if root is None
+        else Condition(TRACE_NO_ROOTS, False, f"h({root}) = 0"),
     ))
 
 

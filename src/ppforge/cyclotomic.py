@@ -13,7 +13,7 @@ from typing import NamedTuple
 from .errors import FieldError, ScopeError
 from .field import Field
 from .poly import CyclotomicForm, FqPoly, _collect, expand_cyclotomic, h_d_poly
-from .report import Condition, ConditionReport
+from .report import Condition, ConditionReport, shared_conditions
 
 LEMMA_COPRIME = "gcd(u,(q-1)/d)=1"
 LEMMA_MU_PERM = "x^u*h(x)^((q-1)/d) permutes mu_d"
@@ -26,6 +26,17 @@ T1_DTH_POWER = "1+g(1)/b is a d-th power in F_q*"
 HERMITE_2A_SQUARE = "2a is a square"
 HERMITE_2B_SQUARE = "2b is a square"
 HERMITE_COPRIME = "gcd(i*j,q-1)=1"
+
+# the witness-free conditions, indexed by truth value
+_LEMMA_COPRIME = shared_conditions(LEMMA_COPRIME)
+_LEMMA_MU_PERM = shared_conditions(LEMMA_MU_PERM)
+_T1_COPRIME = shared_conditions(T1_COPRIME)
+_T1_EXP_UNIT = shared_conditions(T1_EXP_UNIT)
+_T1_B_NONZERO = shared_conditions(T1_B_NONZERO)
+_T1_DTH_POWER = shared_conditions(T1_DTH_POWER)
+_HERMITE_2A_SQUARE = shared_conditions(HERMITE_2A_SQUARE)
+_HERMITE_2B_SQUARE = shared_conditions(HERMITE_2B_SQUARE)
+_HERMITE_COPRIME = shared_conditions(HERMITE_COPRIME)
 
 
 def _induced_map(cf: CyclotomicForm) -> tuple:
@@ -52,16 +63,13 @@ def lemma_check(cf: CyclotomicForm) -> ConditionReport:
     d, u = cf.d, cf.u
     c1 = math.gcd(u, (cf.field.q - 1) // d) == 1
     hit = {(j * u + t) % d for j, t in enumerate(cf.h.mu_positions(d)) if t is not None}
-    c2 = len(hit) == d
-    witness = None
-    if not c2:
+    if len(hit) == d:
+        cond2 = _LEMMA_MU_PERM[True]
+    else:
         # fewer than d positions hit: the least root at a missed one is named
         missed = min(z for j, z in enumerate(cf.field.mu_d(d)) if j not in hit)
-        witness = f"mu_d element {missed} not attained"
-    return ConditionReport.build((
-        Condition(LEMMA_COPRIME, c1),
-        Condition(LEMMA_MU_PERM, c2, witness),
-    ))
+        cond2 = Condition(LEMMA_MU_PERM, False, f"mu_d element {missed} not attained")
+    return ConditionReport.build((_LEMMA_COPRIME[c1], cond2))
 
 
 class Theorem1Params(NamedTuple("Theorem1Params", [("d", int), ("u", int), ("k", int),
@@ -126,18 +134,15 @@ def theorem1_check(params: Theorem1Params) -> ConditionReport:
         # kept value on mu_1 = {1}
         g1 = field.mul(d % field.p, params.g0.mu_values(1)[0])
         val = field.add(1, field.div(g1, b))
-        c4 = val != 0 and field.is_dth_power(val, d)
-        witness4 = None if c4 else (f"1+g(1)/b = {val} is zero" if val == 0
-                                    else f"1+g(1)/b = {val} is not a d-th power")
+        if val == 0:
+            cond4 = Condition(T1_DTH_POWER, False, "1+g(1)/b = 0 is zero")
+        elif field.is_dth_power(val, d):
+            cond4 = _T1_DTH_POWER[True]
+        else:
+            cond4 = Condition(T1_DTH_POWER, False, f"1+g(1)/b = {val} is not a d-th power")
     else:
-        c4 = False
-        witness4 = "b=0: 1+g(1)/b is undefined"
-    return ConditionReport.build((
-        Condition(T1_COPRIME, c1),
-        Condition(T1_EXP_UNIT, c2),
-        Condition(T1_B_NONZERO, c3),
-        Condition(T1_DTH_POWER, c4, witness4),
-    ))
+        cond4 = Condition(T1_DTH_POWER, False, "b=0: 1+g(1)/b is undefined")
+    return ConditionReport.build((_T1_COPRIME[c1], _T1_EXP_UNIT[c2], _T1_B_NONZERO[c3], cond4))
 
 
 def theorem1_poly(params: Theorem1Params) -> FqPoly:
@@ -272,9 +277,9 @@ def hermite_sufficient(hp: HermiteParams) -> ConditionReport:
     gcd(ij, q-1) = 1.  Needs no expansion, so it answers at any q."""
     field = hp.field
     return ConditionReport.build((
-        Condition(HERMITE_2A_SQUARE, hermite_coeff_ok(field, hp.a)),
-        Condition(HERMITE_2B_SQUARE, hermite_coeff_ok(field, hp.b)),
-        Condition(HERMITE_COPRIME, hermite_exp_ok(field, hp.i) and hermite_exp_ok(field, hp.j)),
+        _HERMITE_2A_SQUARE[hermite_coeff_ok(field, hp.a)],
+        _HERMITE_2B_SQUARE[hermite_coeff_ok(field, hp.b)],
+        _HERMITE_COPRIME[hermite_exp_ok(field, hp.i) and hermite_exp_ok(field, hp.j)],
     ))
 
 

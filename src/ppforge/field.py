@@ -274,7 +274,10 @@ class Field:
         return f"Field({self.designation()})"
 
     def __eq__(self, other):
-        return isinstance(other, Field) and (self.p, self.n) == (other.p, other.n)
+        # make_field and parse_field return one object per field: identity
+        # decides the common case without building a tuple
+        return self is other or (isinstance(other, Field)
+                                 and (self.p, self.n) == (other.p, other.n))
 
     def __hash__(self):
         return hash((Field, self.p, self.n))

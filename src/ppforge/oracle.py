@@ -4,7 +4,7 @@ is_permutation evaluates a polynomial at every field element and checks that
 the image has q distinct values; no probabilistic shortcut is taken.  The
 equivalence suites sweep parameter grids for each construction one cell at a
 time, compare the criterion verdicts of a cell's rows against the brute-force
-verdicts as two arrays, and report every disagreement (there must be none).
+verdicts as two lists, and report every disagreement (there must be none).
 
 The suites batch the brute-force side with integer table lookups.  Where a
 whole coefficient axis is swept (the b axis of the four-condition family),
@@ -16,6 +16,7 @@ polynomial on sampled parameters.
 
 import functools
 import itertools
+import math
 import random
 import time
 from dataclasses import dataclass, field as _dc_field
@@ -231,12 +232,14 @@ def example_h_corpus(fld: Field, seed) -> list:
 # its rows run along the free axes ((k, b) for theorem1 at fixed (d, g0, u),
 # u for the lemma, (i, j) for hermite, g for the additive suites, h for the
 # example family).  Each cell's truths come from one stacked oracle table,
-# its rows' value columns side by side, of at most STACK_MAX_ENTRIES
-# entries; past that the rows are stacked in slices (_by_slices).  What does
-# not depend on a cell's data is made once for the cells that share it:
-# theorem1's rows x^u*H(x^m) multiply u-free H(x^m) rows, and its law is
-# checked in u-free form, once per (d, g0); the additive suites decide the
-# criterion side of each distinct cell of maps once (_replayed).  verdicts
+# its rows' value columns side by side (the lemma stacks the cells of one
+# d together), of at most STACK_MAX_ENTRIES entries; past that the rows are
+# stacked in slices (_by_slices).  What does not depend on a cell's data is
+# made once for the cells that share it: theorem1's rows x^u*H(x^m)
+# multiply u-free H(x^m) rows, and its law is checked in u-free form, once
+# per (d, g0); the lemma is asked once per distinct key of what its verdict
+# reads; the additive suites decide the criterion side of each distinct
+# cell of maps once (_replayed).  verdicts
 # is a bool sequence over the rows and truths a bool sequence of the same
 # length, or None beyond the bound.  A block named after the suite holds
 # cases, with truths the oracle's verdicts; any other name is a structural
@@ -248,21 +251,42 @@ def example_h_corpus(fld: Field, seed) -> list:
 # Counting, comparing and recording belong to the driver.
 
 def _lemma_cases(fld, seed, T):
+    # a cell fixes (d, h), and its rows run over u.  A lemma verdict reads u
+    # only through u mod d and gcd(u, m) = 1, and h only through
+    # h.mu_positions(d): lemma_check is asked once per distinct (positions,
+    # u mod d, coprime) and its verdict replayed.  The oracle side stacks
+    # the rows of every h of d, (hpos, u) at row hpos*(q-1) + u-1
     q = fld.q
     us = range(1, q)
-    # the columns x^u of one row slice, stacked by u; the slice is the whole
-    # u axis on every default grid, and then it is built once per field
-    u_pows = functools.lru_cache(maxsize=1)(
-        lambda lo, hi: np.stack([T.pow_col(u) for u in us[lo:hi]]))
     for d in divisors(q - 1):
         m = (q - 1) // d
-        for hpos, h in enumerate(lemma_h_corpus(fld, d, seed)):
-            truths = None
-            if T is not None:
-                w = value_table(h.substituted_power(m))
-                truths = _by_slices(q - 1, q, lambda lo, hi: _perm_mask_rows(
-                    T.mul_cols(u_pows(lo, hi), w[None, :]), q))
-            yield ("lemma", [lemma_check(CyclotomicForm(u, d, h)).verdict for u in us], truths,
+        hs = lemma_h_corpus(fld, d, seed)
+        ukeys = [(u % d, math.gcd(u, m) == 1) for u in us]
+        first_u = {}   # each key of ukeys -> the least u with it
+        for u, key in zip(us, ukeys):
+            first_u.setdefault(key, u)
+        decided = {}   # h.mu_positions(d) -> the verdicts over us
+        truths = None
+        if T is not None:
+            w = np.stack([value_table(h.substituted_power(m)) for h in hs])
+
+            def block(lo, hi):
+                """Oracle verdicts of rows lo..hi-1, with one x^u column
+                per u of the slice."""
+                rows = np.arange(lo, hi)
+                u0s, at = np.unique(rows % (q - 1), return_inverse=True)
+                u_pows = np.stack([T.pow_col(u0 + 1) for u0 in u0s.tolist()])
+                return _perm_mask_rows(T.mul_cols(u_pows[at], w[rows // (q - 1)]), q)
+            truths = _by_slices(len(hs) * (q - 1), q, block)
+        for hpos, h in enumerate(hs):
+            pos = h.mu_positions(d)
+            verdicts = decided.get(pos)
+            if verdicts is None:
+                by_key = {key: lemma_check(CyclotomicForm(u, d, h)).verdict
+                          for key, u in first_u.items()}
+                verdicts = decided[pos] = tuple([by_key[key] for key in ukeys])
+            yield ("lemma", verdicts,
+                   None if truths is None else truths[hpos * (q - 1):(hpos + 1) * (q - 1)],
                    lambda i: {"d": d, "u": us[i], "h": h.text(), "h_pos": hpos})
 
 
@@ -576,6 +600,13 @@ DEFAULT_SUITE_FIELDS = {
 }
 
 
+def _as_list(rows) -> list:
+    """A block's verdicts or truths as a list of Python values."""
+    if type(rows) is list:
+        return rows
+    return rows.tolist() if isinstance(rows, np.ndarray) else list(rows)
+
+
 def run_equivalence_suite(suite: str, fields=None, seed=SAMPLE_SEED,
                           max_q: int = None, **options) -> EquivalenceReport:
     """Run one named suite over a field list and report all disagreements.
@@ -616,7 +647,12 @@ def run_equivalence_suite(suite: str, fields=None, seed=SAMPLE_SEED,
                 continue
             if len(truths) != len(verdicts):
                 raise ValueError(f"{construction}: {len(verdicts)} verdicts, {len(truths)} truths")
-            for i in np.flatnonzero(np.not_equal(verdicts, truths)).tolist():
-                rep.record(fld, construction, params(i), verdicts[i], truths[i])
+            # two lists compare in C; row indices are looked up only in a
+            # block that differs
+            verdicts, truths = _as_list(verdicts), _as_list(truths)
+            if verdicts != truths:
+                for i, (verdict, truth) in enumerate(zip(verdicts, truths)):
+                    if verdict != truth:
+                        rep.record(fld, construction, params(i), verdict, truth)
     rep.elapsed = time.perf_counter() - t0
     return rep

@@ -17,7 +17,7 @@ from ppforge.additive import (AdditiveTriple, TraceTheoremParams, commuting_crit
                               trace_theorem_check, trace_theorem_poly, triple_poly)
 from ppforge import cyclotomic
 from ppforge.cyclotomic import (HermiteParams, Theorem1Params, fhat_on_mu_d, hermite_family,
-                                theorem1_poly)
+                                lemma_check, theorem1_poly)
 from ppforge.errors import ExpansionTooLargeError, OracleBoundError, UnknownSuiteError
 from ppforge.field import VECTOR_MAX_Q, divisors, make_field, parse_field
 from ppforge.oracle import (SUITE_NAMES, additive_poly_corpus, is_permutation,
@@ -307,6 +307,58 @@ def test_lemma_reads_h_once_per_root(monkeypatch):
         roots += sum(oracle.LEMMA_H_COUNT * d for d in divisors(fld.q - 1))
     assert rows == oracle.LEMMA_H_COUNT * (6 * 12 + 4 * 8)
     assert sum(calls.values()) <= roots
+
+
+@pytest.mark.parametrize("spec", ["7", "13", "3^2", "2^4"])
+def test_lemma_verdicts_equal_fresh_scalar_calls(spec):
+    # the lemma suite asks lemma_check once per distinct (h.mu_positions(d),
+    # u mod d, gcd(u, m) = 1) and replays its verdict: every block must be
+    # what lemma_check says when asked anew at that (d, h, u)
+    fld = parse_field(spec)
+    hs = {d: lemma_h_corpus(fld, d, oracle.SAMPLE_SEED) for d in divisors(fld.q - 1)}
+    blocks = 0
+    for construction, verdicts, truths, params in oracle.SUITES["lemma"][1](
+            fld, oracle.SAMPLE_SEED, fld.tables()):
+        at = params(0)
+        h = hs[at["d"]][at["h_pos"]]
+        assert construction == "lemma" and len(verdicts) == len(truths) == fld.q - 1
+        assert list(verdicts) == [lemma_check(CyclotomicForm(u, at["d"], h)).verdict
+                                  for u in range(1, fld.q)], at
+        blocks += 1
+    assert blocks == oracle.LEMMA_H_COUNT * len(hs)
+
+
+def test_lemma_check_is_asked_once_per_distinct_key(monkeypatch):
+    # on F_13 the 14,400 lemma cases hold 5,275 distinct keys: per d, the
+    # distinct h.mu_positions(d) times the distinct (u mod d, gcd(u, m) = 1)
+    calls = _counting(monkeypatch, ("lemma_check",))
+    fld = parse_field("13")
+    rep = run_equivalence_suite("lemma", fields=[fld])
+    assert rep.passed() and rep.cases_run == 14400
+    keys = 0
+    for d in divisors(12):
+        m = 12 // d
+        positions = {h.mu_positions(d) for h in lemma_h_corpus(fld, d, oracle.SAMPLE_SEED)}
+        keys += len(positions) * len({(u % d, math.gcd(u, m) == 1) for u in range(1, 13)})
+    assert calls["lemma_check"] == keys == 5275
+
+
+def test_lemma_truths_do_not_depend_on_the_slice(monkeypatch):
+    # the rows of all h of a divisor are stacked in one table; slices of
+    # five rows cut it across h boundaries and across the u axis
+    fld = F7
+
+    def truths():
+        return [list(truths) for _, _, truths, _ in oracle.SUITES["lemma"][1](
+            fld, oracle.SAMPLE_SEED, fld.tables())]
+    whole = truths()
+    monkeypatch.setattr(oracle, "STACK_MAX_ENTRIES", 5 * fld.q)
+    assert truths() == whole
+    # and the stacked rows are those of the expanded polynomials
+    rows = [is_permutation(expand_cyclotomic(CyclotomicForm(u, d, h)))
+            for d in divisors(6) for h in lemma_h_corpus(fld, d, oracle.SAMPLE_SEED)
+            for u in range(1, 7)]
+    assert [t for block in whole for t in block] == rows
 
 
 def _lemma_h_one(monkeypatch):
