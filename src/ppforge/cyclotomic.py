@@ -284,9 +284,11 @@ def hermite_sufficient(hp: HermiteParams) -> ConditionReport:
 
 
 def hermite_family(hp: HermiteParams) -> HermiteFamily:
-    """f = a*x^(i+s) + a*x^i - b*x^(j+s) + b*x^j for s = (q-1)/2: its four
-    terms merged once, then exponent-reduced."""
-    field, a, b, s = hp.field, hp.a, hp.b, (hp.field.q - 1) // 2
-    f = _collect(field, ((hp.i + s, a), (hp.i, a), (hp.j + s, field.neg(b)),
-                         (hp.j, b))).reduce_exponents()
+    """f = a*x^(i+s) + a*x^i - b*x^(j+s) + b*x^j for s = (q-1)/2: each
+    exponent reduced as in FqPoly.reduce_exponents (i, j >= 1, so none is
+    0), then the four terms merged once."""
+    field, a, b, q = hp.field, hp.a, hp.b, hp.field.q
+    s = (q - 1) // 2
+    f = _collect(field, (((e - 1) % (q - 1) + 1, c) for e, c in (
+        (hp.i + s, a), (hp.i, a), (hp.j + s, field.neg(b)), (hp.j, b))))
     return HermiteFamily(f, field.add(a, a), hp.i, field.add(b, b), hp.j)

@@ -591,17 +591,20 @@ class FieldTables:
 
     def eval_col(self, terms) -> np.ndarray:
         """Value table of the polynomial with the given (exponent, coefficient)
-        terms, a sequence whose coefficients are element indices.
+        terms, a sequence whose coefficients are element indices: scalars,
+        or index columns of shape (rows, 1) for a stack of rows polynomials
+        on the same exponents, a (rows, q) table then.
 
         Exact, folded onto the subgroup the exponents generate.  F_q^* is
         cyclic, so with a = w^l and e0 the first term's exponent,
         f(a) = a^e0 * P(l) where P(l) = sum c * w^(l (e - e0)).  Every e - e0
         is a multiple of g = gcd(q-1, e - e0 over the terms), so P has period
         r = (q-1)/g: one scalar_mul per term on an r-length column, then one
-        lift to every a, P[log a mod r] times the power column a^e0.  f(0) is
-        the sum of the coefficients at e = 0 exactly (0^0 = 1, 0^e = 0 for
-        e >= 1), so x^0 and x^(q-1) differ there.  Exponents need no
-        reduction.  The cost is O(terms * r + q).
+        lift to every a, P[log a mod r] times the power column a^e0 (skipped
+        at e0 = 0, where it is all ones).  f(0) is the sum of the
+        coefficients at e = 0 exactly (0^0 = 1, 0^e = 0 for e >= 1), so x^0
+        and x^(q-1) differ there.  Exponents need no reduction.  The cost is
+        O(terms * rows * r + rows * q).
         """
         q = self.q
         e0 = terms[0][0] if terms else 0
@@ -609,12 +612,15 @@ class FieldTables:
         ramp = np.arange(r, dtype=np.int64)
         P = self._sum_cols((self.scalar_mul(c, self.exp[ramp * ((e - e0) % (q - 1)) % (q - 1)])
                             for e, c in terms), r)
-        col = self.mul_cols(P[self.log % r], self.pow_col(e0))
-        col[0] = functools.reduce(self.field.add, (c for e, c in terms if e == 0), 0)
+        # take, not P[..., idx]: numpy's Ellipsis gather is about 2x slower
+        col = P.take(self.log % r, axis=-1)
+        col = self.mul_cols(col, self.pow_col(e0)) if e0 else col.astype(np.int64, copy=False)
+        col[..., :1] = functools.reduce(self.add_cols, (c for e, c in terms if e == 0), 0)
         return col
 
     def _sum_cols(self, cols, r: int) -> np.ndarray:
-        """Field sum of index columns of length r (zeros when there are none):
+        """Field sum of index columns of length r, or of stacks of them of
+        one shape (zeros of length r when there are none):
         XOR of indices in characteristic 2, the add table where there is one,
         and otherwise the packed `spread` encoding, reduced mod p digit-wise
         once at the end (and whenever another term could overflow a slot)."""
@@ -644,11 +650,15 @@ class FieldTables:
         return self._unspread(acc)
 
     def _unspread(self, packed: np.ndarray) -> np.ndarray:
-        """Indices whose digits are the packed slot sums reduced mod p."""
-        n = self.field.n
-        b = _spread_bits(n)
-        slots = (packed[..., None] >> (b * np.arange(n, dtype=np.int64))) & ((1 << b) - 1)
-        return (slots % self.field.p) @ self.pvec
+        """Indices whose digits are the packed slot sums reduced mod p,
+        reduced one slot at a time."""
+        p, b = self.field.p, _spread_bits(self.field.n)
+        mask = (1 << b) - 1
+        out = packed & mask
+        out %= p
+        for i in range(1, self.field.n):
+            out += ((packed >> (b * i)) & mask) % p * p ** i
+        return out
 
 
 def _spread_bits(n: int) -> int:

@@ -70,14 +70,33 @@ def _perm_mask_rows(vals: np.ndarray, q: int) -> np.ndarray:
 STACK_MAX_ENTRIES = 1 << 18
 
 
+def value_rows(polys, T) -> np.ndarray:
+    """The value tables of a corpus of polynomials over the field of tables
+    T, as a (len(polys), q) index array whose row i is value_table(polys[i]).
+
+    Each exponent of the union of the corpus's reduced exponents gets a
+    coefficient column, 0 where a polynomial lacks it, and one eval_col call
+    evaluates a slice of rows of at most STACK_MAX_ENTRIES entries.
+    """
+    reduced = [f.reduce_exponents().terms for f in polys]
+    # a corpus of zero polynomials still gets rows: one zero term at e = 0
+    exps = sorted({e for terms in reduced for e, _ in terms}) or [0]
+    at = {e: j for j, e in enumerate(exps)}
+    coeffs = np.zeros((len(exps), len(polys), 1), dtype=np.int64)
+    for row, terms in enumerate(reduced):
+        for e, c in terms:
+            coeffs[at[e], row] = c
+    return _by_slices(len(polys), T.q,
+                      lambda lo, hi: T.eval_col(list(zip(exps, coeffs[:, lo:hi]))))
+
+
 def _by_slices(rows: int, width: int, block) -> np.ndarray:
     """Run block(lo, hi) over consecutive row slices of a stacked table
     whose rows hold `width` entries, each slice at most STACK_MAX_ENTRIES
-    entries (one row at least); block returns an array whose last axis runs
-    along its rows, and the slices are concatenated along it."""
+    entries (one row at least); block returns an array whose first axis
+    runs along its rows, and the slices are concatenated along it."""
     step = max(1, STACK_MAX_ENTRIES // width)
-    return np.concatenate([block(lo, min(lo + step, rows)) for lo in range(0, rows, step)],
-                          axis=-1)
+    return np.concatenate([block(lo, min(lo + step, rows)) for lo in range(0, rows, step)])
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +253,9 @@ def example_h_corpus(fld: Field, seed) -> list:
 # example family).  Each cell's truths come from one stacked oracle table,
 # its rows' value columns side by side (the lemma stacks the cells of one
 # d together), of at most STACK_MAX_ENTRIES entries; past that the rows are
-# stacked in slices (_by_slices).  What does not depend on a cell's data is
+# stacked in slices (_by_slices).  A corpus of polynomials is evaluated by
+# value_rows, one eval_col call per slice: the lemma's h(x^m) rows are one
+# call per divisor.  What does not depend on a cell's data is
 # made once for the cells that share it: theorem1's rows x^u*H(x^m)
 # multiply u-free H(x^m) rows, and its law is checked in u-free form, once
 # per (d, g0); the lemma is asked once per distinct key of what its verdict
@@ -268,7 +289,7 @@ def _lemma_cases(fld, seed, T):
         decided = {}   # h.mu_positions(d) -> the verdicts over us
         truths = None
         if T is not None:
-            w = np.stack([value_table(h.substituted_power(m)) for h in hs])
+            w = value_rows([h.substituted_power(m) for h in hs], T)
 
             def block(lo, hi):
                 """Oracle verdicts of rows lo..hi-1, with one x^u column
@@ -366,7 +387,7 @@ def _additive_truths(T, gs):
     """
     if T is None:
         return lambda A, B: None
-    G = np.stack([value_table(g) for g in gs])
+    G = value_rows(gs, T)
     col = functools.cache(lambda X: value_table(X.expand()))
     return lambda A, B: _perm_mask_rows(T.add_cols(col(A)[None, :], G[:, col(B)]), T.q)
 
@@ -488,8 +509,9 @@ def _trace_theorem_cases(fld, seed, T):
     g_texts = [g.text() for g in gs]
     if T is not None:
         bcol = value_table(trace_poly(fld).expand())
-        gcols = np.stack([value_table(g)[bcol] for g in gs])
-        hcols = [value_table(h)[bcol] for h in hs]
+        gcols = value_rows(gs, T)[:, bcol]
+        hcols = value_rows(hs, T)[:, bcol]
+        acols = value_rows([A.expand() for A in As], T)
 
     def decide(ia, hpos):
         A, h = As[ia], hs[hpos]
@@ -498,10 +520,9 @@ def _trace_theorem_cases(fld, seed, T):
     # the cells in the order of the loop below: A outer, h inner
     cells = _replayed([(ia, hpos) for ia in ids for hpos in range(len(hs))], decide)
     for apos, A in enumerate(As):
-        acol = None if T is None else value_table(A.expand())
         for hpos in range(len(hs)):
             truths = None if T is None else _perm_mask_rows(
-                T.add_cols(gcols, T.mul_cols(hcols[hpos], acol)[None, :]), q)
+                T.add_cols(gcols, T.mul_cols(hcols[hpos], acols[apos])[None, :]), q)
             yield ("trace_theorem", next(cells), truths,
                    lambda gpos: {"A_pos": apos, "h_pos": hpos, "g_pos": gpos,
                                  "A": A.expand().text(), "h": h_texts[hpos], "g": g_texts[gpos]})
@@ -553,8 +574,8 @@ def _hermite_cases(fld, seed, T):
             pieces = np.where(sq_mask, T.mul_cols(c[:, width], cols[pos[:, width]]),
                               T.mul_cols(c[:, width + 1], cols[pos[:, width + 1]]))
             pieces[:, 0] = 0
-            return np.stack([_perm_mask_rows(vals, q), (vals == pieces).all(axis=1)])
-        truths, piecewise = _by_slices(len(exps), (width + 2) * q, cell)
+            return np.stack([_perm_mask_rows(vals, q), (vals == pieces).all(axis=1)], axis=1)
+        truths, piecewise = _by_slices(len(exps), (width + 2) * q, cell).T
         yield "hermite", verdicts, truths, params
         yield "hermite_piecewise", verdicts, piecewise, params
 
@@ -567,7 +588,7 @@ def _example_family_cases(fld, seed, T):
         return {"h": hs[hpos].text(), "h_pos": hpos, "poly": fs[hpos].text()}
     yield "example_degree", (True,), (fs[0].degree == 2 * fld.p,), params
     yield ("example_family", [True] * len(fs),
-           None if T is None else _perm_mask_rows(np.stack([value_table(f) for f in fs]), fld.q),
+           None if T is None else _perm_mask_rows(value_rows(fs, T), fld.q),
            params)
 
 

@@ -2,6 +2,7 @@
 four-condition family, its generator, the induced-map laws, and the
 square/non-square family."""
 
+import itertools
 import math
 import random
 
@@ -9,14 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ppforge.cyclotomic import (HermiteParams, Theorem1Params, _induced_map, cofactor_of,
-                                fhat_on_mu_d, hermite_family,
+                                fhat_on_mu_d, hermite_coeff_ok, hermite_exp_ok, hermite_family,
                                 hermite_sufficient, lemma_check,
                                 theorem1_check, theorem1_generate,
                                 theorem1_poly)
 from ppforge.errors import FieldError, ScopeError
 from ppforge.field import VECTOR_MAX_Q, divisors, make_field
 from ppforge.oracle import is_permutation
-from ppforge.poly import (CyclotomicForm, FqPoly, expand_cyclotomic,
+from ppforge.poly import (CyclotomicForm, FqPoly, _collect, expand_cyclotomic,
                           h_d_poly, parse_poly)
 
 F7 = make_field(7)
@@ -339,6 +340,25 @@ def test_hermite_piecewise_identity(p, n):
                       if fld.pow(a, s) == 1 else
                       fld.mul(fam.nonsquare_coeff, fld.pow(a, fam.nonsquare_exp)))
             assert fam.poly.eval(a) == expect
+
+
+@pytest.mark.parametrize("p,n", [(7, 1), (3, 2), (13, 1), (5, 2)])
+def test_hermite_terms_equal_the_merge_then_reduce_form(p, n):
+    # hermite_family reduces each exponent before its one merge; merging
+    # first and reducing after, which merges again where i + s >= q, gives
+    # the same family on every (a, b, i, j) of the hermite suite's grid
+    fld = make_field(p, n)
+    q, s = fld.q, (fld.q - 1) // 2
+    coeffs = [a for a in fld.units() if hermite_coeff_ok(fld, a)]
+    exps = [i for i in range(1, q) if hermite_exp_ok(fld, i)]
+    for a, b in itertools.product(coeffs, coeffs):
+        for i, j in itertools.product(exps, exps):
+            fam = hermite_family(HermiteParams(fld, a, b, i, j))
+            two_step = _collect(fld, ((i + s, a), (i, a), (j + s, fld.neg(b)),
+                                      (j, b))).reduce_exponents()
+            assert fam.poly.terms == two_step.terms, (a, b, i, j)
+            assert (fam.square_coeff, fam.square_exp) == (fld.add(a, a), i)
+            assert (fam.nonsquare_coeff, fam.nonsquare_exp) == (fld.add(b, b), j)
 
 
 def test_hermite_rejects_even_q():

@@ -429,9 +429,12 @@ def test_eval_col_fold_matches_the_unfolded_sum(p, n, monkeypatch):
         expect = _unfolded(T, terms)
         with monkeypatch.context() as mp:
             columns = _spy(mp, "scalar_mul")
+            exponents = _spy(mp, "pow_col")
             col = T.eval_col(terms)
         assert col.dtype == np.int64
         assert col.tolist() == expect.tolist(), terms
+        # the lift multiplies by a^e0 only where e0 != 0: a^0 is all ones
+        assert exponents == [e for e, _ in terms[:1] if e], terms
         if r is not None:
             assert [len(xs) for xs in columns] == [r] * len(terms), terms
     if fld.q > ADD_TABLE_MAX_Q:

@@ -19,10 +19,10 @@ from ppforge import cyclotomic
 from ppforge.cyclotomic import (HermiteParams, Theorem1Params, fhat_on_mu_d, hermite_family,
                                 lemma_check, theorem1_poly)
 from ppforge.errors import ExpansionTooLargeError, OracleBoundError, UnknownSuiteError
-from ppforge.field import VECTOR_MAX_Q, divisors, make_field, parse_field
+from ppforge.field import VECTOR_MAX_Q, FieldTables, divisors, make_field, parse_field
 from ppforge.oracle import (SUITE_NAMES, additive_poly_corpus, is_permutation,
                             lemma_h_corpus, run_equivalence_suite,
-                            theorem1_g0_corpus, value_table)
+                            theorem1_g0_corpus, value_rows, value_table)
 from ppforge.poly import (AdditivePoly, CyclotomicForm, FqPoly, additive_commutes,
                           expand_cyclotomic, h_d_poly, parse_additive, parse_poly)
 from ppforge.report import ConditionReport
@@ -47,6 +47,55 @@ def test_value_table_matches_scalar_horner():
             deg = max(coeffs)
             f = FqPoly(fld, [coeffs.get(e, 0) for e in range(deg + 1)])
             assert list(value_table(f)) == [f.eval(a) for a in fld.elements()]
+
+
+# one field per column tier: the add table (13, 7^3), XOR (2^4, 2^10,
+# 2^16), packed digits (3^7, 251^2) and a prime above 512 (4099)
+ROW_FIELDS = [(13, 1), (7, 3), (2, 4), (2, 10), (3, 7), (251, 2), (2, 16), (4099, 1)]
+
+
+@pytest.mark.parametrize("p,n", ROW_FIELDS)
+def test_value_rows_equal_stacked_value_tables(p, n, monkeypatch):
+    fld = make_field(p, n)
+    q, T = fld.q, fld.tables()
+    rng = random.Random(f"rows/{q}")
+    zero = FqPoly(fld)
+    sparse = [FqPoly(fld, [0] * e + [rng.randrange(1, q)]) for e in rng.sample(range(1, 3 * q), 3)]
+    d = divisors(q - 1)[1]
+    lemma = [h.substituted_power((q - 1) // d) for h in lemma_h_corpus(fld, d, 5)[:12]]
+    corpora = [
+        [zero, FqPoly(fld, [0, 1, rng.randrange(1, q)]), zero, *sparse,   # no constant term
+         FqPoly(fld, [rng.randrange(q) for _ in range(6)]), FqPoly.one(fld)],
+        [zero], [zero, zero], [sparse[0]], lemma]
+    for polys in corpora:
+        rows = value_rows(polys, T)
+        assert rows.dtype == np.int64 and rows.shape == (len(polys), q)
+        assert rows.tolist() == np.stack([value_table(f) for f in polys]).tolist()
+    # the lemma's h(x^m) rows fold onto mu_d: every term column holds d values
+    columns = []
+    real = FieldTables.scalar_mul
+    monkeypatch.setattr(FieldTables, "scalar_mul",
+                        lambda self, c, xs: columns.append(len(xs)) or real(self, c, xs))
+    value_rows(lemma, T)
+    assert columns and set(columns) == {d}
+    # slices of three rows, the last one short, stack the same rows
+    monkeypatch.setattr(oracle, "STACK_MAX_ENTRIES", 3 * q)
+    assert value_rows(lemma, T).tolist() == np.stack([value_table(f) for f in lemma]).tolist()
+
+
+def test_lemma_evaluates_each_divisor_in_one_eval_col_call(monkeypatch):
+    # the 200 h(x^m) rows of a divisor are one eval_col call: 6 on F_13
+    fld = parse_field("13")
+    real = FieldTables.eval_col
+    rows = []
+
+    def spy(self, terms):
+        rows.append(terms[0][1].shape)
+        return real(self, terms)
+    monkeypatch.setattr(FieldTables, "eval_col", spy)
+    rep = run_equivalence_suite("lemma", fields=[fld])
+    assert rep.passed() and rep.cases_run == 14400
+    assert rows == [(oracle.LEMMA_H_COUNT, 1)] * len(divisors(12)) == [(200, 1)] * 6
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2),

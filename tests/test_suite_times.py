@@ -19,6 +19,26 @@ def test_suite_times_prints_one_line_per_field():
                             r"\d+\.\d{3} s", line), line
 
 
+def test_suite_times_repeat_prints_the_median_min_and_max():
+    proc = subprocess.run([sys.executable, TOOL, "--repeat", "3", "lemma", "7", "2^2"],
+                          capture_output=True, text=True, check=True, timeout=60)
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2
+    for line, (spec, cases) in zip(lines, (("7", 4800), ("2^2", 1200))):
+        m = re.fullmatch(rf"lemma on {re.escape(spec)}: {cases} cases, 0 disagreements, "
+                         r"(\d+\.\d{3}) s \(min (\d+\.\d{3}), max (\d+\.\d{3}) over 3 runs\)",
+                         line)
+        assert m, line
+        median, low, high = map(float, m.groups())
+        assert low <= median <= high
+
+
+def test_suite_times_refuses_a_repeat_below_one():
+    proc = subprocess.run([sys.executable, TOOL, "--repeat", "0", "lemma"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and "--repeat must be at least 1" in proc.stderr
+
+
 def test_suite_times_defaults_to_the_suite_grid():
     proc = subprocess.run([sys.executable, TOOL, "example-family"],
                           capture_output=True, text=True, check=True, timeout=60)
