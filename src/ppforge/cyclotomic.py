@@ -7,11 +7,10 @@ condition on u and the behaviour of an induced map on the d points of mu_d.
 """
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import FieldError, ScopeError
-from .field import Field
+from .field import ADD_TABLE_MAX_Q, Field
 from .poly import CyclotomicForm, FqPoly, _collect, expand_cyclotomic, h_d_poly
 from .report import Condition, ConditionReport, shared_conditions
 
@@ -114,6 +113,21 @@ def _validate_d(field: Field, d: int):
         raise ScopeError(f"d={d} does not divide q-1={field.q - 1}")
 
 
+def _cond4_outcome(g0: FqPoly, d: int, b: int):
+    """Condition (4) of theorem1_check for (d, g0, b): True when it holds,
+    else the witness text.  It reads d, g(1) and b only, not u or k."""
+    if not b:
+        return "b=0: 1+g(1)/b is undefined"
+    field = g0.field
+    # h_d(1) = d, and p does not divide d since d | q-1; g0(1) is g0's kept
+    # value on mu_1 = {1}
+    g1 = field.mul(d % field.p, g0.mu_values(1)[0])
+    val = field.add(1, field.div(g1, b))
+    if val == 0:
+        return "1+g(1)/b = 0 is zero"
+    return field.is_dth_power(val, d) or f"1+g(1)/b = {val} is not a d-th power"
+
+
 def theorem1_check(params: Theorem1Params) -> ConditionReport:
     """The four-condition permutation criterion for h_d-divisible g.
 
@@ -122,27 +136,37 @@ def theorem1_check(params: Theorem1Params) -> ConditionReport:
     is evaluated only when b != 0 and recorded false otherwise, so reports
     stay total over the parameter space.  The verdict is equivalent to f
     permuting F_q.
+
+    Condition (4) does not read u or k, so its outcome is computed once per
+    (d, g0, b) and kept in a table on g0 (FqPoly._cond4), filled as calls
+    reach it and freed with g0, while q <= ADD_TABLE_MAX_Q (at most one
+    entry per divisor and element).  The theorem1 suite still calls this once
+    per case; a call for another (u, k) costs two gcds and a lookup.  The
+    table keeps the witness text, and a failing call builds its own
+    Condition from it.
     """
-    field = params.field
-    d, u, k, b = params.d, params.u, params.k, params.b
-    m = (field.q - 1) // d
+    d, u, k, b, g0 = params
+    m = (g0.field.q - 1) // d
+    table = g0._cond4.get(d)
+    if table is None:
+        table = {}
+        # kept while q <= ADD_TABLE_MAX_Q, as pow_col's cache is, so that a
+        # long walk of b on a large field keeps nothing
+        if g0.field.q <= ADD_TABLE_MAX_Q:
+            g0._cond4[d] = table
+    held = table.get(b)
+    if held is None:
+        held = table[b] = _cond4_outcome(g0, d, b)
     c1 = math.gcd(u, m) == 1
     c2 = math.gcd(d, u + k * m) == 1
-    c3 = b != 0
-    if c3:
-        # h_d(1) = d, and p does not divide d since d | q-1; g0(1) is g0's
-        # kept value on mu_1 = {1}
-        g1 = field.mul(d % field.p, params.g0.mu_values(1)[0])
-        val = field.add(1, field.div(g1, b))
-        if val == 0:
-            cond4 = Condition(T1_DTH_POWER, False, "1+g(1)/b = 0 is zero")
-        elif field.is_dth_power(val, d):
-            cond4 = _T1_DTH_POWER[True]
-        else:
-            cond4 = Condition(T1_DTH_POWER, False, f"1+g(1)/b = {val} is not a d-th power")
-    else:
-        cond4 = Condition(T1_DTH_POWER, False, "b=0: 1+g(1)/b is undefined")
-    return ConditionReport.build((_T1_COPRIME[c1], _T1_EXP_UNIT[c2], _T1_B_NONZERO[c3], cond4))
+    # the report's tuple is made directly, as ConditionReport.build makes it:
+    # where (4) holds, b != 0 and the verdict is c1 and c2
+    if held is True:
+        conds = (_T1_COPRIME[c1], _T1_EXP_UNIT[c2], _T1_B_NONZERO[True], _T1_DTH_POWER[True])
+        return tuple.__new__(ConditionReport, (conds, c1 and c2, None))
+    conds = (_T1_COPRIME[c1], _T1_EXP_UNIT[c2], _T1_B_NONZERO[b != 0],
+             tuple.__new__(Condition, (T1_DTH_POWER, False, held)))
+    return tuple.__new__(ConditionReport, (conds, False, None))
 
 
 def theorem1_poly(params: Theorem1Params) -> FqPoly:
@@ -178,7 +202,9 @@ def theorem1_generate(field: Field, d: int, u_values=(1,), k_values=(0,),
     no g.
 
     Each condition is tested in the loop over the axes it reads: (1) once
-    per u, (2) once per (u, k), and (3)-(4) by theorem1_check for each b.
+    per u, (2) once per (u, k), and (3)-(4) by theorem1_check for each b;
+    condition (4) is computed on the first (u, k) pass and looked up on g0
+    by the later ones.
     """
     gs = {}  # g0 -> h_d * g0, built when g0 first yields a polynomial
     if g is not None:
@@ -227,27 +253,25 @@ def fhat_on_mu_d(params: Theorem1Params):
     return list(zip(*_induced_map(params.form(params.g()))))
 
 
-@dataclass(frozen=True)
-class HermiteParams:
-    """f(x) = a*x^i*(x^((q-1)/2)+1) - b*x^j*(x^((q-1)/2)-1), q odd."""
+class HermiteParams(NamedTuple("HermiteParams", [("field", Field), ("a", int), ("b", int),
+                                                  ("i", int), ("j", int)])):
+    """f(x) = a*x^i*(x^((q-1)/2)+1) - b*x^j*(x^((q-1)/2)-1), q odd.
 
-    field: Field
-    a: int
-    b: int
-    i: int
-    j: int
+    A tuple-backed record, validated when it is made."""
 
-    def __post_init__(self):
-        if self.field.q % 2 == 0:
+    __slots__ = ()
+
+    def __new__(cls, field: Field, a: int, b: int, i: int, j: int):
+        if field.q % 2 == 0:
             raise ScopeError("the square/non-square split needs odd q")
-        if not (0 < self.a < self.field.q and 0 < self.b < self.field.q):
+        if not (0 < a < field.q and 0 < b < field.q):
             raise FieldError("a and b must be nonzero element indices")
-        if self.i < 1 or self.j < 1:
+        if i < 1 or j < 1:
             raise FieldError("exponents i, j must be positive")
+        return tuple.__new__(cls, (field, a, b, i, j))
 
 
-@dataclass(frozen=True)
-class HermiteFamily:
+class HermiteFamily(NamedTuple):
     """Expanded polynomial plus its piecewise description.
 
     On nonzero squares the map is square_coeff * x^square_exp; on
@@ -287,8 +311,9 @@ def hermite_family(hp: HermiteParams) -> HermiteFamily:
     """f = a*x^(i+s) + a*x^i - b*x^(j+s) + b*x^j for s = (q-1)/2: each
     exponent reduced as in FqPoly.reduce_exponents (i, j >= 1, so none is
     0), then the four terms merged once."""
-    field, a, b, q = hp.field, hp.a, hp.b, hp.field.q
+    field, a, b, i, j = hp
+    q = field.q
     s = (q - 1) // 2
     f = _collect(field, (((e - 1) % (q - 1) + 1, c) for e, c in (
-        (hp.i + s, a), (hp.i, a), (hp.j + s, field.neg(b)), (hp.j, b))))
-    return HermiteFamily(f, field.add(a, a), hp.i, field.add(b, b), hp.j)
+        (i + s, a), (i, a), (j + s, field.neg(b)), (j, b))))
+    return tuple.__new__(HermiteFamily, (f, field.add(a, a), i, field.add(b, b), j))

@@ -258,9 +258,11 @@ def example_h_corpus(fld: Field, seed) -> list:
 # call per divisor.  What does not depend on a cell's data is
 # made once for the cells that share it: theorem1's rows x^u*H(x^m)
 # multiply u-free H(x^m) rows, and its law is checked in u-free form, once
-# per (d, g0); the lemma is asked once per distinct key of what its verdict
-# reads; the additive suites decide the criterion side of each distinct
-# cell of maps once (_replayed).  verdicts
+# per (d, g0), and theorem1_check, still asked once per case, computes its
+# condition (4) once per (d, g0, b) and looks it up for every other (u, k);
+# the lemma is asked once per distinct key of what its verdict reads; the
+# additive suites decide the criterion side of each distinct cell of maps
+# once (_replayed).  verdicts
 # is a bool sequence over the rows and truths a bool sequence of the same
 # length, or None beyond the bound.  A block named after the suite holds
 # cases, with truths the oracle's verdicts; any other name is a structural
@@ -316,6 +318,7 @@ def _theorem1_cases(fld, seed, T, g0s=None):
     # d*q rows run over (k, b), row i at k = i // q and b = i % q.  Neither
     # the H(x^m) rows nor the law depend on u: both are made per (d, g0)
     q = fld.q
+    row = tuple.__new__
     if g0s is None:
         g0s = theorem1_g0_corpus(fld, seed)
     b_not0 = np.arange(1, q, dtype=np.int64)
@@ -355,7 +358,11 @@ def _theorem1_cases(fld, seed, T, g0s=None):
                 held = _by_slices(d, (q - 1) * (d - 1),
                                   lambda lo, hi: np.equal(*law(lo, hi)).all(axis=(1, 2)))
             for u in range(1, q):
-                verdicts = [theorem1_check(Theorem1Params(d, u, k, b, g0)).verdict
+                # the cell's corners validate its rows, which are then made
+                # as plain tuples; theorem1_check is still asked once per row
+                for corner in ((0, 0), (d - 1, q - 1)):
+                    Theorem1Params(d, u, *corner, g0)
+                verdicts = [theorem1_check(row(Theorem1Params, (d, u, k, b, g0))).verdict
                             for k in range(d) for b in range(q)]
 
                 def params(i):
@@ -539,8 +546,12 @@ def _hermite_cases(fld, seed, T):
     verdicts = [True] * len(exps)
     if T is not None:
         sq_mask = T.pow_col((q - 1) // 2) == 1   # the nonzero squares
+    row = tuple.__new__
     for a, b in itertools.product(good_coeffs, good_coeffs):
-        hps = [HermiteParams(fld, a, b, i, j) for i, j in exps]
+        # the cell's corners validate its rows, which are then made as tuples
+        for corner in (exps[0], exps[-1]):
+            HermiteParams(fld, a, b, *corner)
+        hps = [row(HermiteParams, (fld, a, b, i, j)) for i, j in exps]
 
         def params(r):
             return {"a": a, "b": b, "i": exps[r][0], "j": exps[r][1]}

@@ -11,6 +11,8 @@ The walk of F_q, values(), is weighed against the same guard; both classes
 make it once per object and keep it.  FqPoly keeps its values on the d-th
 roots of unity the same way, once per d (mu_values), and the position in
 mu_d of each value raised to (q-1)/d (mu_positions), which the lemma reads.
+A Theorem 1 cofactor g0 also keeps, in _cond4, the outcome of that
+theorem's condition (4) per (d, b), filled by cyclotomic.theorem1_check.
 
 AdditivePoly keeps the coefficient vector of sum_i a_i * x^(p^i).  It is
 never expanded implicitly, so the additive structure stays visible in the
@@ -51,7 +53,7 @@ class FqPoly(_Walked):
     first; zeros are dropped.
     """
 
-    __slots__ = ("field", "terms", "_mu", "_mu_pos")
+    __slots__ = ("field", "terms", "_mu", "_mu_pos", "_cond4")
 
     def __init__(self, field: Field, coeffs=()):
         q = field.q
@@ -64,6 +66,7 @@ class FqPoly(_Walked):
         self._values = None
         self._mu = {}
         self._mu_pos = {}
+        self._cond4 = {}
 
     # -- constructors --------------------------------------------------------
 
@@ -259,6 +262,7 @@ def _poly(field: Field, terms) -> FqPoly:
     f._values = None
     f._mu = {}
     f._mu_pos = {}
+    f._cond4 = {}
     return f
 
 

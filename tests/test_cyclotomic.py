@@ -2,6 +2,8 @@
 four-condition family, its generator, the induced-map laws, and the
 square/non-square family."""
 
+import gc
+import inspect
 import itertools
 import math
 import random
@@ -15,8 +17,8 @@ from ppforge.cyclotomic import (HermiteParams, Theorem1Params, _induced_map, cof
                                 theorem1_check, theorem1_generate,
                                 theorem1_poly)
 from ppforge.errors import FieldError, ScopeError
-from ppforge.field import VECTOR_MAX_Q, divisors, make_field
-from ppforge.oracle import is_permutation
+from ppforge.field import ADD_TABLE_MAX_Q, VECTOR_MAX_Q, divisors, make_field
+from ppforge.oracle import is_permutation, run_equivalence_suite
 from ppforge.poly import (CyclotomicForm, FqPoly, _collect, expand_cyclotomic,
                           h_d_poly, parse_poly)
 
@@ -137,6 +139,66 @@ def test_theorem1_scope_errors():
         theorem1_check(Theorem1Params(4, 1, 0, 1, FqPoly.one(F7)))   # 4 does not divide 6
     with pytest.raises(ScopeError):
         theorem1_check(Theorem1Params(3, 0, 0, 1, FqPoly.one(F7)))
+
+
+@pytest.mark.parametrize("p,n", [(7, 1), (13, 1), (3, 3)])
+def test_theorem1_condition4_table_matches_a_fresh_g0(p, n):
+    # one g0 object per text serves every divisor d, (u, k) and b in turn,
+    # so its condition-(4) table is filled across them; "1" and "x" are two
+    # objects with equal g(1), "0" has g(1) = 0.  Each report must equal the
+    # one made on a freshly parsed g0, whose table is empty
+    fld = make_field(p, n)
+    q = fld.q
+    ds = [d for d in divisors(q - 1) if d > 2]
+    texts = ("1", "x", "2*x^2+x+1", "0")
+    shared = {t: parse_poly(fld, t) for t in texts}
+    witnesses = set()
+    for text, g0 in shared.items():
+        for d in ds:
+            for u, k in ((1, 0), (2, 1), (5, d - 1)):
+                for b in range(q):
+                    rpt = theorem1_check(Theorem1Params(d, u, k, b, g0))
+                    fresh = parse_poly(fld, text)
+                    assert not fresh._cond4
+                    assert rpt == theorem1_check(Theorem1Params(d, u, k, b, fresh)), \
+                        (text, d, u, k, b)
+                    witnesses.add(rpt.conditions[3].witness)
+        assert set(g0._cond4) == set(ds)
+        assert all(set(table) == set(range(q)) for table in g0._cond4.values())
+    # b = 0 and a b with 1 + g(1)/b = 0 are among the keys reached
+    assert {"b=0: 1+g(1)/b is undefined", "1+g(1)/b = 0 is zero"} < witnesses
+    # equal g(1), equal tables, but each object keeps its own
+    assert shared["1"]._cond4 == shared["x"]._cond4
+    assert shared["1"]._cond4 is not shared["x"]._cond4
+    # where g(1) = 0 every b != 0 passes condition (4), under each d
+    assert all(table[b] is True for table in shared["0"]._cond4.values() for b in range(1, q))
+
+
+def test_theorem1_condition4_table_lives_and_dies_with_g0():
+    g0 = parse_poly(F7, "x+2")
+    run_equivalence_suite("theorem1", [F7], g0s=[g0])
+    assert set(g0._cond4) == {3, 6}
+    assert all(len(table) == 7 for table in g0._cond4.values())
+    # g0 alone holds its table, and the table alone holds its per-d parts,
+    # so they are freed with g0: nothing process-wide keeps them
+    assert [r for r in gc.get_referrers(g0._cond4) if not inspect.isframe(r)] == [g0]
+    for table in g0._cond4.values():
+        assert [r for r in gc.get_referrers(table) if not inspect.isframe(r)] == [g0._cond4]
+    # a second suite call on an equal, freshly parsed g0 fills a table of
+    # its own from empty
+    again = parse_poly(F7, "x+2")
+    assert again == g0 and not again._cond4
+    run_equivalence_suite("theorem1", [F7], g0s=[again])
+    assert again._cond4 == g0._cond4 and again._cond4 is not g0._cond4
+    # past ADD_TABLE_MAX_Q nothing is kept, so a long walk of b (generate
+    # theorem1 on a large field) does not grow one
+    big = make_field(1009)
+    assert big.q > ADD_TABLE_MAX_Q
+    g0 = parse_poly(big, "x+2")
+    for b in range(50):
+        rpt = theorem1_check(Theorem1Params(3, 1, 0, b, g0))
+        assert rpt == theorem1_check(Theorem1Params(3, 1, 0, b, parse_poly(big, "x+2")))
+    assert not g0._cond4
 
 
 def test_generate_f7_defaults():
@@ -364,6 +426,40 @@ def test_hermite_terms_equal_the_merge_then_reduce_form(p, n):
 def test_hermite_rejects_even_q():
     with pytest.raises(ScopeError):
         HermiteParams(make_field(2, 3), 1, 1, 1, 1)
+
+
+def test_hermite_params_rejections():
+    # even q is refused before the coefficients and exponents are read
+    with pytest.raises(ScopeError):
+        HermiteParams(make_field(2, 2), 0, 9, 0, 0)
+    for a, b in ((0, 1), (1, 0), (7, 1), (1, 7), (-1, 1), (1, -3), (0, 0)):
+        with pytest.raises(FieldError, match="nonzero element indices"):
+            HermiteParams(F7, a, b, 1, 1)
+    for i, j in ((0, 1), (1, 0), (-2, 1), (1, -1), (0, 0)):
+        with pytest.raises(FieldError, match="must be positive"):
+            HermiteParams(F7, 1, 1, i, j)
+    hp = HermiteParams(F7, 6, 1, 1, 8)
+    assert hp == (F7, 6, 1, 1, 8) and (hp.field, hp.a, hp.b, hp.i, hp.j) == (F7, 6, 1, 1, 8)
+
+
+@pytest.mark.parametrize("p,n", [(7, 1), (3, 2)])
+def test_hermite_family_on_every_parameter(p, n):
+    # the polynomial from its definition, a*x^i*(x^s+1) - b*x^j*(x^s-1) with
+    # s = (q-1)/2 and reduced exponents, on every (a, b, i, j), i and j past
+    # q-1 included; the piecewise fields are (2a, i) and (2b, j)
+    fld = make_field(p, n)
+    q, s = fld.q, (fld.q - 1) // 2
+    x_s = FqPoly.monomial(fld, 1, s)
+    one = FqPoly.one(fld)
+    for a, b in itertools.product(fld.units(), fld.units()):
+        for i, j in itertools.product(range(1, q + 2), range(1, q + 2)):
+            fam = hermite_family(HermiteParams(fld, a, b, i, j))
+            expect = (FqPoly.monomial(fld, a, i) * (x_s + one)
+                      - FqPoly.monomial(fld, b, j) * (x_s - one)).reduce_exponents()
+            assert fam.poly == expect, (a, b, i, j)
+            assert fam == (fam.poly, fld.add(a, a), i, fld.add(b, b), j)
+            assert (fam.square_coeff, fam.square_exp) == (fld.add(a, a), i)
+            assert (fam.nonsquare_coeff, fam.nonsquare_exp) == (fld.add(b, b), j)
 
 
 @pytest.mark.parametrize("q0_p,q0_n", [(3, 1), (2, 2), (5, 1), (7, 1), (3, 2)])
