@@ -221,15 +221,16 @@ def trace_theorem_check(tp: TraceTheoremParams) -> ConditionReport:
     permutes F_p; and h has no roots in F_p.  Together they are equivalent
     to f permuting F_q.  Prime fields are refused: with a trivial trace
     kernel the no-roots condition stops being necessary, so the three
-    conditions no longer characterize permutations there.  A, g, h and
-    the trace map are read from their values().
+    conditions no longer characterize permutations there.  g and h are
+    read on F_p only (prime_values), A on ker B (values_at) and F_p, and
+    the trace map from its one walk per field.
     """
     field = tp.field
     if field.n == 1:
         raise ScopeError("the trace criterion needs a proper extension (n >= 2)")
     tv, kernel = _trace_map(field)
-    av, gv, hv = tp.A.values(), tp.g.values(), tp.h.values()
-    c1 = sorted(av[beta] for beta in kernel) == list(kernel)
+    av, gv, hv = tp.A.prime_values(), tp.g.prime_values(), tp.h.prime_values()
+    c1 = sorted(tp.A.values_at(kernel)) == list(kernel)
     add, mul, fp = field.add, field.mul, range(field.p)
     c2 = sorted(add(tv[gv[c]], mul(hv[c], av[c])) for c in fp) == list(fp)
     root = next((c for c in fp if hv[c] == 0), None)

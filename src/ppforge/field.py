@@ -20,8 +20,11 @@ exp/log lookup too.  Addition works in (F_q, +) and is chosen by the
 characteristic:
   p = 2                        XOR of the indices, at every q;
   odd p, q <= ADD_TABLE_MAX_Q  a q x q add table (nested lists for scalars);
-  odd p, beyond                base-p digit arithmetic for scalars, packed
-                               digit words (FieldTables.spread) for columns.
+  odd p, beyond                scalars: a Zech-logarithm list for n >= 3 up
+                               to VECTOR_MAX_Q, a + b = w^(log a + Z(log b -
+                               log a)), and base-p digit arithmetic for
+                               n <= 2 and past VECTOR_MAX_Q; columns: packed
+                               digit words (FieldTables.spread).
 Negation is multiplication by -1, the element with index p-1.  Beyond
 VECTOR_MAX_Q, multiplication is digit-vector arithmetic (_mul_slow), the
 same product mod the modulus that the modulus search uses.
@@ -38,6 +41,14 @@ from .errors import ExpansionTooLargeError, FieldError, PolyParseError
 ADD_TABLE_MAX_Q = 512
 # exp/log and digit tables (O(q) memory) are allowed up to this size.
 VECTOR_MAX_Q = 1 << 16
+
+# eval_col builds its term columns this many entries at a time, one
+# scalar_mul per block.  is_permutation of a check theorem1 3^7 --d 1093
+# polynomial (1,095 terms on r = 1,093 logs; median of 9 runs, 2 vCPU,
+# numpy 2.4.6) took 19.0 ms at 2^12 entries, 16.1-16.3 ms at 2^13-2^14,
+# 16.1-16.6 ms at 2^15-2^16 and 27.8 ms at 2^18, against 24.3 ms with one
+# call per term; 2^14 is on that floor with 128 KB int64 temporaries.
+EVAL_BLOCK_ENTRIES = 1 << 14
 
 # expansion guard: the most terms (or roots of unity) one polynomial or
 # mu_d may hold; past it a construction is refused before it is built
@@ -242,7 +253,7 @@ class Field:
     """A concrete F_{p^n} with canonical modulus and integer element encoding."""
 
     __slots__ = ("p", "n", "q", "modulus", "_omega", "_tables", "_mu_cache",
-                 "_add_list", "_exp_list", "_log_list")
+                 "_add_list", "_exp_list", "_log_list", "_zech")
 
     def __init__(self, p: int, n: int = 1):
         if not isinstance(p, int) or not is_prime(p):
@@ -262,6 +273,7 @@ class Field:
         self._add_list = None
         self._exp_list = None
         self._log_list = None
+        self._zech = None
         if q <= VECTOR_MAX_Q:
             self.tables()
 
@@ -317,9 +329,18 @@ class Field:
             return t[a][b]
         if self.p == 2:
             return a ^ b
+        z = self._zech
+        if z is not None:
+            if a and b:
+                # a + b = a * (1 + b/a); a negative index wraps mod q-1
+                log = self._log_list
+                la = log[a]
+                return self._exp_list[la + z[log[b] - la]]
+            return a or b
         return self._add_slow(a, b)
 
     def _add_slow(self, a, b):
+        """a + b by base-p digits."""
         p = self.p
         if self.n == 1:
             return (a + b) % p
@@ -451,6 +472,12 @@ class Field:
                 self._add_list = t.addf.reshape(self.q, self.q).tolist()
             self._log_list = t.log.tolist()
             self._exp_list = t.exp_ext.tolist()
+            if self.p > 2 and self.n >= 3 and t.addf is None:
+                # Zech logarithms, 1 + w^i = w^Z[i], built on digit 0 alone
+                # (adding 1 carries nowhere), not through add_cols; 1 + w^i
+                # = 0 gives the log 0 sentinel, which lands in exp_ext's zeros
+                e, p = t.exp, self.p
+                self._zech = t.log[e + 1 - p * (e % p == p - 1)].tolist()
         return self._tables
 
 
@@ -508,9 +535,12 @@ class FieldTables:
     b, zero included; exp is the cycle w^0 .. w^(q-2), a view of exp_ext.
     For odd p the full q x q addition table is materialized up to
     ADD_TABLE_MAX_Q; above it, odd p gets the packed digit word `spread`
-    that add_cols and eval_col sum in; eval_col sums on the subgroup the
-    exponents generate, not on all q elements.  In characteristic 2
-    addition is XOR and needs no table.  The arrays total at most 6q + n
+    that add_cols and eval_col sum in.  In characteristic 2 addition is XOR
+    and needs no table.  eval_col builds its term columns on the subgroup
+    the exponents generate, not on all q elements, a block of terms per
+    scalar_mul call, and sums each block in the tier's encoding.  Scalar
+    Field.add reads none of the column ops: its Zech list comes from exp
+    and log alone.  The arrays total at most 6q + n
     int64 words beside the add table.  All arrays are exact integer data;
     callers must not mutate them.
     """
@@ -565,7 +595,7 @@ class FieldTables:
         re = (e - 1) % (q - 1) + 1
         col = self._pow_cache.get(re)
         if col is None:
-            col = self.exp[(self.log * re) % (q - 1)]
+            col = self.exp[_mod(self.log * re, q - 1)]
             col[0] = 0
             if q <= ADD_TABLE_MAX_Q:
                 self._pow_cache[re] = col
@@ -585,8 +615,9 @@ class FieldTables:
             return self.addf[x * self.q + y]
         return self._unspread(self.spread[x] + self.spread[y])
 
-    def scalar_mul(self, c: int, xs) -> np.ndarray:
-        """c * xs for a scalar index c and an index array xs; a new array."""
+    def scalar_mul(self, c, xs) -> np.ndarray:
+        """c * xs for an index c, a scalar or an index array broadcasting
+        against the index array xs; a new array."""
         return self.exp_ext[self.log[c] + self.log[xs]]
 
     def eval_col(self, terms) -> np.ndarray:
@@ -599,66 +630,91 @@ class FieldTables:
         cyclic, so with a = w^l and e0 the first term's exponent,
         f(a) = a^e0 * P(l) where P(l) = sum c * w^(l (e - e0)).  Every e - e0
         is a multiple of g = gcd(q-1, e - e0 over the terms), so P has period
-        r = (q-1)/g: one scalar_mul per term on an r-length column, then one
-        lift to every a, P[log a mod r] times the power column a^e0 (skipped
-        at e0 = 0, where it is all ones).  f(0) is the sum of the
-        coefficients at e = 0 exactly (0^0 = 1, 0^e = 0 for e >= 1), so x^0
-        and x^(q-1) differ there.  Exponents need no reduction.  The cost is
+        r = (q-1)/g: the term columns are built on r logs, a block of terms
+        per scalar_mul call (_sum_terms), then P is lifted to every a once,
+        P[log a mod r] times the power column a^e0 (skipped at e0 = 0, where
+        it is all ones).  f(0) is the sum of the coefficients at e = 0
+        exactly (0^0 = 1, 0^e = 0 for e >= 1), so x^0 and x^(q-1) differ
+        there.  Exponents need no reduction.  The cost is
         O(terms * rows * r + rows * q).
         """
         q = self.q
         e0 = terms[0][0] if terms else 0
         r = (q - 1) // math.gcd(q - 1, *(e - e0 for e, _ in terms))
-        ramp = np.arange(r, dtype=np.int64)
-        P = self._sum_cols((self.scalar_mul(c, self.exp[ramp * ((e - e0) % (q - 1)) % (q - 1)])
-                            for e, c in terms), r)
+        P = self._sum_terms(terms, e0, r)
         # take, not P[..., idx]: numpy's Ellipsis gather is about 2x slower
-        col = P.take(self.log % r, axis=-1)
+        col = P.take(_mod(self.log, r), axis=-1)
         col = self.mul_cols(col, self.pow_col(e0)) if e0 else col.astype(np.int64, copy=False)
         col[..., :1] = functools.reduce(self.add_cols, (c for e, c in terms if e == 0), 0)
         return col
 
-    def _sum_cols(self, cols, r: int) -> np.ndarray:
-        """Field sum of index columns of length r, or of stacks of them of
-        one shape (zeros of length r when there are none):
-        XOR of indices in characteristic 2, the add table where there is one,
-        and otherwise the packed `spread` encoding, reduced mod p digit-wise
-        once at the end (and whenever another term could overflow a slot)."""
-        first = next(cols, None)
-        if first is None:
+    def _sum_terms(self, terms, e0: int, r: int) -> np.ndarray:
+        """P(l) = sum c * w^(l (e - e0)) for l = 0..r-1, an (r,) or (rows, r)
+        index array (zeros of length r when there are no terms).
+
+        The terms go in blocks of at most EVAL_BLOCK_ENTRIES entries: one
+        scalar_mul builds a block's (B, r) or (B, rows, r) columns, and the
+        block is summed along its term axis in the tier's own encoding: XOR
+        in characteristic 2, a halving tree through the add table where
+        there is one, and otherwise packed `spread` words.  The packed
+        accumulator runs across blocks and is reduced mod p digit-wise once
+        at the end, and before a block that could overflow a slot."""
+        if not terms:
             return np.zeros(r, dtype=np.int64)
-        if self.field.p == 2:
-            for col in cols:
-                first ^= col  # in place: scalar_mul returned a new array
-            return first
-        if self.addf is not None:
-            acc = first
-            for col in cols:
-                acc = self.addf[acc * self.q + col]
-            return acc
-        spread = self.spread
-        # terms a slot can hold: each adds a digit of at most p-1
-        room = ((1 << _spread_bits(self.field.n)) - 1) // (self.field.p - 1)
-        acc = spread[first]
-        held = 1
-        for col in cols:
-            if held == room:
-                acc = spread[self._unspread(acc)]
-                held = 1
-            acc += spread[col]
-            held += 1
-        return self._unspread(acc)
+        q, q1 = self.q, self.q - 1
+        ramp = np.arange(r, dtype=np.int64)
+        per = max(1, EVAL_BLOCK_ENTRIES // (np.size(terms[0][1]) * r))
+        addf, spread = self.addf, self.spread
+        if spread is not None:
+            # terms a slot can hold: each adds a digit of at most p-1, and a
+            # block must fit beside a reduced accumulator
+            room = ((1 << _spread_bits(self.field.n)) - 1) // (self.field.p - 1)
+            per = min(per, room - 1)
+        acc, held = None, 0
+        for lo in range(0, len(terms), per):
+            block = terms[lo:lo + per]
+            steps = np.array([(e - e0) % q1 for e, _ in block], dtype=np.int64)
+            xs = self.exp[_mod(steps[:, None] * ramp, q1)]
+            cs = np.array([c for _, c in block], dtype=np.int64)
+            if cs.ndim == 1:
+                cs = cs[:, None]
+            else:  # (B, rows, 1) coefficient columns
+                xs = xs[:, None]
+            cols = self.scalar_mul(cs, xs)
+            if spread is not None:
+                part = spread[cols[0]] if len(cols) == 1 else spread[cols].sum(axis=0)
+                if held + len(block) > room:
+                    acc, held = spread[self._unspread(acc)], 1
+                acc = part if acc is None else np.add(acc, part, out=acc)
+                held += len(block)
+            elif addf is not None:
+                n = len(cols)
+                while n > 1:  # fold the upper half onto the lower, in place
+                    half = (n + 1) // 2
+                    cols[:n - half] = addf[cols[:n - half] * q + cols[half:n]]
+                    n = half
+                acc = cols[0] if acc is None else addf[acc * q + cols[0]]
+            else:
+                part = cols[0] if len(cols) == 1 else np.bitwise_xor.reduce(cols, axis=0)
+                acc = part if acc is None else np.bitwise_xor(acc, part, out=acc)
+        return acc if spread is None else self._unspread(acc)
 
     def _unspread(self, packed: np.ndarray) -> np.ndarray:
         """Indices whose digits are the packed slot sums reduced mod p,
         reduced one slot at a time."""
         p, b = self.field.p, _spread_bits(self.field.n)
         mask = (1 << b) - 1
-        out = packed & mask
-        out %= p
+        out = _mod(packed & mask, p)
         for i in range(1, self.field.n):
-            out += ((packed >> (b * i)) & mask) % p * p ** i
+            out += _mod((packed >> (b * i)) & mask, p) * p ** i
         return out
+
+
+def _mod(x: np.ndarray, m: int) -> np.ndarray:
+    """x mod m for a non-negative index array: numpy runs a floor division
+    by a scalar through libdivide but not a remainder, which is about 4x
+    slower on int64."""
+    return x - x // m * m
 
 
 def _spread_bits(n: int) -> int:

@@ -411,12 +411,12 @@ def _replayed(keys, decide):
     key and replayed to the key's later positions.  Every position of a key
     gets the same result object, so decide returns tuples, not lists.
 
-    The additive criteria read their maps only through values(), so cells
-    keyed on map ids (_map_ids) have the same verdicts, and a cell is
-    decided with the objects at its id positions.  Only the criterion side
-    is replayed: the oracle side stays per position.  A result is dropped
-    at its key's last position, so on a corpus with no duplicate maps one
-    cell is kept at a time.
+    The additive criteria read their maps only as maps (values(),
+    values_at, prime_values), so cells keyed on map ids (_map_ids) have
+    the same verdicts, and a cell is decided with the objects at its id
+    positions.  Only the criterion side is replayed: the oracle side stays
+    per position.  A result is dropped at its key's last position, so on a
+    corpus with no duplicate maps one cell is kept at a time.
     """
     last = {key: i for i, key in enumerate(keys)}
     kept = {}

@@ -8,7 +8,9 @@ term.  Only the constructions that multiply terms out, products (and so
 composition), long division and h_d, can grow past the expansion guard
 (field.EXPANSION_MAX_TERMS); they refuse to with ExpansionTooLargeError.
 The walk of F_q, values(), is weighed against the same guard; both classes
-make it once per object and keep it.  FqPoly keeps its values on the d-th
+make it once per object and keep it, and keep the map on F_p the same way
+(prime_values); values_at reads a set of points from the walk, or evaluates
+them when there is none.  FqPoly keeps its values on the d-th
 roots of unity the same way, once per d (mu_values), and the position in
 mu_d of each value raised to (q-1)/d (mu_positions), which the lemma reads.
 A Theorem 1 cofactor g0 also keeps, in _cond4, the outcome of that
@@ -32,9 +34,10 @@ from .field import Field, check_expansion
 
 
 class _Walked:
-    """The walk of F_q that FqPoly and AdditivePoly share, kept in _values."""
+    """The walk of F_q that FqPoly and AdditivePoly share, kept in _values,
+    and the map on F_p, kept in _fp."""
 
-    __slots__ = ("_values",)
+    __slots__ = ("_values", "_fp")
 
     def values(self) -> tuple:
         """The map at every element, indexed by element: one walk of F_q,
@@ -44,6 +47,21 @@ class _Walked:
             check_expansion(f.work(0, f.q), f"a walk of F_q for q={f.q}")
             self._values = tuple(self.eval(a) for a in f.elements())
         return self._values
+
+    def values_at(self, points) -> list:
+        """The map at the given elements: read from the walk of F_q when it
+        is made, one eval per point otherwise."""
+        vals = self._values
+        if vals is None:
+            return [self.eval(a) for a in points]
+        return [vals[a] for a in points]
+
+    def prime_values(self) -> tuple:
+        """The map at 0, 1, .., p-1, the prime subfield: made on the first
+        call and kept on this object."""
+        if self._fp is None:
+            self._fp = tuple(self.values_at(range(self.field.p)))
+        return self._fp
 
 
 class FqPoly(_Walked):
@@ -63,7 +81,7 @@ class FqPoly(_Walked):
             raise FieldError(f"coefficient {bad} out of range for q={q}")
         self.field = field
         self.terms = terms
-        self._values = None
+        self._values = self._fp = None
         self._mu = {}
         self._mu_pos = {}
         self._cond4 = {}
@@ -259,7 +277,7 @@ def _poly(field: Field, terms) -> FqPoly:
     f = object.__new__(FqPoly)
     f.field = field
     f.terms = tuple(terms)
-    f._values = None
+    f._values = f._fp = None
     f._mu = {}
     f._mu_pos = {}
     f._cond4 = {}
@@ -291,7 +309,7 @@ class AdditivePoly(_Walked):
             cs.pop()
         self.field = field
         self.add_coeffs = tuple(cs)
-        self._values = None
+        self._values = self._fp = None
 
     def __eq__(self, other):
         return (isinstance(other, AdditivePoly) and self.field == other.field

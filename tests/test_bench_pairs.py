@@ -51,3 +51,12 @@ def test_summarise_one_pair():
                                                      "runs": [1.0]}
     assert rec["metrics"]["req_per_s"]["change_wins"] == 1
     assert rec["metrics"]["req_p50_ms"]["change_wins"] == 0
+
+
+def test_template_medians_per_side():
+    runs = ([{"verify 3^7": 1.0, "check-lemma 3^7 d=1093": 4.0}, {"verify 3^7": 3.0},
+             {"verify 3^7": 2.0, "check-lemma 3^7 d=1093": 2.0}],
+            [{"verify 3^7": 0.5}])
+    assert bench_pairs.template_medians(runs) == {
+        "parent": {"check-lemma 3^7 d=1093": 3.0, "verify 3^7": 2.0},
+        "change": {"verify 3^7": 0.5}}

@@ -10,8 +10,9 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_irreducible_p, gf_mul, gf_rem
 
 from ppforge.errors import ExpansionTooLargeError, FieldError
-from ppforge.field import (ADD_TABLE_MAX_Q, EXPANSION_MAX_TERMS, VECTOR_MAX_Q, FieldTables,
-                           divisors, factorize, is_prime, make_field, parse_field)
+from ppforge.field import (ADD_TABLE_MAX_Q, EVAL_BLOCK_ENTRIES, EXPANSION_MAX_TERMS,
+                           VECTOR_MAX_Q, Field, FieldTables, divisors, factorize, is_prime,
+                           make_field, parse_field)
 
 
 # --- test-local oracle: exhaustive irreducibility by trial division ---------
@@ -272,9 +273,10 @@ def test_factorize_splits_large_factors():
 # --- every arithmetic tier against digit arithmetic and sympy --------------
 # Multiplication is one exp/log lookup up to 2^16 (343 .. 65536) and digit
 # arithmetic beyond (177147); negation is (-1)*a at every q.  Scalar addition
-# is XOR for p = 2 (1024, 65536), the q x q table for odd p up to 512 (343)
-# and digits beyond (2187, 63001, 177147); columns beyond 512 add in packed
-# digit words (2187, 63001).
+# is XOR for p = 2 (1024, 65536), the q x q table for odd p up to 512 (343),
+# Zech logarithms for odd p with n >= 3 beyond (2187) and digits for n = 2
+# and past 2^16 (63001, 177147); columns beyond 512 add in packed digit words
+# (2187, 63001).
 
 TIER_FIELDS = [(7, 3), (2, 10), (3, 7), (251, 2), (2, 16), (3, 11)]
 
@@ -436,7 +438,8 @@ def test_eval_col_fold_matches_the_unfolded_sum(p, n, monkeypatch):
         # the lift multiplies by a^e0 only where e0 != 0: a^0 is all ones
         assert exponents == [e for e, _ in terms[:1] if e], terms
         if r is not None:
-            assert [len(xs) for xs in columns] == [r] * len(terms), terms
+            # one scalar_mul per block of terms: a row per term, r values each
+            assert [xs.shape[-1] for xs in columns for _ in xs] == [r] * len(terms), terms
     if fld.q > ADD_TABLE_MAX_Q:
         assert not T._pow_cache
 
@@ -452,10 +455,92 @@ def test_eval_col_works_on_the_subgroup_not_on_q(monkeypatch):
     columns = _spy(monkeypatch, "scalar_mul")
     exponents = _spy(monkeypatch, "pow_col")
     col = fld.tables().eval_col(terms)
-    assert [len(xs) for xs in columns] == [d] * d
+    assert [xs.shape[-1] for xs in columns for _ in xs] == [d] * d
     assert exponents == [5]
     monkeypatch.undo()
     assert col.tolist() == _unfolded(fld.tables(), terms).tolist()
+
+
+# one field per summing tier: the add table (13, 7^3), XOR (2^10, 2^16),
+# packed digit words (3^7, 251^2) and a prime above 512 (4099)
+BLOCK_FIELDS = [(13, 1), (7, 3), (2, 10), (3, 7), (251, 2), (4099, 1), (2, 16)]
+
+
+@pytest.mark.parametrize("p,n", BLOCK_FIELDS)
+def test_eval_col_blocks_match_the_unfolded_sum(p, n):
+    # term counts past one block of EVAL_BLOCK_ENTRIES entries, on the full
+    # group (r = q-1) and on a proper subgroup, scalar and stacked
+    fld = make_field(p, n)
+    q, T = fld.q, fld.tables()
+    rng = random.Random(f"blocks/{q}")
+    for r in sorted({q - 1, divisors(q - 1)[-2]}):
+        m, e0 = (q - 1) // r, rng.randrange(1, q)
+        count = 2 * max(1, EVAL_BLOCK_ENTRIES // r) + 1
+        terms = [(e0 + m * j, rng.randrange(1, q)) for j in range(count)]
+        assert T.eval_col(terms).tolist() == _unfolded(T, terms).tolist(), (r, count)
+        # three stacked rows, zeros included, split across a block edge
+        rows = 3
+        count = max(1, EVAL_BLOCK_ENTRIES // (rows * r)) + 2
+        coeffs = np.array([[rng.randrange(q) for _ in range(rows)] for _ in range(count)])
+        stacked = [(e0 + m * j, coeffs[j][:, None]) for j in range(count)]
+        col = T.eval_col(stacked)
+        assert col.shape == (rows, q)
+        for i in range(rows):
+            row = [(e, int(c[i, 0])) for e, c in stacked]
+            assert col[i].tolist() == _unfolded(T, row).tolist(), (r, i)
+
+
+def test_eval_col_reduces_the_packed_sum_before_a_slot_overflows():
+    # 3^7 packs 7 digits of 9 bits: a slot holds 255 digits of 2.  At a = 1
+    # every term of c = q-1 (all digits 2) is q-1, so 300 of them carry
+    # unless the accumulator is reduced between blocks (r = 1093, blocks of
+    # 14 terms) and a block holds fewer than 255 terms (r = 2)
+    fld = make_field(3, 7)
+    T, q = fld.tables(), fld.q
+    assert ((1 << 9) - 1) // (fld.p - 1) == 255
+    rng = random.Random("blocks/room")
+    for step in (2, 1093):
+        for c in ([q - 1] * 300, [rng.randrange(1, q) for _ in range(300)]):
+            terms = [(1 + step * j, cj) for j, cj in enumerate(c)]
+            col = T.eval_col(terms)
+            assert col.tolist() == _unfolded(T, terms).tolist(), step
+            assert int(col[1]) == functools.reduce(fld._add_slow, c)
+
+
+# --- scalar addition: Zech logarithms against the digit loop ---------------
+
+@pytest.mark.parametrize("p,n", [(3, 7), (7, 5), (3, 10)])
+def test_zech_add_matches_the_digit_loop(p, n):
+    fld = make_field(p, n)
+    q = fld.q
+    assert fld._zech is not None
+    rng = random.Random(f"zech/{q}")
+    samples = [rng.randrange(1, q) for _ in range(3000)]
+    for a, b in zip(samples, samples[1:] + samples[:1]):
+        assert fld.add(a, b) == fld._add_slow(a, b)
+        assert fld.add(a, 0) == a and fld.add(0, b) == b
+        assert fld.add(a, fld.neg(a)) == 0
+        assert fld.add(a, a) == fld._add_slow(a, a)
+    assert fld.add(0, 0) == 0
+
+
+@pytest.mark.parametrize("p,n", [(7, 3), (251, 2), (4099, 1), (2, 10), (3, 11)])
+def test_zech_list_only_for_odd_p_with_n_at_least_3_past_the_add_table(p, n):
+    # 251^2 keeps the digit loop: there a Zech list costs memory and set-up
+    # and saves no time
+    assert make_field(p, n)._zech is None
+
+
+def test_planted_add_cols_fault_leaves_scalar_add_unchanged(monkeypatch):
+    # the Zech list is built from exp/log on digit 0, not through add_cols,
+    # so a column-add bug cannot hide on the criterion and the oracle side
+    monkeypatch.setattr(FieldTables, "add_cols", lambda self, x, y: np.zeros_like(x))
+    fld = Field(3, 7)  # a fresh instance, not make_field's
+    assert fld.tables().add_cols(np.array([1]), np.array([1])).tolist() == [0]
+    rng = random.Random("zech/planted")
+    for _ in range(2000):
+        a, b = rng.randrange(fld.q), rng.randrange(fld.q)
+        assert fld.add(a, b) == fld._add_slow(a, b)
 
 
 # --- column ops: one field per multiplication and addition path -----------

@@ -10,7 +10,9 @@ last stdout line of a run is its result.  The workload's record gives, per
 end-to-end metric of BENCHMARK.json, each side's runs, median and quartiles
 (inclusive method), `change_wins` (pairs where the change reads better in
 the metric's "better" direction; ties count for neither side) and
-`change_over_parent` (median over median).  A record with the same
+`change_over_parent` (median over median).  Where the runs report
+per-template medians (`templates_ms`, requests-mixed-q), the record keeps
+each side's median of them over its runs.  A record with the same
 workload and seed in --out is replaced; other records are kept.  Standard
 library only.
 """
@@ -59,6 +61,14 @@ def summarise(workload: str, seed: int, seconds: float, pairs, bench: dict) -> d
     return out
 
 
+def template_medians(runs) -> dict:
+    """Per side, each template's median over the runs of its per-run
+    templates_ms; runs gives each side's list of those dicts."""
+    return {side: {t: round(statistics.median(r[t] for r in side_runs if t in r), 4)
+                   for t in sorted({t for r in side_runs for t in r})}
+            for side, side_runs in zip(SIDES, runs)}
+
+
 def run_once(checkout: Path, command, workload: str, seed: int, seconds: float):
     """(result, detail) of one benchmark run: its last two stdout lines."""
     proc = subprocess.run([*command, "--workload", workload, "--seed", str(seed),
@@ -83,17 +93,21 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     checkouts = (args.parent, args.change)
-    pairs, provenance = [], {}
+    pairs, provenance, templates = [], {}, ([], [])
     for i in range(args.pairs):
         pair = [None, None]
         for side in ((0, 1) if i % 2 == 0 else (1, 0)):
             pair[side], detail = run_once(checkouts[side], bench["command"], args.workload,
                                           args.seed, args.seconds)
             provenance = detail.get("provenance") or provenance
+            if detail.get("templates_ms"):
+                templates[side].append(detail["templates_ms"])
             print(f"pair {i + 1}/{args.pairs} {SIDES[side]}: {json.dumps(pair[side])}",
                   file=sys.stderr, flush=True)
         pairs.append(pair)
     record = summarise(args.workload, args.seed, args.seconds, pairs, bench)
+    if any(templates):
+        record["templates_ms"] = template_medians(templates)
     doc = (json.loads(args.out.read_text()) if args.out.exists() else
            {"change": args.note,
             "command": " ".join(bench["command"]) + " --workload W --seconds S --seed N",
