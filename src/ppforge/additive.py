@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import FieldError, ScopeError
-from .field import Field
+from .field import Field, check_expansion
 from .poly import AdditivePoly, FqPoly, additive_commutes, trace_poly
 from .report import Condition, ConditionReport, shared_conditions
 
@@ -185,9 +185,27 @@ def triple_poly(tr: AdditiveTriple) -> FqPoly:
 
 @functools.lru_cache(maxsize=None)
 def _trace_map(field: Field) -> tuple:
-    """The trace map's values and its kernel: one walk per field."""
-    tv = trace_poly(field).values()
-    return tv, tuple(x for x, v in enumerate(tv) if v == 0)
+    """The trace map's values and its kernel, made once per field.
+
+    The trace is F_p-linear: at x = sum x_i * t^i, the base-p digits x_i of
+    x's index, it is sum x_i * Tr(t^i) mod p.  So only the n basis values
+    Tr(t^i) are evaluated, and the values are built in plain integers one
+    digit at a time, over the indices below p^(i+1) from those below p^i.
+    The guard still weighs a walk of F_q: the criterion goes on to read A
+    on the kernel, q/p scalar evaluations.
+    """
+    p, q = field.p, field.q
+    check_expansion(field.work(0, q), f"a walk of F_q for q={q}")
+    B = trace_poly(field)
+    tv = [0]
+    for i in range(field.n):
+        t = B.eval(p ** i)
+        below = tv
+        tv = []
+        for x in range(p):
+            # the indices with digit i equal to x: x*t plus the value below
+            tv += map([(x * t + v) % p for v in range(p)].__getitem__, below)
+    return tuple(tv), tuple(x for x, v in enumerate(tv) if v == 0)
 
 
 class TraceTheoremParams(NamedTuple("TraceTheoremParams", [("g", FqPoly), ("A", AdditivePoly),
@@ -223,7 +241,7 @@ def trace_theorem_check(tp: TraceTheoremParams) -> ConditionReport:
     kernel the no-roots condition stops being necessary, so the three
     conditions no longer characterize permutations there.  g and h are
     read on F_p only (prime_values), A on ker B (values_at) and F_p, and
-    the trace map from its one walk per field.
+    the trace map from its values, made once per field (_trace_map).
     """
     field = tp.field
     if field.n == 1:

@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 from .errors import FieldError, ScopeError
 from .field import ADD_TABLE_MAX_Q, Field
-from .poly import CyclotomicForm, FqPoly, _collect, expand_cyclotomic, h_d_poly
+from .poly import CyclotomicForm, FqPoly, _collect, _poly, expand_cyclotomic, h_d_poly
 from .report import Condition, ConditionReport, shared_conditions
 
 LEMMA_COPRIME = "gcd(u,(q-1)/d)=1"
@@ -310,10 +310,16 @@ def hermite_sufficient(hp: HermiteParams) -> ConditionReport:
 def hermite_family(hp: HermiteParams) -> HermiteFamily:
     """f = a*x^(i+s) + a*x^i - b*x^(j+s) + b*x^j for s = (q-1)/2: each
     exponent reduced as in FqPoly.reduce_exponents (i, j >= 1, so none is
-    0), then the four terms merged once."""
+    0).  Once reduced, i+s never equals i (nor j+s j), i+s equals j
+    exactly when i equals j+s, and i+s equals j+s exactly when i equals j.
+    So when i differs from j and from j+s the four exponents are distinct,
+    and the four terms (a and b are nonzero) are sorted into the
+    polynomial; only otherwise are they merged."""
     field, a, b, i, j = hp
-    q = field.q
-    s = (q - 1) // 2
-    f = _collect(field, (((e - 1) % (q - 1) + 1, c) for e, c in (
-        (i + s, a), (i, a), (j + s, field.neg(b)), (j, b))))
+    q1 = field.q - 1
+    s = q1 // 2
+    ri, rj = (i - 1) % q1 + 1, (j - 1) % q1 + 1
+    rj_s = (j + s - 1) % q1 + 1
+    terms = (((i + s - 1) % q1 + 1, a), (ri, a), (rj_s, field.neg(b)), (rj, b))
+    f = _poly(field, sorted(terms)) if ri != rj and ri != rj_s else _collect(field, terms)
     return tuple.__new__(HermiteFamily, (f, field.add(a, a), i, field.add(b, b), j))

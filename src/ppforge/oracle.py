@@ -253,14 +253,16 @@ def example_h_corpus(fld: Field, seed) -> list:
 # example family).  Each cell's truths come from one stacked oracle table,
 # its rows' value columns side by side (the lemma stacks the cells of one
 # d together), of at most STACK_MAX_ENTRIES entries; past that the rows are
-# stacked in slices (_by_slices).  A corpus of polynomials is evaluated by
+# stacked in slices (_by_slices), save in hermite, whose grid guard keeps
+# every cell within the bound.  A corpus of polynomials is evaluated by
 # value_rows, one eval_col call per slice: the lemma's h(x^m) rows are one
 # call per divisor.  What does not depend on a cell's data is
 # made once for the cells that share it: theorem1's rows x^u*H(x^m)
 # multiply u-free H(x^m) rows, and its law is checked in u-free form, once
 # per (d, g0), and theorem1_check, still asked once per case, computes its
 # condition (4) once per (d, g0, b) and looks it up for every other (u, k);
-# the lemma is asked once per distinct key of what its verdict reads; the
+# the lemma is asked once per distinct key of what its verdict reads, and
+# hermite_sufficient once per (a, b) cell; the
 # additive suites decide the criterion side of each distinct cell of maps
 # once (_replayed).  verdicts
 # is a bool sequence over the rows and truths a bool sequence of the same
@@ -537,58 +539,60 @@ def _trace_theorem_cases(fld, seed, T):
 
 def _hermite_cases(fld, seed, T):
     # the grid is filtered to the sufficient conditions, so every verdict is
-    # True; a cell fixes (a, b), and its rows run over the exponents (i, j)
+    # True; a cell fixes (a, b), and its rows run over the exponents (i, j).
+    # hermite_sufficient reads a and b only through hermite_coeff_ok, and i
+    # and j only through hermite_exp_ok, which the filter makes true on every
+    # row: it is asked once per cell and its verdict replayed to the rows
     q = fld.q
     good_coeffs = [a for a in fld.units() if hermite_coeff_ok(fld, a)]
     good_exps = [i for i in range(1, q) if hermite_exp_ok(fld, i)]
     check_expansion(len(good_exps) ** 2, f"the hermite exponent grid for q={q}")
+    # the whole grid is weighed before its first cell.  It admits no field
+    # past q = 79, so a cell's (rows, terms, q) table stays within
+    # STACK_MAX_ENTRIES (185,024 entries at most, on q = 59), unsliced
+    check_expansion(len(good_coeffs) ** 2 * len(good_exps) ** 2,
+                    f"the hermite grid of (a, b) cells by exponent pairs for q={q}")
     exps = list(itertools.product(good_exps, good_exps))
-    verdicts = [True] * len(exps)
+    rows = len(exps)
+    verdicts = [True] * rows
     if T is not None:
         sq_mask = T.pow_col((q - 1) // 2) == 1   # the nonzero squares
+        # x^e at every element, row e for e = 0..q-1: the grid's families
+        # have reduced terms and exponents i, j below q
+        pows = np.stack([T.pow_col(e) for e in range(q)])
     row = tuple.__new__
     for a, b in itertools.product(good_coeffs, good_coeffs):
         # the cell's corners validate its rows, which are then made as tuples
-        for corner in (exps[0], exps[-1]):
-            HermiteParams(fld, a, b, *corner)
-        hps = [row(HermiteParams, (fld, a, b, i, j)) for i, j in exps]
+        first = HermiteParams(fld, a, b, *exps[0])
+        HermiteParams(fld, a, b, *exps[-1])
 
         def params(r):
             return {"a": a, "b": b, "i": exps[r][0], "j": exps[r][1]}
-        yield "hermite_sufficient", verdicts, [hermite_sufficient(hp).verdict for hp in hps], params
+        yield ("hermite_sufficient", verdicts, [hermite_sufficient(first).verdict] * rows,
+               params)
         if T is None:
             yield "hermite", verdicts, None, params
             continue
-        fams = [hermite_family(hp) for hp in hps]
-        # the cell's polynomials from their terms: exponent and coefficient
-        # arrays, zero-padded (a zero coefficient adds nothing) and followed
-        # by the two monomials of the piecewise description
-        width = max(len(fam.poly.terms) for fam in fams)
-        es, cs = [], []
-        for fam in fams:
-            pad = width - len(fam.poly.terms)
-            es.append([e for e, _ in fam.poly.terms] + [fam.square_exp] * pad
-                      + [fam.square_exp, fam.nonsquare_exp])
-            cs.append([c for _, c in fam.poly.terms] + [0] * pad
-                      + [fam.square_coeff, fam.nonsquare_coeff])
-        es, cs = np.array(es, dtype=np.int64), np.array(cs, dtype=np.int64)
-
-        def cell(lo, hi):
-            # one pow_col per distinct exponent of the slice
-            uniq, pos = np.unique(es[lo:hi], return_inverse=True)
-            cols = np.stack([T.pow_col(int(e)) for e in uniq])
-            pos = pos.reshape(hi - lo, width + 2)
-            c = cs[lo:hi, :, None]
-            vals = T.mul_cols(c[:, 0], cols[pos[:, 0]])
-            for t in range(1, width):
-                vals = T.add_cols(vals, T.mul_cols(c[:, t], cols[pos[:, t]]))
-            pieces = np.where(sq_mask, T.mul_cols(c[:, width], cols[pos[:, width]]),
-                              T.mul_cols(c[:, width + 1], cols[pos[:, width + 1]]))
-            pieces[:, 0] = 0
-            return np.stack([_perm_mask_rows(vals, q), (vals == pieces).all(axis=1)], axis=1)
-        truths, piecewise = _by_slices(len(exps), (width + 2) * q, cell).T
-        yield "hermite", verdicts, truths, params
-        yield "hermite_piecewise", verdicts, piecewise, params
+        fams = [hermite_family(row(HermiteParams, (fld, a, b, i, j))) for i, j in exps]
+        # each row's terms into zero-padded exponent and coefficient arrays
+        # (a zero coefficient adds nothing), and its piecewise fields
+        # (square_coeff, square_exp, nonsquare_coeff, nonsquare_exp)
+        terms = [fam.poly.terms for fam in fams]
+        counts = np.fromiter(map(len, terms), dtype=np.int64, count=rows)
+        flat = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(terms)),
+                           dtype=np.int64, count=2 * int(counts.sum()))
+        held = np.arange(counts.max()) < counts[:, None]
+        es, cs = np.zeros(held.shape, dtype=np.int64), np.zeros(held.shape, dtype=np.int64)
+        es[held], cs[held] = flat[0::2], flat[1::2]
+        pieces = np.fromiter(itertools.chain.from_iterable(fam[1:] for fam in fams),
+                             dtype=np.int64, count=4 * rows).reshape(rows, 4)
+        cols = T.mul_cols(cs[:, :, None], pows[es])
+        vals = functools.reduce(T.add_cols, (cols[:, t] for t in range(held.shape[1])))
+        piecewise = np.where(sq_mask, T.mul_cols(pieces[:, 0, None], pows[pieces[:, 1]]),
+                             T.mul_cols(pieces[:, 2, None], pows[pieces[:, 3]]))
+        piecewise[:, 0] = 0
+        yield "hermite", verdicts, _perm_mask_rows(vals, q), params
+        yield "hermite_piecewise", verdicts, (vals == piecewise).all(axis=1), params
 
 
 def _example_family_cases(fld, seed, T):

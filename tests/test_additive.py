@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from ppforge.additive import (AdditiveTriple, TraceTheoremParams,
+from ppforge.additive import (AdditiveTriple, TraceTheoremParams, _trace_map,
                               commuting_criterion_check, example_family,
                               gamma_search, necessary_conditions_check,
                               proposition_check, subgroup_data,
@@ -44,6 +44,15 @@ def test_values_match_the_oracle_column(spec):
     for X in (AdditivePoly(fld, (1,)), trace_poly(fld),
               AdditivePoly(fld, [rng.randrange(fld.q) for _ in range(3)])):
         assert X.values() == tuple(value_table(X.expand()))
+
+
+@pytest.mark.parametrize("spec", ["2^3", "3^2", "3^3", "2^4", "5^2", "7^3", "2^10", "3^7"])
+def test_trace_map_from_its_basis_values_equals_the_walk(spec):
+    # the trace map built digit by digit from Tr(t^i) against the walk of
+    # the trace polynomial, element by element, and its kernel
+    fld = parse_field(spec)
+    walk = trace_poly(fld).values()
+    assert _trace_map(fld) == (walk, tuple(x for x, v in enumerate(walk) if v == 0))
 
 
 def test_trace_condition_1_per_a():

@@ -565,6 +565,15 @@ def test_selftest_hermite_past_the_guard_exits_2_quickly(field):
     assert "hermite exponent grid" in proc.stderr and "1000000" in proc.stderr
 
 
+def test_selftest_hermite_grid_of_cells_past_the_guard_exits_2_quickly():
+    # 1009 has 82,944 exponent pairs, within the guard, but 504^2 (a, b)
+    # cells of them: the whole grid is weighed before its first cell
+    proc = run_subprocess("selftest", "--suite", "hermite", "--fields", "1009")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "(a, b) cells" in proc.stderr and str(504 ** 2 * 288 ** 2) in proc.stderr
+    assert "1000000" in proc.stderr
+
+
 def test_selftest_output_is_deterministic(capsys):
     args = ("selftest", "--suite", "hermite", "--suite", "example_family",
             "--fields", "7,3^2")

@@ -4,6 +4,7 @@ suite driver, including its power to catch a broken criterion."""
 import collections
 import dataclasses
 import functools
+import itertools
 import math
 import random
 import tracemalloc
@@ -16,7 +17,8 @@ from ppforge.additive import (AdditiveTriple, TraceTheoremParams, commuting_crit
                               necessary_conditions_check, proposition_check, subgroup_data,
                               trace_theorem_check, trace_theorem_poly, triple_poly)
 from ppforge import cyclotomic
-from ppforge.cyclotomic import (HermiteParams, Theorem1Params, fhat_on_mu_d, hermite_family,
+from ppforge.cyclotomic import (HermiteParams, Theorem1Params, fhat_on_mu_d, hermite_coeff_ok,
+                                hermite_exp_ok, hermite_family, hermite_sufficient,
                                 lemma_check, theorem1_poly)
 from ppforge.errors import ExpansionTooLargeError, OracleBoundError, UnknownSuiteError
 from ppforge.field import VECTOR_MAX_Q, FieldTables, divisors, make_field, parse_field
@@ -674,6 +676,78 @@ def test_theorem1_law_is_checked_once_per_d_g0(monkeypatch):
         for u, b, zeta in rows:
             fhat = dict(fhat_on_mu_d(Theorem1Params(d, u, k, b, g0s[g0_text])))
             assert fhat[zeta] != fld.mul(fld.pow(b, m), fld.pow(zeta, u + k * m))
+
+
+@pytest.mark.parametrize("spec", ["7", "3^2", "13"])
+def test_hermite_sufficient_verdicts_equal_fresh_per_row_calls(monkeypatch, spec):
+    # hermite_sufficient is asked once per (a, b) cell and its verdict
+    # replayed to the cell's (i, j) rows: every row's truth in the
+    # hermite_sufficient block must be what the criterion says when asked
+    # anew at that row
+    fld = parse_field(spec)
+    calls = _counting(monkeypatch, ("hermite_sufficient",))
+    cells = 0
+    for construction, verdicts, truths, params in oracle.SUITES["hermite"][1](
+            fld, oracle.SAMPLE_SEED, fld.tables()):
+        if construction == "hermite_sufficient":
+            cells += 1
+            assert list(truths) == [hermite_sufficient(HermiteParams(fld, **params(r))).verdict
+                                    for r in range(len(verdicts))], params(0)
+    assert cells == calls["hermite_sufficient"] == ((fld.q - 1) // 2) ** 2
+
+
+def _without_b_x_j(hp):
+    """hermite_family with its b*x^j term dropped from the polynomial."""
+    fam = hermite_family(hp)
+    return fam._replace(poly=fam.poly - FqPoly.monomial(hp.field, hp.b, hp.j))
+
+
+def _wrong_nonsquare_exp(hp):
+    """hermite_family whose non-square piece reads x^i for x^j: wrong on
+    the rows with i != j only."""
+    fam = hermite_family(hp)
+    return fam._replace(nonsquare_exp=fam.square_exp)
+
+
+def _hermite_rows_failing(fld, family) -> set:
+    """(construction, a, b, i, j) of each row of the hermite grid on fld
+    where family's polynomial does not permute ("hermite") or differs from
+    its piecewise description ("hermite_piecewise"), judged row by row with
+    scalar arithmetic."""
+    s = (fld.q - 1) // 2
+    coeffs = [a for a in fld.units() if hermite_coeff_ok(fld, a)]
+    exps = [i for i in range(1, fld.q) if hermite_exp_ok(fld, i)]
+    failing = set()
+    for row in itertools.product(coeffs, coeffs, exps, exps):
+        fam = family(HermiteParams(fld, *row))
+        vals = [fam.poly.eval(x) for x in fld.elements()]
+        pieces = [0] + [fld.mul(fam.square_coeff, fld.pow(x, fam.square_exp))
+                        if fld.pow(x, s) == 1 else
+                        fld.mul(fam.nonsquare_coeff, fld.pow(x, fam.nonsquare_exp))
+                        for x in fld.units()]
+        if len(set(vals)) != fld.q:
+            failing.add(("hermite", *row))
+        if vals != pieces:
+            failing.add(("hermite_piecewise", *row))
+    return failing
+
+
+@pytest.mark.parametrize("spec", ["7", "3^2"])
+@pytest.mark.parametrize("family,constructions", [
+    (_without_b_x_j, {"hermite", "hermite_piecewise"}),
+    (_wrong_nonsquare_exp, {"hermite_piecewise"})], ids=["without_b_x_j", "nonsquare_exp"])
+def test_harness_catches_a_broken_hermite_family(monkeypatch, spec, family, constructions):
+    # the suite reads each cell's families into arrays: the rows it records
+    # must be exactly the rows whose own family fails, as a scalar walk of
+    # each row's polynomial and pieces finds them
+    fld = parse_field(spec)
+    failing = _hermite_rows_failing(fld, family)
+    assert {construction for construction, *_ in failing} == constructions
+    monkeypatch.setattr(oracle, "hermite_family", family)
+    rep = run_equivalence_suite("hermite", fields=[fld])
+    assert {(d.construction, *(d.parameters[k] for k in "abij"))
+            for d in rep.disagreements} == failing
+    assert len(rep.disagreements) == len(failing)
 
 
 def test_hermite_grid_past_the_guard_is_refused():
