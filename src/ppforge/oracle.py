@@ -581,13 +581,14 @@ def _hermite_cases(fld, seed, T):
         counts = np.fromiter(map(len, terms), dtype=np.int64, count=rows)
         flat = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(terms)),
                            dtype=np.int64, count=2 * int(counts.sum()))
-        held = np.arange(counts.max()) < counts[:, None]
-        es, cs = np.zeros(held.shape, dtype=np.int64), np.zeros(held.shape, dtype=np.int64)
+        width = int(counts.max())
+        held = np.arange(width) < counts[:, None]
+        es, cs = np.zeros((rows, width), dtype=np.int64), np.zeros((rows, width), dtype=np.int64)
         es[held], cs[held] = flat[0::2], flat[1::2]
         pieces = np.fromiter(itertools.chain.from_iterable(fam[1:] for fam in fams),
                              dtype=np.int64, count=4 * rows).reshape(rows, 4)
         cols = T.mul_cols(cs[:, :, None], pows[es])
-        vals = functools.reduce(T.add_cols, (cols[:, t] for t in range(held.shape[1])))
+        vals = functools.reduce(T.add_cols, (cols[:, t] for t in range(width)))
         piecewise = np.where(sq_mask, T.mul_cols(pieces[:, 0, None], pows[pieces[:, 1]]),
                              T.mul_cols(pieces[:, 2, None], pows[pieces[:, 3]]))
         piecewise[:, 0] = 0
