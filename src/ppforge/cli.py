@@ -2,10 +2,10 @@
 checks, family generation, and the self-test harness.
 
 Output is line-delimited JSON with a schema_version tag; --pretty switches
-to a human-readable rendering.  Exit codes: 0 success, 2 usage/parse/scope
-error, 3 expectation mismatch.  The brute-force bound resolves as CLI flag
-> PPFORGE_MAX_Q environment variable > oracle.DEFAULT_MAX_Q (the vectorized
-bound field.VECTOR_MAX_Q = 2^16).
+to a human-readable rendering.  Exit codes: 0 success, 1 a selftest suite
+with disagreements, 2 usage/parse/scope error, 3 expectation mismatch.  The
+brute-force bound resolves as CLI flag > PPFORGE_MAX_Q environment variable
+> oracle.DEFAULT_MAX_Q (the vectorized bound field.VECTOR_MAX_Q = 2^16).
 """
 
 import argparse
@@ -78,6 +78,12 @@ def _need(args, *names):
         raise PPForgeError(f"missing required option(s): {', '.join('--' + m for m in missing)}")
 
 
+def _refuse_g_with_g0(args):
+    # --g fixes g0 as its cofactor g / h_d, so the two options are alternatives
+    if args.g is not None and args.g0 is not None:
+        raise PPForgeError("pass either --g0 or an explicit --g, not both")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -125,6 +131,7 @@ def _check_lemma(args, fld):
 
 def _check_theorem1(args, fld):
     _need(args, "d", "u", "k", "b")
+    _refuse_g_with_g0(args)
     if args.g is not None:
         g0 = cofactor_of(fld, args.d, parse_poly(fld, args.g))
     else:
@@ -181,6 +188,7 @@ _CHECKS = {
 
 def _generate_theorem1(args, fld):
     _need(args, "d")
+    _refuse_g_with_g0(args)
     u_values = _parse_range(args.u if args.u is not None else "1")
     k_values = _parse_range(args.k if args.k is not None else "0")
     g = parse_poly(fld, args.g) if args.g is not None else None

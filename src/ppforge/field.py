@@ -16,15 +16,15 @@ safe.  For q <= VECTOR_MAX_Q it builds its lookup tables when constructed.
 Multiplication works in the cyclic group F_q^*: on every table field
 (q <= VECTOR_MAX_Q) a product is one lookup exp_ext[log a + log b], where
 log 0 is a sentinel that lands in a run of zeros; inv and pow are one
-exp/log lookup too.  Addition works in (F_q, +) and is chosen by the
-characteristic:
+exp/log lookup too.  Addition works in (F_q, +).  A scalar sum reads
+exp/log only, never a column table:
   p = 2                        XOR of the indices, at every q;
-  odd p, q <= ADD_TABLE_MAX_Q  a q x q add table (nested lists for scalars);
-  odd p, beyond                scalars: a Zech-logarithm list for n >= 3 up
-                               to VECTOR_MAX_Q, a + b = w^(log a + Z(log b -
-                               log a)), and base-p digit arithmetic for
-                               n <= 2 and past VECTOR_MAX_Q; columns: packed
-                               digit words (FieldTables.spread).
+  odd p, q <= VECTOR_MAX_Q     a Zech-logarithm list,
+                               a + b = w^(log a + Z(log b - log a));
+  odd p, beyond                base-p digit arithmetic (_add_slow).
+Column sums (FieldTables.add_cols, eval_col) read tables built from base-p
+digits only: XOR for p = 2, a q x q add table for odd p up to
+ADD_TABLE_MAX_Q, and packed digit words (FieldTables.spread) above it.
 Negation is multiplication by -1, the element with index p-1.  Beyond
 VECTOR_MAX_Q, multiplication is digit-vector arithmetic (_mul_slow), the
 same product mod the modulus that the modulus search uses.
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ExpansionTooLargeError, FieldError, PolyParseError
 
-# odd p: the q x q add table (int32) and its nested-list copy up to this size.
+# odd p: the oracle's columns add through a q x q table (int32) up to this size.
 ADD_TABLE_MAX_Q = 512
 # exp/log and digit tables (O(q) memory) are allowed up to this size.
 VECTOR_MAX_Q = 1 << 16
@@ -253,7 +253,7 @@ class Field:
     """A concrete F_{p^n} with canonical modulus and integer element encoding."""
 
     __slots__ = ("p", "n", "q", "modulus", "_omega", "_tables", "_mu_cache",
-                 "_add_list", "_exp_list", "_log_list", "_zech")
+                 "_exp_list", "_log_list", "_zech")
 
     def __init__(self, p: int, n: int = 1):
         if not isinstance(p, int) or not is_prime(p):
@@ -270,7 +270,6 @@ class Field:
         self._omega = None
         self._tables = None
         self._mu_cache: dict = {}
-        self._add_list = None
         self._exp_list = None
         self._log_list = None
         self._zech = None
@@ -324,9 +323,6 @@ class Field:
     # Hot paths trust their inputs to be indices in [0, q).
 
     def add(self, a: int, b: int) -> int:
-        t = self._add_list
-        if t is not None:
-            return t[a][b]
         if self.p == 2:
             return a ^ b
         z = self._zech
@@ -468,11 +464,9 @@ class Field:
         if self._tables is None:
             t = FieldTables(self)
             self._tables = t
-            if t.addf is not None:
-                self._add_list = t.addf.reshape(self.q, self.q).tolist()
             self._log_list = t.log.tolist()
             self._exp_list = t.exp_ext.tolist()
-            if self.p > 2 and self.n >= 3 and t.addf is None:
+            if self.p > 2:
                 # Zech logarithms, 1 + w^i = w^Z[i], built on digit 0 alone
                 # (adding 1 carries nowhere), not through add_cols; 1 + w^i
                 # = 0 gives the log 0 sentinel, which lands in exp_ext's zeros
@@ -533,16 +527,17 @@ class FieldTables:
     powers of p, pvec.  log[0] is the sentinel 2(q-1) and exp_ext is
     exp + exp + 2q-1 zeros, so exp_ext[log a + log b] = a*b for every a and
     b, zero included; exp is the cycle w^0 .. w^(q-2), a view of exp_ext.
-    For odd p the full q x q addition table is materialized up to
-    ADD_TABLE_MAX_Q; above it, odd p gets the packed digit word `spread`
-    that add_cols and eval_col sum in.  In characteristic 2 addition is XOR
-    and needs no table.  eval_col builds its term columns on the subgroup
-    the exponents generate, not on all q elements, a block of terms per
-    scalar_mul call, and sums each block in the tier's encoding.  Scalar
-    Field.add reads none of the column ops: its Zech list comes from exp
-    and log alone.  The arrays total at most 6q + n
-    int64 words beside the add table.  All arrays are exact integer data;
-    callers must not mutate them.
+    Column sums read tables built from base-p digits: for odd p the full
+    q x q addition table up to ADD_TABLE_MAX_Q, and above it the packed
+    digit word `spread` that add_cols and eval_col sum in.  In
+    characteristic 2 addition is XOR and needs no table.  eval_col builds
+    its term columns on the subgroup the exponents generate, not on all q
+    elements, a block of terms per scalar_mul call, and sums each block in
+    the tier's encoding.  Scalar Field.add reads none of these: for odd p
+    its Zech list comes from exp and log alone, so a fault in a column
+    table cannot also hide in the criteria's scalar sums.  The arrays total
+    at most 6q + n int64 words beside the add table.  All arrays are exact
+    integer data; callers must not mutate them.
     """
 
     __slots__ = ("field", "q", "pvec", "exp", "exp_ext", "log",

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import ppforge
 import ppforge.cli
 import ppforge.cyclotomic
+import ppforge.oracle
 import ppforge.poly
 from ppforge.cli import main
 from ppforge.cyclotomic import HermiteParams, hermite_sufficient
@@ -414,6 +415,18 @@ def test_generate_theorem1_explicit_g(capsys):
     assert code == 2 and "divisible" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "theorem1", "7", "--d", "3", "--u", "1", "--k", "0", "--b", "1",
+     "--g0", "x", "--g", "x^2+x+1"),
+    ("generate", "theorem1", "13", "--d", "4", "--g", "x^3+x^2+x+1", "--g0", "x"),
+], ids=["check", "generate"])
+def test_theorem1_g_with_g0_exits_2(capsys, argv):
+    # --g fixes g0 as its cofactor, so a second g0 is refused, not dropped
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "not both" in err
+
+
 def test_generate_example(capsys):
     code, out, _ = run_cli(capsys, "generate", "example", "3^2", "--h", "x^2")
     recs = json_lines(out)
@@ -550,6 +563,20 @@ def test_selftest_single_suite(capsys):
     assert code == 0
     assert rec["suite"] == "lemma" and rec["cases"] == 4800
     assert rec["disagreements"] == []
+
+
+def test_selftest_with_disagreements_exits_1(capsys, monkeypatch):
+    original = ppforge.oracle.lemma_check
+
+    def flipped(form):
+        report = original(form)
+        return ConditionReport(report.conditions, not report.verdict)
+
+    monkeypatch.setattr(ppforge.oracle, "lemma_check", flipped)
+    code, out, _ = run_cli(capsys, "selftest", "--suite", "lemma", "--fields", "5")
+    rec = json_lines(out)[0]
+    assert code == 1
+    assert rec["disagreements"] and len(rec["disagreements"]) == rec["cases"]
 
 
 def test_selftest_unknown_suite(capsys):

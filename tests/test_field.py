@@ -273,10 +273,10 @@ def test_factorize_splits_large_factors():
 # --- every arithmetic tier against digit arithmetic and sympy --------------
 # Multiplication is one exp/log lookup up to 2^16 (343 .. 65536) and digit
 # arithmetic beyond (177147); negation is (-1)*a at every q.  Scalar addition
-# is XOR for p = 2 (1024, 65536), the q x q table for odd p up to 512 (343),
-# Zech logarithms for odd p with n >= 3 beyond (2187) and digits for n = 2
-# and past 2^16 (63001, 177147); columns beyond 512 add in packed digit words
-# (2187, 63001).
+# reads exp/log only: XOR for p = 2 (1024, 65536), Zech logarithms for odd p
+# up to 2^16 (343, 2187, 63001) and digits past it (177147).  Columns read
+# digit-built tables only: the q x q table for odd p up to 512 (343) and
+# packed digit words beyond (2187, 63001).
 
 TIER_FIELDS = [(7, 3), (2, 10), (3, 7), (251, 2), (2, 16), (3, 11)]
 
@@ -509,7 +509,8 @@ def test_eval_col_reduces_the_packed_sum_before_a_slot_overflows():
 
 # --- scalar addition: Zech logarithms against the digit loop ---------------
 
-@pytest.mark.parametrize("p,n", [(3, 7), (7, 5), (3, 10)])
+@pytest.mark.parametrize("p,n", [(13, 1), (3, 2), (7, 3), (251, 2), (4099, 1),
+                                 (3, 7), (7, 5), (3, 10)])
 def test_zech_add_matches_the_digit_loop(p, n):
     fld = make_field(p, n)
     q = fld.q
@@ -524,23 +525,28 @@ def test_zech_add_matches_the_digit_loop(p, n):
     assert fld.add(0, 0) == 0
 
 
-@pytest.mark.parametrize("p,n", [(7, 3), (251, 2), (4099, 1), (2, 10), (3, 11)])
-def test_zech_list_only_for_odd_p_with_n_at_least_3_past_the_add_table(p, n):
-    # 251^2 keeps the digit loop: there a Zech list costs memory and set-up
-    # and saves no time
-    assert make_field(p, n)._zech is None
+# every odd-p field with tables has a Zech list, primes and q <= 512
+# included; p = 2 (XOR) and q past 2^16 (the digit loop) have none
+ZECH_FIELDS = [(13, 1), (3, 2), (7, 3), (251, 2), (4099, 1), (3, 7)]
+
+
+@pytest.mark.parametrize("p,n", ZECH_FIELDS + [(2, 10), (2, 16), (3, 11), (1000003, 1)])
+def test_zech_list_on_every_odd_p_table_field(p, n):
+    assert (make_field(p, n)._zech is not None) == ((p, n) in ZECH_FIELDS)
 
 
 def test_planted_add_cols_fault_leaves_scalar_add_unchanged(monkeypatch):
     # the Zech list is built from exp/log on digit 0, not through add_cols,
-    # so a column-add bug cannot hide on the criterion and the oracle side
+    # so a column-add bug cannot hide on the criterion and the oracle side;
+    # 3^2 and 7^3 have a q x q add table, 3^7 packed digit words
     monkeypatch.setattr(FieldTables, "add_cols", lambda self, x, y: np.zeros_like(x))
-    fld = Field(3, 7)  # a fresh instance, not make_field's
-    assert fld.tables().add_cols(np.array([1]), np.array([1])).tolist() == [0]
-    rng = random.Random("zech/planted")
-    for _ in range(2000):
-        a, b = rng.randrange(fld.q), rng.randrange(fld.q)
-        assert fld.add(a, b) == fld._add_slow(a, b)
+    for p, n in [(3, 2), (7, 3), (3, 7)]:
+        fld = Field(p, n)  # a fresh instance, not make_field's
+        assert fld.tables().add_cols(np.array([1]), np.array([1])).tolist() == [0]
+        rng = random.Random(f"zech/planted/{fld.q}")
+        for _ in range(2000):
+            a, b = rng.randrange(fld.q), rng.randrange(fld.q)
+            assert fld.add(a, b) == fld._add_slow(a, b)
 
 
 # --- column ops: one field per multiplication and addition path -----------

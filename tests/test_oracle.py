@@ -21,7 +21,7 @@ from ppforge.cyclotomic import (HermiteParams, Theorem1Params, fhat_on_mu_d, her
                                 hermite_exp_ok, hermite_family, hermite_sufficient,
                                 lemma_check, theorem1_poly)
 from ppforge.errors import ExpansionTooLargeError, OracleBoundError, UnknownSuiteError
-from ppforge.field import VECTOR_MAX_Q, FieldTables, divisors, make_field, parse_field
+from ppforge.field import VECTOR_MAX_Q, Field, FieldTables, divisors, make_field, parse_field
 from ppforge.oracle import (SUITE_NAMES, additive_poly_corpus, is_permutation,
                             lemma_h_corpus, run_equivalence_suite,
                             theorem1_g0_corpus, value_rows, value_table)
@@ -591,6 +591,24 @@ def test_harness_catches_a_dropped_condition(monkeypatch, suite, criterion, inde
     rep = run_equivalence_suite(suite, fields=[field])
     assert rep.disagreements
     assert {d.construction for d in rep.disagreements} == {suite}
+
+
+def test_planted_add_table_fault_surfaces_as_disagreements(monkeypatch):
+    # the oracle's columns add through addf, the criteria's scalars through
+    # Zech logarithms: one wrong addf entry must show as disagreements, not
+    # pass unseen or break the criterion side
+    real_init = FieldTables.__init__
+
+    def planted(self, field):
+        real_init(self, field)
+        self.addf[1 * field.q + 1] = 5  # 1 + 1 = 2 in F_9, not t + 2
+
+    monkeypatch.setattr(FieldTables, "__init__", planted)
+    fld = Field(3, 2)  # a fresh instance, not make_field's
+    assert fld.tables().add_cols(1, 1) == 5
+    for suite in ("proposition", "lemma"):
+        assert run_equivalence_suite(suite, fields=[fld]).disagreements, suite
+    assert fld.add(1, 1) == 2
 
 
 def test_theorem1_b_nonzero_is_covered_by_condition_4(monkeypatch):
