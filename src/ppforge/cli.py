@@ -36,10 +36,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
 
-CHECK_CONSTRUCTIONS = ("lemma", "theorem1", "proposition", "corollary2",
-                       "trace_theorem", "hermite")
-GENERATE_CONSTRUCTIONS = ("theorem1", "example", "hermite")
-
 
 def _resolve_max_q(args) -> int:
     if getattr(args, "max_q", None) is not None:
@@ -184,6 +180,7 @@ _CHECKS = {
     "trace_theorem": _check_trace_theorem,
     "hermite": _check_hermite,
 }
+CHECK_CONSTRUCTIONS = tuple(_CHECKS)
 
 
 def _generate_theorem1(args, fld):
@@ -242,6 +239,7 @@ _GENERATORS = {
     "example": _generate_example,
     "hermite": _generate_hermite,
 }
+GENERATE_CONSTRUCTIONS = tuple(_GENERATORS)
 
 
 def _answer(args, fld: Field, parameters: dict, report: ConditionReport, expand,

@@ -119,9 +119,8 @@ def _cond4_outcome(g0: FqPoly, d: int, b: int):
     if not b:
         return "b=0: 1+g(1)/b is undefined"
     field = g0.field
-    # h_d(1) = d, and p does not divide d since d | q-1; g0(1) is g0's kept
-    # value on mu_1 = {1}
-    g1 = field.mul(d % field.p, g0.mu_values(1)[0])
+    # h_d(1) = d, and p does not divide d since d | q-1
+    g1 = field.mul(d % field.p, g0.eval(1))
     val = field.add(1, field.div(g1, b))
     if val == 0:
         return "1+g(1)/b = 0 is zero"
@@ -160,13 +159,11 @@ def theorem1_check(params: Theorem1Params) -> ConditionReport:
     c1 = math.gcd(u, m) == 1
     c2 = math.gcd(d, u + k * m) == 1
     # the report's tuple is made directly, as ConditionReport.build makes it:
-    # where (4) holds, b != 0 and the verdict is c1 and c2
-    if held is True:
-        conds = (_T1_COPRIME[c1], _T1_EXP_UNIT[c2], _T1_B_NONZERO[True], _T1_DTH_POWER[True])
-        return tuple.__new__(ConditionReport, (conds, c1 and c2, None))
-    conds = (_T1_COPRIME[c1], _T1_EXP_UNIT[c2], _T1_B_NONZERO[b != 0],
-             tuple.__new__(Condition, (T1_DTH_POWER, False, held)))
-    return tuple.__new__(ConditionReport, (conds, False, None))
+    # where (4) holds, b != 0
+    c4 = _T1_DTH_POWER[True] if held is True else tuple.__new__(
+        Condition, (T1_DTH_POWER, False, held))
+    conds = (_T1_COPRIME[c1], _T1_EXP_UNIT[c2], _T1_B_NONZERO[b != 0], c4)
+    return tuple.__new__(ConditionReport, (conds, held is True and c1 and c2, None))
 
 
 def theorem1_poly(params: Theorem1Params) -> FqPoly:
@@ -224,7 +221,7 @@ def theorem1_generate(field: Field, d: int, u_values=(1,), k_values=(0,),
     if m == 1:
         # the only (q-1)-th power is 1, so (4) needs g(1) = 0, that is
         # g0(1) = 0 since p does not divide d
-        g0s = tuple(g0 for g0 in g0s if g0.mu_values(1)[0] == 0)
+        g0s = tuple(g0 for g0 in g0s if g0.eval(1) == 0)
         if not g0s:
             return
     for u in u_values:

@@ -16,12 +16,13 @@ safe.  For q <= VECTOR_MAX_Q it builds its lookup tables when constructed.
 Multiplication works in the cyclic group F_q^*: on every table field
 (q <= VECTOR_MAX_Q) a product is one lookup exp_ext[log a + log b], where
 log 0 is a sentinel that lands in a run of zeros; inv and pow are one
-exp/log lookup too.  Addition works in (F_q, +).  A scalar sum reads
-exp/log only, never a column table:
+exp/log lookup too.  Addition works in (F_q, +).  A scalar sum never
+reads a column table:
   p = 2                        XOR of the indices, at every q;
-  odd p, q <= VECTOR_MAX_Q     a Zech-logarithm list,
-                               a + b = w^(log a + Z(log b - log a));
-  odd p, beyond                base-p digit arithmetic (_add_slow).
+  n = 1, odd p                 residues, (a + b) mod p, at every q;
+  odd p, n > 1,                a Zech-logarithm list,
+    q <= VECTOR_MAX_Q          a + b = w^(log a + Z(log b - log a));
+  odd p, n > 1, beyond         base-p digit arithmetic (_add_slow).
 Column sums (FieldTables.add_cols, eval_col) read tables built from base-p
 digits only: XOR for p = 2, a q x q add table for odd p up to
 ADD_TABLE_MAX_Q, and packed digit words (FieldTables.spread) above it.
@@ -379,9 +380,6 @@ class Field:
     def inv(self, a: int) -> int:
         if a == 0:
             raise FieldError("inversion of zero")
-        exp = self._exp_list
-        if exp is not None:
-            return exp[-self._log_list[a] % (self.q - 1)]
         return self.pow(a, self.q - 2)
 
     def div(self, a: int, b: int) -> int:
@@ -466,7 +464,7 @@ class Field:
             self._tables = t
             self._log_list = t.log.tolist()
             self._exp_list = t.exp_ext.tolist()
-            if self.p > 2:
+            if self.p > 2 and self.n > 1:
                 # Zech logarithms, 1 + w^i = w^Z[i], built on digit 0 alone
                 # (adding 1 carries nowhere), not through add_cols; 1 + w^i
                 # = 0 gives the log 0 sentinel, which lands in exp_ext's zeros
@@ -533,11 +531,12 @@ class FieldTables:
     characteristic 2 addition is XOR and needs no table.  eval_col builds
     its term columns on the subgroup the exponents generate, not on all q
     elements, a block of terms per scalar_mul call, and sums each block in
-    the tier's encoding.  Scalar Field.add reads none of these: for odd p
-    its Zech list comes from exp and log alone, so a fault in a column
-    table cannot also hide in the criteria's scalar sums.  The arrays total
-    at most 6q + n int64 words beside the add table.  All arrays are exact
-    integer data; callers must not mutate them.
+    the tier's encoding.  Scalar Field.add reads none of these: prime
+    fields add as residues, and for odd p and n > 1 the Zech list comes
+    from exp and log alone, so a fault in a column table cannot also hide
+    in the criteria's scalar sums.  The arrays total at most 6q + n int64
+    words beside the add table.  All arrays are exact integer data;
+    callers must not mutate them.
     """
 
     __slots__ = ("field", "q", "pvec", "exp", "exp_ext", "log",
@@ -610,10 +609,9 @@ class FieldTables:
             return self.addf[x * self.q + y]
         return self._unspread(self.spread[x] + self.spread[y])
 
-    def scalar_mul(self, c, xs) -> np.ndarray:
-        """c * xs for an index c, a scalar or an index array broadcasting
-        against the index array xs; a new array."""
-        return self.exp_ext[self.log[c] + self.log[xs]]
+    # c * xs for an index c, a scalar or an index array broadcasting
+    # against the index array xs
+    scalar_mul = mul_cols
 
     def eval_col(self, terms) -> np.ndarray:
         """Value table of the polynomial with the given (exponent, coefficient)

@@ -14,6 +14,7 @@ pin the batched rows against value_table and is_permutation of the expanded
 polynomial on sampled parameters.
 """
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -111,13 +112,7 @@ class Disagreement:
     oracle_verdict: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "field": self.field,
-            "construction": self.construction,
-            "parameters": self.parameters,
-            "theorem_verdict": self.theorem_verdict,
-            "oracle_verdict": self.oracle_verdict,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -261,10 +256,10 @@ def example_h_corpus(fld: Field, seed) -> list:
 # multiply u-free H(x^m) rows, and its law is checked in u-free form, once
 # per (d, g0), and theorem1_check, still asked once per case, computes its
 # condition (4) once per (d, g0, b) and looks it up for every other (u, k);
-# the lemma is asked once per distinct key of what its verdict reads, and
-# hermite_sufficient once per (a, b) cell; the
-# additive suites decide the criterion side of each distinct cell of maps
-# once (_replayed).  verdicts
+# hermite_sufficient is asked once per (a, b) cell; and the lemma and the
+# additive suites decide the criterion side once per distinct cell, by one
+# idiom: _first_ids keys each cell on what its verdicts read (h's positions
+# on mu_d, the maps' values), and _replayed decides each key once.  verdicts
 # is a bool sequence over the rows and truths a bool sequence of the same
 # length, or None beyond the bound.  A block named after the suite holds
 # cases, with truths the oracle's verdicts; any other name is a structural
@@ -290,7 +285,12 @@ def _lemma_cases(fld, seed, T):
         first_u = {}   # each key of ukeys -> the least u with it
         for u, key in zip(us, ukeys):
             first_u.setdefault(key, u)
-        decided = {}   # h.mu_positions(d) -> the verdicts over us
+
+        def decide(hpos):
+            by_key = {key: lemma_check(CyclotomicForm(u, d, hs[hpos])).verdict
+                      for key, u in first_u.items()}
+            return tuple([by_key[key] for key in ukeys])
+        cells = _replayed([(i,) for i in _first_ids([h.mu_positions(d) for h in hs])], decide)
         truths = None
         if T is not None:
             w = value_rows([h.substituted_power(m) for h in hs], T)
@@ -303,13 +303,7 @@ def _lemma_cases(fld, seed, T):
                 u_pows = np.stack([T.pow_col(u0 + 1) for u0 in u0s.tolist()])
                 return _perm_mask_rows(T.mul_cols(u_pows[at], w[rows // (q - 1)]), q)
             truths = _by_slices(len(hs) * (q - 1), q, block)
-        for hpos, h in enumerate(hs):
-            pos = h.mu_positions(d)
-            verdicts = decided.get(pos)
-            if verdicts is None:
-                by_key = {key: lemma_check(CyclotomicForm(u, d, h)).verdict
-                          for key, u in first_u.items()}
-                verdicts = decided[pos] = tuple([by_key[key] for key in ukeys])
+        for hpos, (h, verdicts) in enumerate(zip(hs, cells)):
             yield ("lemma", verdicts,
                    None if truths is None else truths[hpos * (q - 1):(hpos + 1) * (q - 1)],
                    lambda i: {"d": d, "u": us[i], "h": h.text(), "h_pos": hpos})
@@ -401,11 +395,10 @@ def _additive_truths(T, gs):
     return lambda A, B: _perm_mask_rows(T.add_cols(col(A)[None, :], G[:, col(B)]), T.q)
 
 
-def _map_ids(maps) -> list:
-    """Each entry's map id: the position of the first entry of maps with
-    equal values()."""
+def _first_ids(keys) -> list:
+    """Each key's id: the position of the first key equal to it."""
     first = {}
-    return [first.setdefault(X.values(), pos) for pos, X in enumerate(maps)]
+    return [first.setdefault(key, pos) for pos, key in enumerate(keys)]
 
 
 def _replayed(keys, decide):
@@ -413,10 +406,11 @@ def _replayed(keys, decide):
     key and replayed to the key's later positions.  Every position of a key
     gets the same result object, so decide returns tuples, not lists.
 
-    The additive criteria read their maps only as maps (values(),
-    values_at, prime_values), so cells keyed on map ids (_map_ids) have
-    the same verdicts, and a cell is decided with the objects at its id
-    positions.  Only the criterion side is replayed: the oracle side stays
+    Keys are tuples of ids from _first_ids, and a cell is decided with
+    the objects at its id positions.  The lemma reads h only through
+    h.mu_positions(d), and the additive criteria read their maps only as
+    maps (values(), values_at, prime_values), so equal keys give equal
+    verdicts.  Only the criterion side is replayed: the oracle side stays
     per position.  A result is dropped at its key's last position, so on a
     corpus with no duplicate maps one cell is kept at a time.
     """
@@ -432,7 +426,7 @@ def _replayed(keys, decide):
 def _proposition_cases(fld, seed, T):
     q = fld.q
     As = additive_poly_corpus(fld, seed)
-    ids = _map_ids(As)
+    ids = _first_ids([A.values() for A in As])
     gs = arbitrary_g_corpus(fld, seed)
     a_texts = [A.expand().text() for A in As]
     g_texts = [g.text() for g in gs]
@@ -440,22 +434,16 @@ def _proposition_cases(fld, seed, T):
 
     def decide(ia, ib):
         """subgroup_data, the verdicts under the least and under the
-        greatest preimage, and necessary(rows), the corollary1 verdicts of
-        those g rows, each row decided on its first demand and kept."""
+        greatest preimage, and necessary(r), the corollary1 verdict of g
+        row r, decided on its first demand and kept."""
         A, B = As[ia], As[ib]
         data = subgroup_data(A, B)
         data_swap = subgroup_data(A, B, preimage="greatest")
         trs = [AdditiveTriple(A, B, g) for g in gs]
         verdicts, swapped = (tuple([proposition_check(tr, data=dt).verdict for tr in trs])
                              for dt in (data, data_swap))
-        decided = {}
-
-        def necessary(rows):
-            for r in rows:
-                if r not in decided:
-                    decided[r] = necessary_conditions_check(trs[r], data=data).verdict
-            return [decided[r] for r in rows]
-        return data, verdicts, swapped, necessary
+        return data, verdicts, swapped, functools.cache(
+            lambda r: necessary_conditions_check(trs[r], data=data).verdict)
 
     # the cells in the order of the loop below: B outer, A inner
     cells = _replayed([(ia, ib) for ib in ids for ia in ids], decide)
@@ -476,7 +464,8 @@ def _proposition_cases(fld, seed, T):
             if truths is not None:
                 # corollary1 is asked only on the rows the oracle holds
                 held = np.flatnonzero(truths).tolist()
-                yield "corollary1", necessary(held), truths[held], lambda i: params(held[i])
+                yield ("corollary1", [necessary(r) for r in held], truths[held],
+                       lambda i: params(held[i]))
 
 
 def _corollary2_cases(fld, seed, T):
@@ -486,7 +475,7 @@ def _corollary2_cases(fld, seed, T):
     # a pair is two positions in maps: As, then the F_p-coefficient A that
     # are paired with the trace map, then the trace map
     maps = As + prime_field_additive_corpus(fld) + [trace_poly(fld)]
-    ids = _map_ids(maps)
+    ids = _first_ids([X.values() for X in maps])
     trace_b = len(maps) - 1
     pairs = [(a, b) for a in range(len(As)) for b in range(len(As))
              if additive_commutes(As[a], As[b])]
@@ -511,7 +500,7 @@ def _corollary2_cases(fld, seed, T):
 def _trace_theorem_cases(fld, seed, T):
     q = fld.q
     As = prime_field_additive_corpus(fld)
-    ids = _map_ids(As)
+    ids = _first_ids([A.values() for A in As])
     hs = prime_coeff_poly_corpus(fld)
     gs = trace_g_corpus(fld, seed)
     h_texts = [h.text() for h in hs]

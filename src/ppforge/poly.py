@@ -10,9 +10,9 @@ composition), long division and h_d, can grow past the expansion guard
 The walk of F_q, values(), is weighed against the same guard; both classes
 make it once per object and keep it, and keep the map on F_p the same way
 (prime_values); values_at reads a set of points from the walk, or evaluates
-them when there is none.  FqPoly keeps its values on the d-th
-roots of unity the same way, once per d (mu_values), and the position in
-mu_d of each value raised to (q-1)/d (mu_positions), which the lemma reads.
+them when there is none.  FqPoly evaluates itself on the d-th roots of
+unity (mu_values) and keeps, once per d, the position in mu_d of each
+value raised to (q-1)/d (mu_positions), which the lemma reads.
 A Theorem 1 cofactor g0 also keeps, in _cond4, the outcome of that
 theorem's condition (4) per (d, b), filled by cyclotomic.theorem1_check.
 
@@ -71,7 +71,7 @@ class FqPoly(_Walked):
     first; zeros are dropped.
     """
 
-    __slots__ = ("field", "terms", "_mu", "_mu_pos", "_cond4")
+    __slots__ = ("field", "terms", "_mu_pos", "_cond4")
 
     def __init__(self, field: Field, coeffs=()):
         q = field.q
@@ -82,7 +82,6 @@ class FqPoly(_Walked):
         self.field = field
         self.terms = terms
         self._values = self._fp = None
-        self._mu = {}
         self._mu_pos = {}
         self._cond4 = {}
 
@@ -151,12 +150,8 @@ class FqPoly(_Walked):
 
     def mu_values(self, d: int) -> tuple:
         """The polynomial at the d-th roots of unity, in the order of
-        Field.mu_d(d): d evals, made on the first call per d and kept on
-        this object."""
-        vals = self._mu.get(d)
-        if vals is None:
-            vals = self._mu[d] = tuple(self.eval(z) for z in self.field.mu_d(d))
-        return vals
+        Field.mu_d(d): d evals, kept nowhere."""
+        return tuple(self.eval(z) for z in self.field.mu_d(d))
 
     def mu_positions(self, d: int) -> tuple:
         """For each root z of Field.mu_d(d), in its order, the position in
@@ -278,7 +273,6 @@ def _poly(field: Field, terms) -> FqPoly:
     f.field = field
     f.terms = tuple(terms)
     f._values = f._fp = None
-    f._mu = {}
     f._mu_pos = {}
     f._cond4 = {}
     return f

@@ -579,6 +579,25 @@ def test_selftest_with_disagreements_exits_1(capsys, monkeypatch):
     assert rec["disagreements"] and len(rec["disagreements"]) == rec["cases"]
 
 
+def test_recorded_disagreement_json_has_its_five_fields_in_order(capsys, monkeypatch):
+    # the JSON form of one recorded disagreement: the flipped lemma on F_5
+    # first disagrees at d = 1, u = 1, h = 1, which does permute
+    original = ppforge.oracle.lemma_check
+
+    def flipped(form):
+        report = original(form)
+        return ConditionReport(report.conditions, not report.verdict)
+
+    monkeypatch.setattr(ppforge.oracle, "lemma_check", flipped)
+    _, out, _ = run_cli(capsys, "selftest", "--suite", "lemma", "--fields", "5")
+    first = json_lines(out)[0]["disagreements"][0]
+    assert list(first.items()) == [
+        ("field", "5"), ("construction", "lemma"),
+        ("parameters", {"d": 1, "u": 1, "h": "1", "h_pos": 0}),
+        ("theorem_verdict", False), ("oracle_verdict", True)]
+    assert list(first["parameters"]) == ["d", "u", "h", "h_pos"]
+
+
 def test_selftest_unknown_suite(capsys):
     code, _, err = run_cli(capsys, "selftest", "--suite", "nope", "--fields", "7")
     assert code == 2 and "unknown suite" in err

@@ -177,9 +177,10 @@ def test_compose_and_divmod():
         g.divmod(FqPoly.zero(F9))
 
 
-def test_mu_values_are_the_evals_on_mu_d_and_kept():
+def test_mu_values_are_the_evals_on_mu_d_and_mu_positions_are_kept():
     # the values on mu_d of polynomials from the dense constructor and from
-    # ring operations, made once per d and kept
+    # ring operations; the positions derived from them are made once per d
+    # and kept
     rng = random.Random("mu-values")
     for fld in (F7, F9, F8, make_field(13)):
         for _ in range(4):
@@ -187,9 +188,13 @@ def test_mu_values_are_the_evals_on_mu_d_and_kept():
             g = parse_poly(fld, "x^3+1")
             for h in (f, f * g + FqPoly.x(fld), (f - g).shifted(3), f.substituted_power(2)):
                 for d in divisors(fld.q - 1):
+                    mu = fld.mu_d(d)
                     vals = h.mu_values(d)
-                    assert vals == tuple(h.eval(z) for z in fld.mu_d(d))
-                    assert h.mu_values(d) is vals
+                    assert vals == tuple(h.eval(z) for z in mu)
+                    pos = h.mu_positions(d)
+                    m = (fld.q - 1) // d
+                    assert pos == tuple(mu.index(fld.pow(v, m)) if v else None for v in vals)
+                    assert h.mu_positions(d) is pos
 
 
 def test_huge_exponents_are_one_term():
