@@ -241,17 +241,22 @@ def trace_theorem_check(tp: TraceTheoremParams) -> ConditionReport:
     kernel the no-roots condition stops being necessary, so the three
     conditions no longer characterize permutations there.  g and h are
     read on F_p only (prime_values), A on ker B (values_at) and F_p, and
-    the trace map from its values, made once per field (_trace_map).
+    the trace map from its values, made once per field (_trace_map).  The
+    first condition reads A alone: it is decided once per A object and kept
+    on it (AdditivePoly._trace_perm).
     """
     field = tp.field
     if field.n == 1:
         raise ScopeError("the trace criterion needs a proper extension (n >= 2)")
     tv, kernel = _trace_map(field)
-    av, gv, hv = tp.A.prime_values(), tp.g.prime_values(), tp.h.prime_values()
-    c1 = sorted(tp.A.values_at(kernel)) == list(kernel)
+    A = tp.A
+    c1 = A._trace_perm
+    if c1 is None:
+        c1 = A._trace_perm = sorted(A.values_at(kernel)) == list(kernel)
+    av, gv, hv = A.prime_values(), tp.g.prime_values(), tp.h.prime_values()
     add, mul, fp = field.add, field.mul, range(field.p)
     c2 = sorted(add(tv[gv[c]], mul(hv[c], av[c])) for c in fp) == list(fp)
-    root = next((c for c in fp if hv[c] == 0), None)
+    root = hv.index(0) if 0 in hv else None
     return ConditionReport.build((
         _TRACE_A_PERM[c1],
         _TRACE_FP_PERM[c2],

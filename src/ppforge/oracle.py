@@ -246,17 +246,22 @@ def example_h_corpus(fld: Field, seed) -> list:
 # its rows run along the free axes ((k, b) for theorem1 at fixed (d, g0, u),
 # u for the lemma, (i, j) for hermite, g for the additive suites, h for the
 # example family).  Each cell's truths come from one stacked oracle table,
-# its rows' value columns side by side (the lemma stacks the cells of one
-# d together), of at most STACK_MAX_ENTRIES entries; past that the rows are
-# stacked in slices (_by_slices), save in hermite, whose grid guard keeps
-# every cell within the bound.  A corpus of polynomials is evaluated by
-# value_rows, one eval_col call per slice: the lemma's h(x^m) rows are one
-# call per divisor.  What does not depend on a cell's data is
-# made once for the cells that share it: theorem1's rows x^u*H(x^m)
-# multiply u-free H(x^m) rows, and its law is checked in u-free form, once
-# per (d, g0), and theorem1_check, still asked once per case, computes its
-# condition (4) once per (d, g0, b) and looks it up for every other (u, k);
-# hermite_sufficient is asked once per (a, b) cell; and the lemma and the
+# its rows' value columns side by side, of at most STACK_MAX_ENTRIES
+# entries; past that the rows are stacked in slices (_by_slices), save in
+# hermite, whose grid guard keeps every cell within the bound.  Some suites
+# stack the cells that share a map: the lemma those of one d, the
+# proposition those of one B, corollary2 and trace_theorem those of one A
+# (_stacked_truths), from value columns made once per suite call.  A
+# corpus of polynomials is evaluated by value_rows, one eval_col
+# call per slice: the lemma's h(x^m) rows are one call per divisor.  The
+# additive suites and hermite weigh their whole grid before the first cell.
+# What does not depend on a cell's data is made once for the cells that
+# share it: theorem1's rows x^u*H(x^m) multiply u-free H(x^m) rows, and its
+# law is checked in u-free form, once per (d, g0), and theorem1_check, still
+# asked once per case, computes its condition (4) once per (d, g0, b) and
+# looks it up for every other (u, k); trace_theorem_check, also asked once
+# per case, decides whether A permutes ker Tr once per A; hermite_sufficient
+# is asked once per (a, b) cell; and the lemma and the
 # additive suites decide the criterion side once per distinct cell, by one
 # idiom: _first_ids keys each cell on what its verdicts read (h's positions
 # on mu_d, the maps' values), and _replayed decides each key once.  verdicts
@@ -379,20 +384,36 @@ def _theorem1_cases(fld, seed, T, g0s=None):
                 yield "fhat_monomial_law", (True,) * d, held, witness
 
 
-def _additive_truths(T, gs):
+def _stacked_truths(T, cells, rows, vals):
+    """The oracle verdicts of `cells` cells of `rows` rows each, one bool
+    list per cell, from one table stacked in slices (_by_slices): vals(k, r)
+    gives the value rows of rows r of cells k, two index arrays."""
+    def block(lo, hi):
+        k, r = np.divmod(np.arange(lo, hi), rows)
+        return _perm_mask_rows(vals(k, r), T.q)
+    return _by_slices(cells * rows, T.q, block).reshape(cells, rows).tolist()
+
+
+def _additive_truths(T, gs, maps):
     """The oracle side shared by the proposition and corollary2 suites:
-    truths(A, B) gives the oracle verdicts on A(x) + g(B(x)) for every g of
-    the corpus at once, as a bool array by g position, or None beyond the
-    oracle bound.  G stacks the value columns of the g corpus, so
-    G[:, col(B)] is the (len(gs), q) table of the columns g(B(x)); col keeps
-    one value column per additive map.  The criteria read nothing from
-    here: they read g.values().
+    truths(pairs) gives the oracle verdicts on A(x) + g(B(x)) for each
+    (A, B) pair of positions in maps and every g of the corpus, one bool
+    list per pair, stacked in one table (_stacked_truths), or None beyond
+    the oracle bound.  G holds the g corpus's value rows and cols the maps'
+    value columns, made once per suite call, so G[r, cols[b]] is the
+    column of g_r(B(x)).  The criteria read nothing from here: they read
+    g.values().
     """
     if T is None:
-        return lambda A, B: None
+        return lambda pairs: None
     G = value_rows(gs, T)
-    col = functools.cache(lambda X: value_table(X.expand()))
-    return lambda A, B: _perm_mask_rows(T.add_cols(col(A)[None, :], G[:, col(B)]), T.q)
+    cols = value_rows([X.expand() for X in maps], T)
+
+    def truths(pairs):
+        a, b = np.array(pairs, dtype=np.int64).T
+        return _stacked_truths(T, len(pairs), len(gs), lambda k, r: T.add_cols(
+            cols[a[k]], G[r[:, None], cols[b[k]]]))
+    return truths
 
 
 def _first_ids(keys) -> list:
@@ -426,11 +447,15 @@ def _replayed(keys, decide):
 def _proposition_cases(fld, seed, T):
     q = fld.q
     As = additive_poly_corpus(fld, seed)
+    # the whole grid is weighed before its first cell: each (A, B) cell
+    # walks F_q to label the cosets of A(ker B)
+    check_expansion(len(As) ** 2 * q, f"the proposition grid of (A, B) cells by elements for q={q}")
     ids = _first_ids([A.values() for A in As])
     gs = arbitrary_g_corpus(fld, seed)
     a_texts = [A.expand().text() for A in As]
     g_texts = [g.text() for g in gs]
-    truths_of = _additive_truths(T, gs)
+    truths_of = _additive_truths(T, gs, As)
+    row = tuple.__new__
 
     def decide(ia, ib):
         """subgroup_data, the verdicts under the least and under the
@@ -439,16 +464,21 @@ def _proposition_cases(fld, seed, T):
         A, B = As[ia], As[ib]
         data = subgroup_data(A, B)
         data_swap = subgroup_data(A, B, preimage="greatest")
-        trs = [AdditiveTriple(A, B, g) for g in gs]
+        # the cell's first and last rows validate it; its rows are then
+        # made as plain tuples
+        AdditiveTriple(A, B, gs[0]), AdditiveTriple(A, B, gs[-1])
+        trs = [row(AdditiveTriple, (A, B, g)) for g in gs]
         verdicts, swapped = (tuple([proposition_check(tr, data=dt).verdict for tr in trs])
                              for dt in (data, data_swap))
         return data, verdicts, swapped, functools.cache(
             lambda r: necessary_conditions_check(trs[r], data=data).verdict)
 
-    # the cells in the order of the loop below: B outer, A inner
+    # the cells in the order of the loop below: B outer, A inner; the oracle
+    # stacks the cells of one B
     cells = _replayed([(ia, ib) for ib in ids for ia in ids], decide)
-    for bpos, B in enumerate(As):
-        for apos, A in enumerate(As):
+    for bpos in range(len(As)):
+        by_a = truths_of([(apos, bpos) for apos in range(len(As))]) or [None] * len(As)
+        for apos, truths in enumerate(by_a):
             data, verdicts, swapped, necessary = next(cells)
             if apos == 0:
                 yield ("rank_nullity", (True,), (len(data.kernel) * len(data.image) == q,),
@@ -459,19 +489,18 @@ def _proposition_cases(fld, seed, T):
                 return {"A_pos": apos, "B_pos": bpos, "g_pos": gpos,
                         "A": a_texts[apos], "B": a_texts[bpos], "g": g_texts[gpos]}
             yield "right_inverse_swap", verdicts, swapped, params
-            truths = truths_of(A, B)
             yield "proposition", verdicts, truths, params
             if truths is not None:
                 # corollary1 is asked only on the rows the oracle holds
-                held = np.flatnonzero(truths).tolist()
-                yield ("corollary1", [necessary(r) for r in held], truths[held],
+                held = list(itertools.compress(range(len(truths)), truths))
+                yield ("corollary1", [necessary(r) for r in held], [truths[r] for r in held],
                        lambda i: params(held[i]))
 
 
 def _corollary2_cases(fld, seed, T):
+    q = fld.q
     As = additive_poly_corpus(fld, seed)
     gs = arbitrary_g_corpus(fld, seed)
-    truths_of = _additive_truths(T, gs)
     # a pair is two positions in maps: As, then the F_p-coefficient A that
     # are paired with the trace map, then the trace map
     maps = As + prime_field_additive_corpus(fld) + [trace_poly(fld)]
@@ -482,26 +511,40 @@ def _corollary2_cases(fld, seed, T):
     seen = {(maps[a], maps[b]) for a, b in pairs}
     pairs += [(a, trace_b) for a in range(len(As), trace_b)
               if (maps[a], maps[trace_b]) not in seen]
+    # the whole grid is weighed before its first cell: each pair walks F_q
+    # to label the cosets of A(ker B)
+    check_expansion(len(pairs) * q, f"the corollary2 grid of (A, B) pairs by elements for q={q}")
     g_texts = [g.text() for g in gs]
+    truths_of = _additive_truths(T, gs, maps)
+    row = tuple.__new__
 
     def decide(ia, ib):
         A, B = maps[ia], maps[ib]
         data = subgroup_data(A, B)
-        return tuple([commuting_criterion_check(AdditiveTriple(A, B, g), data=data).verdict
+        AdditiveTriple(A, B, gs[0]), AdditiveTriple(A, B, gs[-1])
+        return tuple([commuting_criterion_check(row(AdditiveTriple, (A, B, g)), data=data).verdict
                       for g in gs])
 
     cells = _replayed([(ids[a], ids[b]) for a, b in pairs], decide)
-    for ppos, ((a, b), verdicts) in enumerate(zip(pairs, cells)):
-        yield ("corollary2", verdicts, truths_of(maps[a], maps[b]),
-               lambda gpos: {"pair_pos": ppos, "g_pos": gpos, "A": maps[a].expand().text(),
-                             "B": maps[b].expand().text(), "g": g_texts[gpos]})
+    # the oracle stacks the pairs of one A, consecutive in pairs
+    for _, group in itertools.groupby(enumerate(pairs), key=lambda at: at[1][0]):
+        group = list(group)
+        by_pair = truths_of([ab for _, ab in group]) or [None] * len(group)
+        for (ppos, (a, b)), truths in zip(group, by_pair):
+            yield ("corollary2", next(cells), truths,
+                   lambda gpos: {"pair_pos": ppos, "g_pos": gpos, "A": maps[a].expand().text(),
+                                 "B": maps[b].expand().text(), "g": g_texts[gpos]})
 
 
 def _trace_theorem_cases(fld, seed, T):
     q = fld.q
     As = prime_field_additive_corpus(fld)
-    ids = _first_ids([A.values() for A in As])
     hs = prime_coeff_poly_corpus(fld)
+    # the whole grid is weighed before its first cell: each A walks F_q
+    # once, and each (A, h) cell reads its rows on F_p only
+    check_expansion(len(As) * (q + len(hs) * fld.p),
+                    f"the trace_theorem grid of A walks and (A, h) cells for q={q}")
+    ids = _first_ids([A.values() for A in As])
     gs = trace_g_corpus(fld, seed)
     h_texts = [h.text() for h in hs]
     g_texts = [g.text() for g in gs]
@@ -510,17 +553,25 @@ def _trace_theorem_cases(fld, seed, T):
         gcols = value_rows(gs, T)[:, bcol]
         hcols = value_rows(hs, T)[:, bcol]
         acols = value_rows([A.expand() for A in As], T)
+    row = tuple.__new__
 
     def decide(ia, hpos):
         A, h = As[ia], hs[hpos]
-        return tuple([trace_theorem_check(TraceTheoremParams(g, A, h)).verdict for g in gs])
+        # the cell's first and last rows validate it; its rows are then
+        # made as plain tuples
+        TraceTheoremParams(gs[0], A, h), TraceTheoremParams(gs[-1], A, h)
+        return tuple([trace_theorem_check(row(TraceTheoremParams, (g, A, h))).verdict
+                      for g in gs])
 
-    # the cells in the order of the loop below: A outer, h inner
+    # the cells in the order of the loop below: A outer, h inner; the
+    # oracle stacks the cells of one A
     cells = _replayed([(ia, hpos) for ia in ids for hpos in range(len(hs))], decide)
     for apos, A in enumerate(As):
-        for hpos in range(len(hs)):
-            truths = None if T is None else _perm_mask_rows(
-                T.add_cols(gcols, T.mul_cols(hcols[hpos], acols[apos])[None, :]), q)
+        by_h = [None] * len(hs)
+        if T is not None:
+            ha = T.mul_cols(hcols, acols[apos])
+            by_h = _stacked_truths(T, len(hs), len(gs), lambda k, r: T.add_cols(gcols[r], ha[k]))
+        for hpos, truths in enumerate(by_h):
             yield ("trace_theorem", next(cells), truths,
                    lambda gpos: {"A_pos": apos, "h_pos": hpos, "g_pos": gpos,
                                  "A": A.expand().text(), "h": h_texts[hpos], "g": g_texts[gpos]})

@@ -14,7 +14,9 @@ them when there is none.  FqPoly evaluates itself on the d-th roots of
 unity (mu_values) and keeps, once per d, the position in mu_d of each
 value raised to (q-1)/d (mu_positions), which the lemma reads.
 A Theorem 1 cofactor g0 also keeps, in _cond4, the outcome of that
-theorem's condition (4) per (d, b), filled by cyclotomic.theorem1_check.
+theorem's condition (4) per (d, b), filled by cyclotomic.theorem1_check,
+and an additive map keeps, in _trace_perm, whether it permutes the kernel
+of the trace map, filled by additive.trace_theorem_check.
 
 AdditivePoly keeps the coefficient vector of sum_i a_i * x^(p^i).  It is
 never expanded implicitly, so the additive structure stays visible in the
@@ -291,7 +293,7 @@ def _collect(field: Field, pairs) -> FqPoly:
 class AdditivePoly(_Walked):
     """sum_i a_i * x^(p^i): a group endomorphism of (F_q, +)."""
 
-    __slots__ = ("field", "add_coeffs")
+    __slots__ = ("field", "add_coeffs", "_trace_perm")
 
     def __init__(self, field: Field, add_coeffs=()):
         cs = list(add_coeffs)
@@ -303,7 +305,7 @@ class AdditivePoly(_Walked):
             cs.pop()
         self.field = field
         self.add_coeffs = tuple(cs)
-        self._values = self._fp = None
+        self._values = self._fp = self._trace_perm = None
 
     def __eq__(self, other):
         return (isinstance(other, AdditivePoly) and self.field == other.field

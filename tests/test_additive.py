@@ -1,6 +1,7 @@
 """Additive-coset criteria: kernel/image machinery, the coverage criterion,
 its corollaries, the trace-based construction, and the explicit family."""
 
+import collections
 import random
 
 import pytest
@@ -13,8 +14,9 @@ from ppforge.additive import (AdditiveTriple, TraceTheoremParams, _trace_map,
                               triple_poly)
 from ppforge.errors import FieldError, ScopeError
 from ppforge.field import make_field, parse_field
-from ppforge.oracle import (additive_poly_corpus, arbitrary_g_corpus, is_permutation,
-                            value_table)
+from ppforge.oracle import (SAMPLE_SEED, additive_poly_corpus, arbitrary_g_corpus,
+                            is_permutation, prime_coeff_poly_corpus,
+                            prime_field_additive_corpus, trace_g_corpus, value_table)
 from ppforge.poly import AdditivePoly, FqPoly, additive_commutes, parse_poly, trace_poly
 
 F5 = make_field(5)
@@ -63,6 +65,32 @@ def test_trace_condition_1_per_a():
         A = AdditivePoly(F9, cs)
         c1 = trace_theorem_check(TraceTheoremParams(FqPoly.zero(F9), A, h)).conditions[0]
         assert c1.holds == (sorted(A.eval(b) for b in kernel) == kernel)
+
+
+def test_trace_kernel_condition_reads_each_a_once(monkeypatch):
+    # "A permutes ker Tr" reads A alone: over all its (h, g) rows, each A
+    # object is evaluated at most once per point of F_p and of the kernel,
+    # and a fresh A equal to it gets the same verdicts
+    fld = parse_field("3^3")
+    _, kernel = _trace_map(fld)
+    As = prime_field_additive_corpus(fld)
+    hs, gs = prime_coeff_poly_corpus(fld)[::4], trace_g_corpus(fld, SAMPLE_SEED)
+    calls = collections.Counter()
+    real_eval = AdditivePoly.eval
+
+    def counted(self, a):
+        calls[id(self)] += 1
+        return real_eval(self, a)
+    monkeypatch.setattr(AdditivePoly, "eval", counted)
+    kept = [[trace_theorem_check(TraceTheoremParams(g, A, h)) for h in hs for g in gs]
+            for A in As]
+    assert set(calls) == {id(A) for A in As}
+    assert max(calls.values()) <= fld.p + len(kernel)
+    monkeypatch.undo()
+    fresh = [[trace_theorem_check(TraceTheoremParams(g, AdditivePoly(fld, A.add_coeffs), h))
+              for h in hs for g in gs] for A in As]
+    assert fresh == kept
+    assert {rpt.conditions[0].holds for rows in kept for rpt in rows} == {True, False}
 
 
 def test_subgroup_data_identity_b():

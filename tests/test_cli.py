@@ -620,6 +620,19 @@ def test_selftest_hermite_grid_of_cells_past_the_guard_exits_2_quickly():
     assert "1000000" in proc.stderr
 
 
+@pytest.mark.parametrize("suite,field,weight", [
+    ("proposition", "3^7", 57 ** 2 * 2187),          # (A, B) cells by elements
+    ("corollary2", "2^12", 327 * 4096),              # commuting pairs by elements
+    ("trace_theorem", "11^2", 11 ** 3 * (121 + 11 ** 4))])   # A walks and (A, h) cells
+def test_selftest_additive_grid_past_the_guard_exits_2_quickly(suite, field, weight):
+    # the whole grid is weighed before its first cell: proposition on 3^7
+    # gave no answer within 20 s before the weight was taken
+    proc = run_subprocess("selftest", "--suite", suite, "--fields", field)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"the {suite} grid" in proc.stderr and str(weight) in proc.stderr
+    assert "1000000" in proc.stderr
+
+
 def test_selftest_output_is_deterministic(capsys):
     args = ("selftest", "--suite", "hermite", "--suite", "example_family",
             "--fields", "7,3^2")

@@ -415,6 +415,39 @@ def test_lemma_truths_do_not_depend_on_the_slice(monkeypatch):
     assert [t for block in whole for t in block] == rows
 
 
+@pytest.mark.parametrize("suite,spec", [("proposition", "3"), ("corollary2", "2^2"),
+                                        ("trace_theorem", "2^3")])
+def test_additive_truths_do_not_depend_on_the_slice(monkeypatch, suite, spec):
+    # the additive suites stack the cells of one map in one table: one per B
+    # for the proposition, one per A for corollary2 and trace_theorem.
+    # Slices of five rows cut it across g rows and across cells, and no
+    # table the row test receives holds more than the bound
+    fld = parse_field(spec)
+    if suite == "trace_theorem":
+        maps = len(oracle.prime_field_additive_corpus(fld))
+    else:
+        maps = len(additive_poly_corpus(fld, oracle.SAMPLE_SEED))
+    if suite == "corollary2":
+        maps += len(oracle.prime_field_additive_corpus(fld))   # those paired with the trace
+    tables, real = [], oracle._perm_mask_rows
+
+    def spied(vals, q):
+        tables.append(vals.size)
+        return real(vals, q)
+    monkeypatch.setattr(oracle, "_perm_mask_rows", spied)
+
+    def truths():
+        tables.clear()
+        return [(construction, list(truths)) for construction, _, truths, _
+                in oracle.SUITES[suite][1](fld, oracle.SAMPLE_SEED, fld.tables())]
+    whole = truths()
+    cells = sum(construction == suite for construction, _ in whole)
+    assert len(tables) <= maps < cells and max(tables) <= oracle.STACK_MAX_ENTRIES
+    monkeypatch.setattr(oracle, "STACK_MAX_ENTRIES", 5 * fld.q)
+    assert truths() == whole
+    assert len(tables) > maps and max(tables) <= 5 * fld.q
+
+
 def _lemma_h_one(monkeypatch):
     """Restrict the lemma suite's h grid to h = 1, where f = x^u."""
     monkeypatch.setattr(oracle, "lemma_h_corpus", lambda fld, d, seed: [FqPoly.one(fld)])
