@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as _dc_field
 
 import numpy as np
 
-from .additive import (AdditiveTriple, TraceTheoremParams, example_family,
+from .additive import (AdditiveTriple, TraceTheoremParams, _trace_map, example_family,
                        necessary_conditions_check, proposition_check,
                        commuting_criterion_check, subgroup_data,
                        trace_theorem_check)
@@ -259,12 +259,12 @@ def example_h_corpus(fld: Field, seed) -> list:
 # share it: theorem1's rows x^u*H(x^m) multiply u-free H(x^m) rows, and its
 # law is checked in u-free form, once per (d, g0), and theorem1_check, still
 # asked once per case, computes its condition (4) once per (d, g0, b) and
-# looks it up for every other (u, k); trace_theorem_check, also asked once
-# per case, decides whether A permutes ker Tr once per A; hermite_sufficient
-# is asked once per (a, b) cell; and the lemma and the
-# additive suites decide the criterion side once per distinct cell, by one
-# idiom: _first_ids keys each cell on what its verdicts read (h's positions
-# on mu_d, the maps' values), and _replayed decides each key once.  verdicts
+# looks it up for every other (u, k); hermite_sufficient is asked once per
+# (a, b) cell; and the lemma and the additive suites decide the criterion
+# side once per distinct cell, by one idiom: _first_ids keys each cell on
+# what its verdicts read (h's positions on mu_d, the maps' values; for
+# trace_theorem A's values on ker Tr, as a set, and on F_p, and h's on
+# F_p), and _replayed decides each key once.  verdicts
 # is a bool sequence over the rows and truths a bool sequence of the same
 # length, or None beyond the bound.  A block named after the suite holds
 # cases, with truths the oracle's verdicts; any other name is a structural
@@ -283,9 +283,16 @@ def _lemma_cases(fld, seed, T):
     # the rows of every h of d, (hpos, u) at row hpos*(q-1) + u-1
     q = fld.q
     us = range(1, q)
-    for d in divisors(q - 1):
+    ds = divisors(q - 1)
+    hs = lemma_h_corpus(fld, 1, seed)
+    # the whole grid is weighed before its first cell: its cases, each
+    # divisor's h corpus being the size of the first's (LEMMA_H_COUNT)
+    check_expansion(len(ds) * len(hs) * (q - 1),
+                    f"the lemma grid of (d, h) cells by u for q={q}")
+    for d in ds:
         m = (q - 1) // d
-        hs = lemma_h_corpus(fld, d, seed)
+        if d > 1:
+            hs = lemma_h_corpus(fld, d, seed)
         ukeys = [(u % d, math.gcd(u, m) == 1) for u in us]
         first_u = {}   # each key of ukeys -> the least u with it
         for u, key in zip(us, ukeys):
@@ -429,11 +436,13 @@ def _replayed(keys, decide):
 
     Keys are tuples of ids from _first_ids, and a cell is decided with
     the objects at its id positions.  The lemma reads h only through
-    h.mu_positions(d), and the additive criteria read their maps only as
-    maps (values(), values_at, prime_values), so equal keys give equal
-    verdicts.  Only the criterion side is replayed: the oracle side stays
-    per position.  A result is dropped at its key's last position, so on a
-    corpus with no duplicate maps one cell is kept at a time.
+    h.mu_positions(d), the proposition and corollary2 criteria read their
+    maps only as maps (values()), and the trace criterion reads A only on
+    ker Tr, as a set, and on F_p, and h only on F_p (prime_values), so
+    equal keys give equal verdicts.  Only the criterion side is replayed:
+    the oracle side stays per position, so a wrong key shows up as
+    disagreements.  A result is dropped at its key's last position, so on
+    a corpus with no duplicate maps one cell is kept at a time.
     """
     last = {key: i for i, key in enumerate(keys)}
     kept = {}
@@ -544,7 +553,13 @@ def _trace_theorem_cases(fld, seed, T):
     # once, and each (A, h) cell reads its rows on F_p only
     check_expansion(len(As) * (q + len(hs) * fld.p),
                     f"the trace_theorem grid of A walks and (A, h) cells for q={q}")
-    ids = _first_ids([A.values() for A in As])
+    # a verdict reads A only on ker Tr, as a set, and on F_p, and h only on
+    # F_p: A is keyed on its sorted kernel values, read from its walk, and
+    # its prime values, h on its prime values
+    _, kernel = _trace_map(fld)
+    a_ids = _first_ids([(tuple(sorted(map(A.values().__getitem__, kernel))), A.prime_values())
+                        for A in As])
+    h_ids = _first_ids([h.prime_values() for h in hs])
     gs = trace_g_corpus(fld, seed)
     h_texts = [h.text() for h in hs]
     g_texts = [g.text() for g in gs]
@@ -555,8 +570,8 @@ def _trace_theorem_cases(fld, seed, T):
         acols = value_rows([A.expand() for A in As], T)
     row = tuple.__new__
 
-    def decide(ia, hpos):
-        A, h = As[ia], hs[hpos]
+    def decide(ia, ih):
+        A, h = As[ia], hs[ih]
         # the cell's first and last rows validate it; its rows are then
         # made as plain tuples
         TraceTheoremParams(gs[0], A, h), TraceTheoremParams(gs[-1], A, h)
@@ -565,7 +580,7 @@ def _trace_theorem_cases(fld, seed, T):
 
     # the cells in the order of the loop below: A outer, h inner; the
     # oracle stacks the cells of one A
-    cells = _replayed([(ia, hpos) for ia in ids for hpos in range(len(hs))], decide)
+    cells = _replayed([(ia, ih) for ia in a_ids for ih in h_ids], decide)
     for apos, A in enumerate(As):
         by_h = [None] * len(hs)
         if T is not None:

@@ -633,6 +633,18 @@ def test_selftest_additive_grid_past_the_guard_exits_2_quickly(suite, field, wei
     assert "1000000" in proc.stderr
 
 
+@pytest.mark.parametrize("field,weight", [
+    ("2^10", 8 * 200 * 1023), ("1031", 8 * 200 * 1030),
+    ("3^7", 4 * 200 * 2186), ("65537", 17 * 200 * 65536)])   # divisors by h by u
+def test_selftest_lemma_grid_past_the_guard_exits_2_quickly(field, weight):
+    # the lemma grid is weighed before its first cell: on 65537 and 2^10
+    # the suite gave no answer within 15 s before the weight was taken
+    proc = run_subprocess("selftest", "--suite", "lemma", "--fields", field)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "the lemma grid" in proc.stderr and str(weight) in proc.stderr
+    assert "1000000" in proc.stderr
+
+
 def test_selftest_output_is_deterministic(capsys):
     args = ("selftest", "--suite", "hermite", "--suite", "example_family",
             "--fields", "7,3^2")

@@ -275,8 +275,11 @@ def _fresh_verdicts(suite, fld):
     return fresh
 
 
-REPLAYED = [(suite, spec) for suite in ("proposition", "corollary2", "trace_theorem")
-            for spec in ("3", "5", "2^2", "3^2") if suite != "trace_theorem" or "^" in spec]
+# trace_theorem on 3^3 merges different A maps (27 maps, 4 readings on
+# ker Tr and F_p), and on 2^3 different h (8 maps, 4 readings on F_2)
+REPLAYED = ([(suite, spec) for suite in ("proposition", "corollary2")
+             for spec in ("3", "5", "2^2", "3^2")]
+            + [("trace_theorem", spec) for spec in ("2^2", "2^3", "3^2", "3^3")])
 
 
 @pytest.mark.parametrize("suite,spec", REPLAYED)
@@ -339,8 +342,11 @@ def test_each_distinct_proposition_cell_is_decided_once(monkeypatch):
 
 
 @pytest.mark.parametrize("suite,spec,criterion,cells", [
-    ("trace_theorem", "3^2", "trace_theorem_check", 9 * 27),   # a2*x^9 = a2*x: 9 maps
-    ("trace_theorem", "3^3", "trace_theorem_check", 27 * 27),  # no two A the same map
+    # a trace_theorem cell is an (A, h) reading: A's values on ker Tr, as a
+    # set, and on F_p, and h's values on F_p
+    ("trace_theorem", "2^3", "trace_theorem_check", 4 * 4),    # 8 A and 8 h, 4 readings each
+    ("trace_theorem", "3^2", "trace_theorem_check", 6 * 27),   # 9 A maps, 6 readings
+    ("trace_theorem", "3^3", "trace_theorem_check", 4 * 27),   # 27 A maps, 4 readings
     ("corollary2", "2^4", "commuting_criterion_check", None)])   # 57 maps: one per case
 def test_each_distinct_cell_is_decided_once(monkeypatch, suite, spec, criterion, cells):
     # one criterion call per g row of each distinct cell; on a corpus with
@@ -349,6 +355,19 @@ def test_each_distinct_cell_is_decided_once(monkeypatch, suite, spec, criterion,
     rep = run_equivalence_suite(suite, fields=[spec])
     rows = rep.cases_run if cells is None else cells * oracle.TRACE_G_COUNT
     assert rep.passed() and calls[criterion] == rows
+
+
+@pytest.mark.parametrize("suite,spec", [("lemma", "7"), ("proposition", "3"),
+                                        ("corollary2", "2^2"), ("trace_theorem", "3^3")])
+def test_a_wrong_key_shows_up_as_disagreements(monkeypatch, suite, spec):
+    # only the criterion side is replayed: with every key given id 0, every
+    # cell replays the first one's verdicts, while each position's truths
+    # still come from its own rows of the oracle table
+    cases = run_equivalence_suite(suite, fields=[spec]).cases_run
+    monkeypatch.setattr(oracle, "_first_ids", lambda keys: [0] * len(keys))
+    rep = run_equivalence_suite(suite, fields=[spec])
+    assert rep.cases_run == cases
+    assert suite in {d.construction for d in rep.disagreements}
 
 
 def test_lemma_reads_h_once_per_root(monkeypatch):
