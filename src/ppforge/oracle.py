@@ -243,44 +243,77 @@ def example_h_corpus(fld: Field, seed) -> list:
 # on one field.  T is the field's tables, or None beyond the brute-force
 # bound.  It yields one block per cell, (construction, verdicts, truths,
 # params): a cell is one setting of the data a criterion holds fixed, and
-# its rows run along the free axes ((k, b) for theorem1 at fixed (d, g0, u),
-# u for the lemma, (i, j) for hermite, g for the additive suites, h for the
-# example family).  Each cell's truths come from one stacked oracle table,
-# its rows' value columns side by side, of at most STACK_MAX_ENTRIES
-# entries; past that the rows are stacked in slices (_by_slices), save in
-# hermite, whose grid guard keeps every cell within the bound.  Some suites
-# stack the cells that share a map: the lemma those of one d, the
-# proposition those of one B, corollary2 and trace_theorem those of one A
-# (_stacked_truths), from value columns made once per suite call.  A
-# corpus of polynomials is evaluated by value_rows, one eval_col
-# call per slice: the lemma's h(x^m) rows are one call per divisor.  The
-# additive suites and hermite weigh their whole grid before the first cell.
-# What does not depend on a cell's data is made once for the cells that
-# share it: theorem1's rows x^u*H(x^m) multiply u-free H(x^m) rows, and its
-# law is checked in u-free form, once per (d, g0), and theorem1_check, still
-# asked once per case, computes its condition (4) once per (d, g0, b) and
-# looks it up for every other (u, k); hermite_sufficient is asked once per
-# (a, b) cell; and the lemma and the additive suites decide the criterion
-# side once per distinct cell, by one idiom: _first_ids keys each cell on
-# what its verdicts read (h's positions on mu_d, the maps' values; for
-# trace_theorem A's values on ker Tr, as a set, and on F_p, and h's on
-# F_p), and _replayed decides each key once.  verdicts
-# is a bool sequence over the rows and truths a bool sequence of the same
-# length, or None beyond the bound.  A block named after the suite holds
-# cases, with truths the oracle's verdicts; any other name is a structural
-# invariant, whose rows record (theorem_verdict, oracle_verdict) =
-# (verdict, truth) when the two differ.  params(i) builds row i's parameter
-# dict; the driver calls it only for a row it records, and before it asks
-# for the next block, since params reads the generator's loop variables.
-# Records therefore come out grouped by construction within a cell.
-# Counting, comparing and recording belong to the driver.
+# its rows run along a free axis.  verdicts is a bool sequence over the
+# rows and truths a bool sequence of the same length, or None beyond the
+# bound.  A block named after the suite holds cases, with truths the
+# oracle's verdicts; any other name is a structural invariant, whose rows
+# record (theorem_verdict, oracle_verdict) = (verdict, truth) when the two
+# differ.  params(i) builds row i's parameter dict; the driver calls it only
+# for a row it records, and before it asks for the next block, since params
+# reads the generator's loop variables.  Counting, comparing and recording
+# belong to the driver.
+#
+# Two helpers do what the suites share.  _stacked_truths makes every case
+# truth, from one stacked oracle table for the cells that share a map.
+# _replayed decides the criterion side once per distinct key, a key being
+# what a cell's verdicts read, and replays it to the key's other cells; the
+# lemma and the additive suites key their cells.  Per suite, the cells
+# (fixed data by free axis) and what one table stacks:
+#   lemma           (d, h) by u: the cells of one d
+#   theorem1        (d, g0, u) by (k, b): one cell
+#   proposition     (A, B) by g: the cells of one B
+#   corollary2      commuting (A, B) by g: the cells of one A
+#   trace_theorem   (A, h) by g: the cells of one A
+#   hermite         (a, b) by (i, j): one cell
+#   example_family  one cell by h
+
+def _first_ids(keys) -> list:
+    """Each key's id: the position of the first key equal to it."""
+    first = {}
+    return [first.setdefault(key, pos) for pos, key in enumerate(keys)]
+
+
+def _replayed(keys, decide):
+    """decide(pos) for each key of the list in turn, asked at the key's
+    first position (its id, _first_ids) and replayed to its later positions.
+    Every position of a key gets the same result object, so decide returns
+    tuples, not lists.
+
+    A suite keys a cell on what its verdicts read, so equal keys give equal
+    verdicts.  Only the criterion side is replayed: the oracle side stays
+    per position, so a wrong key shows up as disagreements.  A result is
+    dropped at its key's last position, so on a corpus with no duplicate
+    maps one cell is kept at a time.
+    """
+    ids = _first_ids(keys)
+    last = {i: pos for pos, i in enumerate(ids)}
+    kept = {}
+    for pos, i in enumerate(ids):
+        cell = kept.pop(i) if i in kept else decide(i)
+        if last[i] != pos:
+            kept[i] = cell
+        yield cell
+
+
+def _stacked_truths(T, cells, rows, vals):
+    """The oracle verdicts of `cells` cells of `rows` rows each, one bool
+    list per cell, from one table stacked in slices of at most
+    STACK_MAX_ENTRIES entries (_by_slices): vals(k, r) gives the value rows
+    of rows r of cells k, two index arrays.  Beyond the oracle bound (T is
+    None) each cell's truths are None."""
+    if T is None:
+        return [None] * cells
+
+    def block(lo, hi):
+        k, r = np.divmod(np.arange(lo, hi), rows)
+        return _perm_mask_rows(vals(k, r), T.q)
+    return _by_slices(cells * rows, T.q, block).reshape(cells, rows).tolist()
+
 
 def _lemma_cases(fld, seed, T):
     # a cell fixes (d, h), and its rows run over u.  A lemma verdict reads u
     # only through u mod d and gcd(u, m) = 1, and h only through
-    # h.mu_positions(d): lemma_check is asked once per distinct (positions,
-    # u mod d, coprime) and its verdict replayed.  The oracle side stacks
-    # the rows of every h of d, (hpos, u) at row hpos*(q-1) + u-1
+    # h.mu_positions(d): lemma_check is asked once per distinct pair of them
     q = fld.q
     us = range(1, q)
     ds = divisors(q - 1)
@@ -293,31 +326,25 @@ def _lemma_cases(fld, seed, T):
         m = (q - 1) // d
         if d > 1:
             hs = lemma_h_corpus(fld, d, seed)
-        ukeys = [(u % d, math.gcd(u, m) == 1) for u in us]
-        first_u = {}   # each key of ukeys -> the least u with it
-        for u, key in zip(us, ukeys):
-            first_u.setdefault(key, u)
+        u_ids = _first_ids([(u % d, math.gcd(u, m) == 1) for u in us])
 
         def decide(hpos):
-            by_key = {key: lemma_check(CyclotomicForm(u, d, hs[hpos])).verdict
-                      for key, u in first_u.items()}
-            return tuple([by_key[key] for key in ukeys])
-        cells = _replayed([(i,) for i in _first_ids([h.mu_positions(d) for h in hs])], decide)
-        truths = None
+            by_id = {i: lemma_check(CyclotomicForm(us[i], d, hs[hpos])).verdict
+                     for i in set(u_ids)}
+            return tuple([by_id[i] for i in u_ids])
         if T is not None:
             w = value_rows([h.substituted_power(m) for h in hs], T)
 
-            def block(lo, hi):
-                """Oracle verdicts of rows lo..hi-1, with one x^u column
-                per u of the slice."""
-                rows = np.arange(lo, hi)
-                u0s, at = np.unique(rows % (q - 1), return_inverse=True)
-                u_pows = np.stack([T.pow_col(u0 + 1) for u0 in u0s.tolist()])
-                return _perm_mask_rows(T.mul_cols(u_pows[at], w[rows // (q - 1)]), q)
-            truths = _by_slices(len(hs) * (q - 1), q, block)
-        for hpos, (h, verdicts) in enumerate(zip(hs, cells)):
-            yield ("lemma", verdicts,
-                   None if truths is None else truths[hpos * (q - 1):(hpos + 1) * (q - 1)],
+        def vals(k, r):
+            """The rows of h_k(x^m) times x^(r+1), with one x^u column per
+            u of the slice."""
+            u0s, at = np.unique(r, return_inverse=True)
+            u_pows = np.stack([T.pow_col(u0 + 1) for u0 in u0s.tolist()])
+            return T.mul_cols(u_pows[at], w[k])
+        cells = zip(hs, _replayed([h.mu_positions(d) for h in hs], decide),
+                    _stacked_truths(T, len(hs), q - 1, vals))
+        for hpos, (h, verdicts, truths) in enumerate(cells):
+            yield ("lemma", verdicts, truths,
                    lambda i: {"d": d, "u": us[i], "h": h.text(), "h_pos": hpos})
 
 
@@ -326,16 +353,23 @@ def _theorem1_cases(fld, seed, T, g0s=None):
     # d*q rows run over (k, b), row i at k = i // q and b = i % q.  Neither
     # the H(x^m) rows nor the law depend on u: both are made per (d, g0)
     q = fld.q
+    ds = [d for d in divisors(q - 1) if d > 2]
+    # the whole grid is weighed before its first cell and before its g0
+    # corpus is drawn: its (d, g0, u) cells by b
+    g0_count = q + THEOREM1_RANDOM_G0 if g0s is None else len(g0s)
+    check_expansion(len(ds) * g0_count * (q - 1) * q,
+                    f"the theorem1 grid of (d, g0, u) cells by b for q={q}")
     row = tuple.__new__
     if g0s is None:
         g0s = theorem1_g0_corpus(fld, seed)
     b_not0 = np.arange(1, q, dtype=np.int64)
-    for d in (d for d in divisors(q - 1) if d > 2):
+    for d in ds:
         m = (q - 1) // d
         mu_not1 = np.array(fld.mu_d(d)[1:], dtype=np.int64)
         powm = None if T is None else T.pow_col(m)
         for g0pos, g0 in enumerate(g0s):
             g0_text = g0.text()
+            held = None
             if T is not None:
                 g = h_d_poly(fld, d) * g0
                 w = value_table(g.substituted_power(m))
@@ -376,12 +410,9 @@ def _theorem1_cases(fld, seed, T, g0s=None):
                 def params(i):
                     return {"d": d, "u": u, "k": i // q, "b": i % q, "g0": g0_text,
                             "g0_pos": g0pos}
-                if T is None:
-                    yield "theorem1", verdicts, None, params
-                    continue
-                powu = T.pow_col(u)
-                yield "theorem1", verdicts, _by_slices(d * q, q, lambda lo, hi: _perm_mask_rows(
-                    T.mul_cols(powu[None, :], h_rows(lo, hi)), q)), params
+                truths, = _stacked_truths(T, 1, d * q, lambda k, r: T.mul_cols(
+                    T.pow_col(u)[None, :], h_rows(r[0], r[-1] + 1)))
+                yield "theorem1", verdicts, truths, params
 
                 def witness(k):
                     lhs, rhs = law(k, k + 1)
@@ -391,30 +422,19 @@ def _theorem1_cases(fld, seed, T, g0s=None):
                 yield "fhat_monomial_law", (True,) * d, held, witness
 
 
-def _stacked_truths(T, cells, rows, vals):
-    """The oracle verdicts of `cells` cells of `rows` rows each, one bool
-    list per cell, from one table stacked in slices (_by_slices): vals(k, r)
-    gives the value rows of rows r of cells k, two index arrays."""
-    def block(lo, hi):
-        k, r = np.divmod(np.arange(lo, hi), rows)
-        return _perm_mask_rows(vals(k, r), T.q)
-    return _by_slices(cells * rows, T.q, block).reshape(cells, rows).tolist()
-
-
 def _additive_truths(T, gs, maps):
     """The oracle side shared by the proposition and corollary2 suites:
     truths(pairs) gives the oracle verdicts on A(x) + g(B(x)) for each
     (A, B) pair of positions in maps and every g of the corpus, one bool
-    list per pair, stacked in one table (_stacked_truths), or None beyond
-    the oracle bound.  G holds the g corpus's value rows and cols the maps'
-    value columns, made once per suite call, so G[r, cols[b]] is the
+    list per pair (None beyond the oracle bound), stacked in one table
+    (_stacked_truths).  G holds the g corpus's value rows and cols the
+    maps' value columns, made once per suite call, so G[r, cols[b]] is the
     column of g_r(B(x)).  The criteria read nothing from here: they read
     g.values().
     """
-    if T is None:
-        return lambda pairs: None
-    G = value_rows(gs, T)
-    cols = value_rows([X.expand() for X in maps], T)
+    if T is not None:
+        G = value_rows(gs, T)
+        cols = value_rows([X.expand() for X in maps], T)
 
     def truths(pairs):
         a, b = np.array(pairs, dtype=np.int64).T
@@ -423,54 +443,24 @@ def _additive_truths(T, gs, maps):
     return truths
 
 
-def _first_ids(keys) -> list:
-    """Each key's id: the position of the first key equal to it."""
-    first = {}
-    return [first.setdefault(key, pos) for pos, key in enumerate(keys)]
-
-
-def _replayed(keys, decide):
-    """decide(*key) for each key of the list in turn, made once per distinct
-    key and replayed to the key's later positions.  Every position of a key
-    gets the same result object, so decide returns tuples, not lists.
-
-    Keys are tuples of ids from _first_ids, and a cell is decided with
-    the objects at its id positions.  The lemma reads h only through
-    h.mu_positions(d), the proposition and corollary2 criteria read their
-    maps only as maps (values()), and the trace criterion reads A only on
-    ker Tr, as a set, and on F_p, and h only on F_p (prime_values), so
-    equal keys give equal verdicts.  Only the criterion side is replayed:
-    the oracle side stays per position, so a wrong key shows up as
-    disagreements.  A result is dropped at its key's last position, so on
-    a corpus with no duplicate maps one cell is kept at a time.
-    """
-    last = {key: i for i, key in enumerate(keys)}
-    kept = {}
-    for i, key in enumerate(keys):
-        cell = kept.pop(key) if key in kept else decide(*key)
-        if last[key] != i:
-            kept[key] = cell
-        yield cell
-
-
 def _proposition_cases(fld, seed, T):
     q = fld.q
     As = additive_poly_corpus(fld, seed)
     # the whole grid is weighed before its first cell: each (A, B) cell
     # walks F_q to label the cosets of A(ker B)
     check_expansion(len(As) ** 2 * q, f"the proposition grid of (A, B) cells by elements for q={q}")
-    ids = _first_ids([A.values() for A in As])
+    values = [A.values() for A in As]
     gs = arbitrary_g_corpus(fld, seed)
     a_texts = [A.expand().text() for A in As]
     g_texts = [g.text() for g in gs]
     truths_of = _additive_truths(T, gs, As)
     row = tuple.__new__
 
-    def decide(ia, ib):
+    def decide(pos):
         """subgroup_data, the verdicts under the least and under the
         greatest preimage, and necessary(r), the corollary1 verdict of g
         row r, decided on its first demand and kept."""
-        A, B = As[ia], As[ib]
+        A, B = As[pos % len(As)], As[pos // len(As)]
         data = subgroup_data(A, B)
         data_swap = subgroup_data(A, B, preimage="greatest")
         # the cell's first and last rows validate it; its rows are then
@@ -482,12 +472,11 @@ def _proposition_cases(fld, seed, T):
         return data, verdicts, swapped, functools.cache(
             lambda r: necessary_conditions_check(trs[r], data=data).verdict)
 
-    # the cells in the order of the loop below: B outer, A inner; the oracle
-    # stacks the cells of one B
-    cells = _replayed([(ia, ib) for ib in ids for ia in ids], decide)
+    # the cells in the order of the loop below, B outer and A inner, keyed
+    # on the maps' values, all that the criteria read of A and B
+    cells = _replayed([(a, b) for b in values for a in values], decide)
     for bpos in range(len(As)):
-        by_a = truths_of([(apos, bpos) for apos in range(len(As))]) or [None] * len(As)
-        for apos, truths in enumerate(by_a):
+        for apos, truths in enumerate(truths_of([(apos, bpos) for apos in range(len(As))])):
             data, verdicts, swapped, necessary = next(cells)
             if apos == 0:
                 yield ("rank_nullity", (True,), (len(data.kernel) * len(data.image) == q,),
@@ -513,7 +502,7 @@ def _corollary2_cases(fld, seed, T):
     # a pair is two positions in maps: As, then the F_p-coefficient A that
     # are paired with the trace map, then the trace map
     maps = As + prime_field_additive_corpus(fld) + [trace_poly(fld)]
-    ids = _first_ids([X.values() for X in maps])
+    values = [X.values() for X in maps]
     trace_b = len(maps) - 1
     pairs = [(a, b) for a in range(len(As)) for b in range(len(As))
              if additive_commutes(As[a], As[b])]
@@ -527,19 +516,19 @@ def _corollary2_cases(fld, seed, T):
     truths_of = _additive_truths(T, gs, maps)
     row = tuple.__new__
 
-    def decide(ia, ib):
-        A, B = maps[ia], maps[ib]
+    def decide(pos):
+        A, B = (maps[x] for x in pairs[pos])
         data = subgroup_data(A, B)
         AdditiveTriple(A, B, gs[0]), AdditiveTriple(A, B, gs[-1])
         return tuple([commuting_criterion_check(row(AdditiveTriple, (A, B, g)), data=data).verdict
                       for g in gs])
 
-    cells = _replayed([(ids[a], ids[b]) for a, b in pairs], decide)
+    # keyed on the maps' values, all that the criterion reads of A and B
+    cells = _replayed([(values[a], values[b]) for a, b in pairs], decide)
     # the oracle stacks the pairs of one A, consecutive in pairs
     for _, group in itertools.groupby(enumerate(pairs), key=lambda at: at[1][0]):
         group = list(group)
-        by_pair = truths_of([ab for _, ab in group]) or [None] * len(group)
-        for (ppos, (a, b)), truths in zip(group, by_pair):
+        for (ppos, (a, b)), truths in zip(group, truths_of([ab for _, ab in group])):
             yield ("corollary2", next(cells), truths,
                    lambda gpos: {"pair_pos": ppos, "g_pos": gpos, "A": maps[a].expand().text(),
                                  "B": maps[b].expand().text(), "g": g_texts[gpos]})
@@ -557,9 +546,8 @@ def _trace_theorem_cases(fld, seed, T):
     # F_p: A is keyed on its sorted kernel values, read from its walk, and
     # its prime values, h on its prime values
     _, kernel = _trace_map(fld)
-    a_ids = _first_ids([(tuple(sorted(map(A.values().__getitem__, kernel))), A.prime_values())
-                        for A in As])
-    h_ids = _first_ids([h.prime_values() for h in hs])
+    a_keys = [(tuple(sorted(map(A.values().__getitem__, kernel))), A.prime_values())
+              for A in As]
     gs = trace_g_corpus(fld, seed)
     h_texts = [h.text() for h in hs]
     g_texts = [g.text() for g in gs]
@@ -570,8 +558,8 @@ def _trace_theorem_cases(fld, seed, T):
         acols = value_rows([A.expand() for A in As], T)
     row = tuple.__new__
 
-    def decide(ia, ih):
-        A, h = As[ia], hs[ih]
+    def decide(pos):
+        A, h = As[pos // len(hs)], hs[pos % len(hs)]
         # the cell's first and last rows validate it; its rows are then
         # made as plain tuples
         TraceTheoremParams(gs[0], A, h), TraceTheoremParams(gs[-1], A, h)
@@ -580,12 +568,11 @@ def _trace_theorem_cases(fld, seed, T):
 
     # the cells in the order of the loop below: A outer, h inner; the
     # oracle stacks the cells of one A
-    cells = _replayed([(ia, ih) for ia in a_ids for ih in h_ids], decide)
+    cells = _replayed([(a, h.prime_values()) for a in a_keys for h in hs], decide)
     for apos, A in enumerate(As):
-        by_h = [None] * len(hs)
         if T is not None:
             ha = T.mul_cols(hcols, acols[apos])
-            by_h = _stacked_truths(T, len(hs), len(gs), lambda k, r: T.add_cols(gcols[r], ha[k]))
+        by_h = _stacked_truths(T, len(hs), len(gs), lambda k, r: T.add_cols(gcols[r], ha[k]))
         for hpos, truths in enumerate(by_h):
             yield ("trace_theorem", next(cells), truths,
                    lambda gpos: {"A_pos": apos, "h_pos": hpos, "g_pos": gpos,
@@ -625,30 +612,30 @@ def _hermite_cases(fld, seed, T):
             return {"a": a, "b": b, "i": exps[r][0], "j": exps[r][1]}
         yield ("hermite_sufficient", verdicts, [hermite_sufficient(first).verdict] * rows,
                params)
-        if T is None:
-            yield "hermite", verdicts, None, params
-            continue
-        fams = [hermite_family(row(HermiteParams, (fld, a, b, i, j))) for i, j in exps]
-        # each row's terms into zero-padded exponent and coefficient arrays
-        # (a zero coefficient adds nothing), and its piecewise fields
-        # (square_coeff, square_exp, nonsquare_coeff, nonsquare_exp)
-        terms = [fam.poly.terms for fam in fams]
-        counts = np.fromiter(map(len, terms), dtype=np.int64, count=rows)
-        flat = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(terms)),
-                           dtype=np.int64, count=2 * int(counts.sum()))
-        width = int(counts.max())
-        held = np.arange(width) < counts[:, None]
-        es, cs = np.zeros((rows, width), dtype=np.int64), np.zeros((rows, width), dtype=np.int64)
-        es[held], cs[held] = flat[0::2], flat[1::2]
-        pieces = np.fromiter(itertools.chain.from_iterable(fam[1:] for fam in fams),
-                             dtype=np.int64, count=4 * rows).reshape(rows, 4)
-        cols = T.mul_cols(cs[:, :, None], pows[es])
-        vals = functools.reduce(T.add_cols, (cols[:, t] for t in range(width)))
-        piecewise = np.where(sq_mask, T.mul_cols(pieces[:, 0, None], pows[pieces[:, 1]]),
-                             T.mul_cols(pieces[:, 2, None], pows[pieces[:, 3]]))
-        piecewise[:, 0] = 0
-        yield "hermite", verdicts, _perm_mask_rows(vals, q), params
-        yield "hermite_piecewise", verdicts, (vals == piecewise).all(axis=1), params
+        if T is not None:
+            fams = [hermite_family(row(HermiteParams, (fld, a, b, i, j))) for i, j in exps]
+            # each row's terms into zero-padded exponent and coefficient arrays
+            # (a zero coefficient adds nothing), and its piecewise fields
+            # (square_coeff, square_exp, nonsquare_coeff, nonsquare_exp)
+            terms = [fam.poly.terms for fam in fams]
+            counts = np.fromiter(map(len, terms), dtype=np.int64, count=rows)
+            flat = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(terms)),
+                               dtype=np.int64, count=2 * int(counts.sum()))
+            width = int(counts.max())
+            held = np.arange(width) < counts[:, None]
+            es, cs = np.zeros((2, rows, width), dtype=np.int64)
+            es[held], cs[held] = flat[0::2], flat[1::2]
+            pieces = np.fromiter(itertools.chain.from_iterable(fam[1:] for fam in fams),
+                                 dtype=np.int64, count=4 * rows).reshape(rows, 4)
+            cols = T.mul_cols(cs[:, :, None], pows[es])
+            vals = functools.reduce(T.add_cols, (cols[:, t] for t in range(width)))
+            piecewise = np.where(sq_mask, T.mul_cols(pieces[:, 0, None], pows[pieces[:, 1]]),
+                                 T.mul_cols(pieces[:, 2, None], pows[pieces[:, 3]]))
+            piecewise[:, 0] = 0
+        truths, = _stacked_truths(T, 1, rows, lambda k, r: vals[r])
+        yield "hermite", verdicts, truths, params
+        if T is not None:
+            yield "hermite_piecewise", verdicts, (vals == piecewise).all(axis=1), params
 
 
 def _example_family_cases(fld, seed, T):
@@ -658,9 +645,8 @@ def _example_family_cases(fld, seed, T):
     def params(hpos):
         return {"h": hs[hpos].text(), "h_pos": hpos, "poly": fs[hpos].text()}
     yield "example_degree", (True,), (fs[0].degree == 2 * fld.p,), params
-    yield ("example_family", [True] * len(fs),
-           None if T is None else _perm_mask_rows(value_rows(fs, T), fld.q),
-           params)
+    truths, = _stacked_truths(T, 1, len(fs), lambda k, r: value_rows([fs[i] for i in r], T))
+    yield "example_family", [True] * len(fs), truths, params
 
 
 def _always(fld) -> bool:

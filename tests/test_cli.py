@@ -645,6 +645,18 @@ def test_selftest_lemma_grid_past_the_guard_exits_2_quickly(field, weight):
     assert "1000000" in proc.stderr
 
 
+@pytest.mark.parametrize("field,weight", [
+    ("7^2", 8 * 69 * 48 * 49), ("61", 10 * 81 * 60 * 61),
+    ("65537", 15 * 65557 * 65536 * 65537)])   # d > 2 by g0 by u by b
+def test_selftest_theorem1_grid_past_the_guard_exits_2_quickly(field, weight):
+    # the theorem1 grid is weighed before its g0 corpus is drawn: on 61
+    # the suite gave no answer within 20 s before the weight was taken
+    proc = run_subprocess("selftest", "--suite", "theorem1", "--fields", field)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "the theorem1 grid" in proc.stderr and str(weight) in proc.stderr
+    assert "1000000" in proc.stderr
+
+
 def test_selftest_output_is_deterministic(capsys):
     args = ("selftest", "--suite", "hermite", "--suite", "example_family",
             "--fields", "7,3^2")

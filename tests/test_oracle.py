@@ -585,6 +585,26 @@ def test_oracle_skipped_counting(suite, monkeypatch):
         assert rep.cases_run == len(divisors(6)) * 6
 
 
+@pytest.mark.parametrize("max_q", [None, 2])
+@pytest.mark.parametrize("suite,spec", [
+    ("lemma", "7"), ("theorem1", "7"), ("proposition", "3"), ("corollary2", "2^2"),
+    ("trace_theorem", "2^3"), ("hermite", "7"), ("example_family", "3^2")])
+def test_every_case_truth_comes_from_the_stacker(monkeypatch, suite, spec, max_q):
+    # _stacked_truths is the one place where case truths are made: the
+    # cells times rows it is asked for are the suite's cases, and beyond the
+    # oracle bound (max_q = 2) its oracle-skipped cases
+    asked, real = [], oracle._stacked_truths
+
+    def spied(T, cells, rows, vals):
+        asked.append(cells * rows)
+        return real(T, cells, rows, vals)
+    monkeypatch.setattr(oracle, "_stacked_truths", spied)
+    rep = run_equivalence_suite(suite, fields=[spec], max_q=max_q)
+    assert rep.passed() and rep.cases_run > 0
+    assert sum(asked) == rep.cases_run
+    assert rep.oracle_skipped == (0 if max_q is None else rep.cases_run)
+
+
 def test_driver_compares_blocks_and_builds_params_only_for_records(monkeypatch):
     calls = []
 

@@ -69,16 +69,19 @@ def _run(scaled, cases=10206, disagreements=0):
 
 def test_summarise_pairs_reads_scaled_times_ratios_and_wins():
     tool = _load_tool()
-    pairs = [(_run(1.0), _run(2.0)),     # ratio 0.5, a win
+    pairs = [(_run(1.0), _run(4.0)),     # a win
              (_run(3.0), _run(3.0)),     # a tie counts for neither side
-             (_run(2.0), _run(1.0)),     # ratio 2.0, a loss
-             (_run(0.5), _run(2.0))]     # ratio 0.25, a win
+             (_run(2.0), _run(1.0)),     # a loss
+             (_run(0.5), _run(2.0)),     # a win
+             (_run(4.0), _run(8.0))]     # a win
     s = tool.summarise_pairs(pairs)
-    assert s == {"cases": 10206, "disagreements": 0, "this_s": 1.5, "against_s": 2.0,
-                 "ratio": 0.75, "wins": 2, "pairs": 4}
+    # the ratio is of the medians, 2.0 over 3.0, as in tools/bench_pairs.py;
+    # the median of the per-pair ratios would read 0.5
+    assert s == {"cases": 10206, "disagreements": 0, "this_s": 2.0, "against_s": 3.0,
+                 "ratio": 0.6667, "wins": 3, "pairs": 5}
     assert tool.paired_line("theorem1", "7", s) == (
-        "theorem1 on 7: 10206 cases, 0 disagreements, 1.500 s against 2.000 s (scaled), "
-        "ratio 0.750, faster in 2/4 pairs")
+        "theorem1 on 7: 10206 cases, 0 disagreements, 2.000 s against 3.000 s (scaled), "
+        "ratio 0.667, faster in 3/5 pairs")
 
 
 def test_summarise_pairs_shows_counts_that_differ_between_the_sides():

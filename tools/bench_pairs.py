@@ -10,7 +10,8 @@ last stdout line of a run is its result.  The workload's record gives, per
 end-to-end metric of BENCHMARK.json, each side's runs, median and quartiles
 (inclusive method), `change_wins` (pairs where the change reads better in
 the metric's "better" direction; ties count for neither side) and
-`change_over_parent` (median over median).  Where the runs report
+`change_over_parent` (median over median), by compare, which
+tools/suite_times.py shares.  Where the runs report
 per-template medians (`templates_ms`, requests-mixed-q), the record keeps
 each side's median of them over its runs.  A record with the same
 workload and seed in --out is replaced; other records are kept.  Standard
@@ -40,6 +41,18 @@ def quartiles(xs) -> dict:
             "runs": [round(x, 4) for x in xs]}
 
 
+def compare(parent, change, better: str) -> dict:
+    """One metric's paired runs compared: each side's quartiles,
+    `change_wins` (pairs where the change reads better in the `better`
+    direction, "higher" or "lower"; ties count for neither side) and
+    `change_over_parent` (median over median)."""
+    sign = 1 if better == "higher" else -1
+    p, c = quartiles(parent), quartiles(change)
+    return {"parent": p, "change": c,
+            "change_wins": sum(sign * (y - x) > 0 for x, y in zip(parent, change)),
+            "change_over_parent": round(c["median"] / p["median"], 4)}
+
+
 def summarise(workload: str, seed: int, seconds: float, pairs, bench: dict) -> dict:
     """The record of one workload from its (parent, change) result pairs,
     each result being the last stdout line of a run, parsed."""
@@ -52,12 +65,7 @@ def summarise(workload: str, seed: int, seconds: float, pairs, bench: dict) -> d
         if not all(name in r["metrics"] for pair in pairs for r in pair):
             continue
         values = [[r[i]["metrics"][name]["value"] for r in pairs] for i in range(2)]
-        sign = 1 if spec["better"] == "higher" else -1
-        parent, change = (quartiles(v) for v in values)
-        out["metrics"][name] = {
-            "unit": spec["unit"], "parent": parent, "change": change,
-            "change_wins": sum(sign * (c - p) > 0 for p, c in zip(*values)),
-            "change_over_parent": round(change["median"] / parent["median"], 4)}
+        out["metrics"][name] = {"unit": spec["unit"], **compare(*values, spec["better"])}
     return out
 
 

@@ -9,8 +9,9 @@ same field, once from this tree's sources and once from DIR's (another
 checkout, such as the parent commit), each in a fresh process, alternating
 which side runs first.  Each time is scaled to the reference speed of
 perfbench's host-speed probe (perfbench/run.py, HostSpeed), and each line
-gives both sides' median scaled times, the median of the per-pair ratios
-(this tree over DIR) and the number of pairs this tree won.
+gives both sides' median scaled times, their ratio (this tree's median over
+DIR's) and the number of pairs this tree won, by the comparison rule of
+tools/bench_pairs.py (compare).
 
 Standard library only, besides the package.
 
@@ -26,8 +27,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tools")]
 
+from bench_pairs import compare  # noqa: E402
 from ppforge.oracle import DEFAULT_SUITE_FIELDS, run_equivalence_suite  # noqa: E402
 
 # One paired run: argv is (perfbench dir, src dir, suite, field).  The probe
@@ -64,18 +66,16 @@ def paired_run(src: Path, suite: str, spec: str) -> dict:
 def summarise_pairs(pairs) -> dict:
     """The summary of one field's (this tree, DIR) result pairs: the case
     and disagreement counts (a list when the sides differ), each side's
-    median scaled time, the median per-pair ratio of this tree's time to
-    DIR's, and the pairs in which this tree was faster (ties count for
-    neither side)."""
+    median scaled time, their ratio (this tree's over DIR's), and the pairs
+    in which this tree was faster (ties count for neither side), by
+    bench_pairs.compare with DIR as the parent."""
     def count(key):
         seen = sorted({r[key] for pair in pairs for r in pair})
         return seen[0] if len(seen) == 1 else seen
+    c = compare([a["scaled_s"] for _, a in pairs], [t["scaled_s"] for t, _ in pairs], "lower")
     return {"cases": count("cases"), "disagreements": count("disagreements"),
-            "this_s": statistics.median(t["scaled_s"] for t, _ in pairs),
-            "against_s": statistics.median(a["scaled_s"] for _, a in pairs),
-            "ratio": statistics.median(t["scaled_s"] / a["scaled_s"] for t, a in pairs),
-            "wins": sum(t["scaled_s"] < a["scaled_s"] for t, a in pairs),
-            "pairs": len(pairs)}
+            "this_s": c["change"]["median"], "against_s": c["parent"]["median"],
+            "ratio": c["change_over_parent"], "wins": c["change_wins"], "pairs": len(pairs)}
 
 
 def paired_line(suite: str, spec: str, s: dict) -> str:
