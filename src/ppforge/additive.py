@@ -2,10 +2,11 @@
 
 For additive A and B, the map f(x) = A(x) + g(B(x)) respects cosets of
 ker B, so whether f permutes F_q comes down to how the induced map on im B
-interacts with the subgroup A(ker B).  The machinery here computes kernels,
-images, right inverses and cosets by exhaustive evaluation, decides the
-coset criterion and its corollaries, and builds the low-degree families
-obtained from the trace map.
+interacts with the subgroup A(ker B).  The machinery here reads kernels,
+images, right inverses and cosets off the maps' values at every element
+(AdditivePoly.values(), built from the basis images by F_p-linearity),
+decides the coset criterion and its corollaries, and builds the
+low-degree families obtained from the trace map.
 """
 
 import functools
@@ -13,16 +14,17 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import FieldError, ScopeError
-from .field import Field, check_expansion
+from .field import Field
 from .poly import AdditivePoly, FqPoly, additive_commutes, trace_poly
 from .report import Condition, ConditionReport, shared_conditions
 
 PROP_COVER = "A(ker B) + fhat(im B) = F_q"
 NEC_A_INJ = "A is injective on ker B"
 NEC_FHAT_INJ = "fhat is injective on im B"
-COR2_A_PERM = "A permutes ker B"
+# the first condition of corollary 2 and, with B the trace map, of the
+# trace theorem
+A_PERM = "A permutes ker B"
 COR2_IM_PERM = "A(x)+B(g(x)) permutes im B"
-TRACE_A_PERM = "A permutes ker B"
 TRACE_FP_PERM = "B(g(x))+h(x)*A(x) permutes F_p"
 TRACE_NO_ROOTS = "h has no roots in F_p"
 
@@ -30,9 +32,8 @@ TRACE_NO_ROOTS = "h has no roots in F_p"
 _PROP_COVER = shared_conditions(PROP_COVER)
 _NEC_A_INJ = shared_conditions(NEC_A_INJ)
 _NEC_FHAT_INJ = shared_conditions(NEC_FHAT_INJ)
-_COR2_A_PERM = shared_conditions(COR2_A_PERM)
+_A_PERM = shared_conditions(A_PERM)
 _COR2_IM_PERM = shared_conditions(COR2_IM_PERM)
-_TRACE_A_PERM = shared_conditions(TRACE_A_PERM)
 _TRACE_FP_PERM = shared_conditions(TRACE_FP_PERM)
 _TRACE_NO_ROOTS = shared_conditions(TRACE_NO_ROOTS)
 
@@ -65,8 +66,9 @@ class SubgroupData:
     a_kernel_image is the subgroup A(ker B).  coset labels every element
     with the least element of its coset of A(ker B), so coset[x] == x
     exactly at the coset representatives.  commutes says whether A and B
-    commute, the hypothesis of the commuting criterion.  A and B at every
-    element are A.values() and B.values().
+    commute, the hypothesis of the commuting criterion, read on the n basis
+    elements t^i (additive_commutes).  A and B at every element are
+    A.values() and B.values().
     """
 
     kernel: tuple
@@ -80,7 +82,7 @@ class SubgroupData:
 
 def subgroup_data(A: AdditivePoly, B: AdditivePoly, *, preimage: str = "least") -> SubgroupData:
     """Kernel, image and right inverse of B, and A's action on them, read
-    from the walks B.values() and A.values().
+    from their values at every element, B.values() and A.values().
 
     The coset labels take q more additions: walking F_q upwards, each
     element not yet labelled is the least of its coset and labels the whole
@@ -170,7 +172,7 @@ def commuting_criterion_check(tr: AdditiveTriple, *,
     c1 = data.a_kernel_image == data.kernel
     av, bv, gv = tr.A.values(), tr.B.values(), tr.g.values()
     c2 = sorted(add(av[gamma], bv[gv[gamma]]) for gamma in data.image) == list(data.image)
-    return ConditionReport.build((_COR2_A_PERM[c1], _COR2_IM_PERM[c2]))
+    return ConditionReport.build((_A_PERM[c1], _COR2_IM_PERM[c2]))
 
 
 def triple_poly(tr: AdditiveTriple) -> FqPoly:
@@ -185,27 +187,10 @@ def triple_poly(tr: AdditiveTriple) -> FqPoly:
 
 @functools.lru_cache(maxsize=None)
 def _trace_map(field: Field) -> tuple:
-    """The trace map's values and its kernel, made once per field.
-
-    The trace is F_p-linear: at x = sum x_i * t^i, the base-p digits x_i of
-    x's index, it is sum x_i * Tr(t^i) mod p.  So only the n basis values
-    Tr(t^i) are evaluated, and the values are built in plain integers one
-    digit at a time, over the indices below p^(i+1) from those below p^i.
-    The guard still weighs a walk of F_q: the criterion goes on to read A
-    on the kernel, q/p scalar evaluations.
-    """
-    p, q = field.p, field.q
-    check_expansion(field.work(0, q), f"a walk of F_q for q={q}")
-    B = trace_poly(field)
-    tv = [0]
-    for i in range(field.n):
-        t = B.eval(p ** i)
-        below = tv
-        tv = []
-        for x in range(p):
-            # the indices with digit i equal to x: x*t plus the value below
-            tv += map([(x * t + v) % p for v in range(p)].__getitem__, below)
-    return tuple(tv), tuple(x for x, v in enumerate(tv) if v == 0)
+    """The trace map's values, trace_poly(field).values(), and its kernel,
+    made once per field."""
+    tv = trace_poly(field).values()
+    return tv, tuple(x for x, v in enumerate(tv) if v == 0)
 
 
 class TraceTheoremParams(NamedTuple("TraceTheoremParams", [("g", FqPoly), ("A", AdditivePoly),
@@ -240,10 +225,10 @@ def trace_theorem_check(tp: TraceTheoremParams) -> ConditionReport:
     to f permuting F_q.  Prime fields are refused: with a trivial trace
     kernel the no-roots condition stops being necessary, so the three
     conditions no longer characterize permutations there.  g and h are
-    read on F_p only (prime_values), A on ker B (values_at) and F_p, and
-    the trace map from its values, made once per field (_trace_map).  The
-    first condition reads A alone: it is decided once per A object and kept
-    on it (AdditivePoly._trace_perm).
+    read on F_p only (prime_values), A on ker B and F_p from its values
+    (A.values()), and the trace map from its values, made once per field
+    (_trace_map).  The first condition reads A alone: it is decided once per
+    A object and kept on it (AdditivePoly._trace_perm).
     """
     field = tp.field
     if field.n == 1:
@@ -252,13 +237,13 @@ def trace_theorem_check(tp: TraceTheoremParams) -> ConditionReport:
     A = tp.A
     c1 = A._trace_perm
     if c1 is None:
-        c1 = A._trace_perm = sorted(A.values_at(kernel)) == list(kernel)
+        c1 = A._trace_perm = sorted(map(A.values().__getitem__, kernel)) == list(kernel)
     av, gv, hv = A.prime_values(), tp.g.prime_values(), tp.h.prime_values()
     add, mul, fp = field.add, field.mul, range(field.p)
     c2 = sorted(add(tv[gv[c]], mul(hv[c], av[c])) for c in fp) == list(fp)
     root = hv.index(0) if 0 in hv else None
     return ConditionReport.build((
-        _TRACE_A_PERM[c1],
+        _A_PERM[c1],
         _TRACE_FP_PERM[c2],
         _TRACE_NO_ROOTS[True] if root is None
         else Condition(TRACE_NO_ROOTS, False, f"h({root}) = 0"),

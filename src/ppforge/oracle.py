@@ -543,7 +543,7 @@ def _trace_theorem_cases(fld, seed, T):
     check_expansion(len(As) * (q + len(hs) * fld.p),
                     f"the trace_theorem grid of A walks and (A, h) cells for q={q}")
     # a verdict reads A only on ker Tr, as a set, and on F_p, and h only on
-    # F_p: A is keyed on its sorted kernel values, read from its walk, and
+    # F_p: A is keyed on its sorted kernel values, read from its values, and
     # its prime values, h on its prime values
     _, kernel = _trace_map(fld)
     a_keys = [(tuple(sorted(map(A.values().__getitem__, kernel))), A.prime_values())

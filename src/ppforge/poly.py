@@ -9,10 +9,11 @@ composition), long division and h_d, can grow past the expansion guard
 (field.EXPANSION_MAX_TERMS); they refuse to with ExpansionTooLargeError.
 The walk of F_q, values(), is weighed against the same guard; both classes
 make it once per object and keep it, and keep the map on F_p the same way
-(prime_values); values_at reads a set of points from the walk, or evaluates
-them when there is none.  FqPoly evaluates itself on the d-th roots of
-unity (mu_values) and keeps, once per d, the position in mu_d of each
-value raised to (q-1)/d (mu_positions), which the lemma reads.
+(prime_values, sliced from the walk when it is made).  FqPoly walks with
+one eval per element; AdditivePoly evaluates only its n basis images
+A(t^i) and builds the rest by F_p-linearity.  FqPoly evaluates itself on
+the d-th roots of unity (mu_values) and keeps, once per d, the position in
+mu_d of each value raised to (q-1)/d (mu_positions), which the lemma reads.
 A Theorem 1 cofactor g0 also keeps, in _cond4, the outcome of that
 theorem's condition (4) per (d, b), filled by cyclotomic.theorem1_check,
 and an additive map keeps, in _trace_perm, whether it permutes the kernel
@@ -36,8 +37,8 @@ from .field import Field, check_expansion
 
 
 class _Walked:
-    """The walk of F_q that FqPoly and AdditivePoly share, kept in _values,
-    and the map on F_p, kept in _fp."""
+    """The map at every element, kept in _values, and on F_p, kept in _fp;
+    each class makes its walk of F_q in _walk."""
 
     __slots__ = ("_values", "_fp")
 
@@ -47,22 +48,16 @@ class _Walked:
         if self._values is None:
             f = self.field
             check_expansion(f.work(0, f.q), f"a walk of F_q for q={f.q}")
-            self._values = tuple(self.eval(a) for a in f.elements())
+            self._values = self._walk()
         return self._values
 
-    def values_at(self, points) -> list:
-        """The map at the given elements: read from the walk of F_q when it
-        is made, one eval per point otherwise."""
-        vals = self._values
-        if vals is None:
-            return [self.eval(a) for a in points]
-        return [vals[a] for a in points]
-
     def prime_values(self) -> tuple:
-        """The map at 0, 1, .., p-1, the prime subfield: made on the first
+        """The map at 0, 1, .., p-1, the prime subfield: sliced from the
+        walk of F_q when it is made, p evals otherwise; made on the first
         call and kept on this object."""
         if self._fp is None:
-            self._fp = tuple(self.values_at(range(self.field.p)))
+            p, vals = self.field.p, self._values
+            self._fp = vals[:p] if vals is not None else tuple(map(self.eval, range(p)))
         return self._fp
 
 
@@ -149,6 +144,9 @@ class FqPoly(_Walked):
                 acc = c
             low = e
         return f.mul(acc, f.pow(a, low)) if low else acc
+
+    def _walk(self) -> tuple:
+        return tuple(map(self.eval, self.field.elements()))
 
     def mu_values(self, d: int) -> tuple:
         """The polynomial at the d-th roots of unity, in the order of
@@ -330,6 +328,20 @@ class AdditivePoly(_Walked):
             x = f.pow(x, f.p)
         return acc
 
+    def _walk(self) -> tuple:
+        """By F_p-linearity, from the n basis images A(t^i): the indices
+        whose base-p digit i is c take c*A(t^i) plus the value at the index
+        below p^i.  n evals and q additions."""
+        f = self.field
+        add, vals = f.add, [0]
+        for i in range(f.n):
+            image, step, below = self.eval(f.p ** i), 0, vals
+            vals = list(below)
+            for _ in range(1, f.p):
+                step = add(step, image)
+                vals += [add(step, v) for v in below]
+        return tuple(vals)
+
     def expand(self) -> FqPoly:
         """The FqPoly with terms a_i * x^(p^i)."""
         p = self.field.p
@@ -359,9 +371,10 @@ def to_additive(f: FqPoly) -> AdditivePoly:
 
 
 def additive_commutes(A: AdditivePoly, B: AdditivePoly) -> bool:
-    """Exhaustive check that A(B(a)) = B(A(a)) for every a in F_q."""
-    av, bv = A.values(), B.values()
-    return all(av[b] == bv[a] for a, b in zip(av, bv))
+    """Whether A(B(a)) = B(A(a)) for every a in F_q.  Both compositions are
+    F_p-linear, so they are compared on the n basis elements t^i only."""
+    av, bv, f = A.values(), B.values(), A.field
+    return all(av[bv[t]] == bv[av[t]] for t in (f.p ** i for i in range(f.n)))
 
 
 def h_d_poly(field: Field, d: int) -> FqPoly:

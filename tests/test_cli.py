@@ -284,7 +284,8 @@ def test_check_theorem1_builds_g_once(capsys, monkeypatch):
 
 def test_check_corollary2_walks_a_and_b_once_each(capsys, monkeypatch):
     # the commute test, the kernel/image data and condition 2 all read the
-    # same two walks of F_9
+    # same two kept value tables of F_9, each built from its two basis
+    # images
     calls = []
     original = ppforge.poly.AdditivePoly.eval
 
@@ -296,7 +297,7 @@ def test_check_corollary2_walks_a_and_b_once_each(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "check", "corollary2", "3^2", "--A", "x",
                            "--B", "x^3+x", "--g", "3*x^2")
     assert code == 0 and json_lines(out)[0]["verdict"] is True
-    assert len(calls) == 2 * 9
+    assert len(calls) == 2 * 2
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):

@@ -26,7 +26,8 @@ from ppforge.oracle import (SUITE_NAMES, additive_poly_corpus, is_permutation,
                             lemma_h_corpus, run_equivalence_suite,
                             theorem1_g0_corpus, value_rows, value_table)
 from ppforge.poly import (AdditivePoly, CyclotomicForm, FqPoly, additive_commutes,
-                          expand_cyclotomic, h_d_poly, parse_additive, parse_poly)
+                          expand_cyclotomic, h_d_poly, parse_additive, parse_poly,
+                          trace_poly)
 from ppforge.report import ConditionReport
 
 F7 = make_field(7)
@@ -210,9 +211,10 @@ def _counting_eval(monkeypatch, cls):
                                         ("corollary2", "2^2"), ("corollary2", "3"),
                                         ("trace_theorem", "2^3")])
 def test_each_additive_map_is_walked_once(monkeypatch, suite, spec):
-    # every walk of F_q goes through values(), kept per object: no additive
-    # map and no g is evaluated more than q times, however many cells use
-    # it; the trace criterion reads its g and h on F_p only, p times each
+    # every walk of F_q goes through values(), kept per object: no g is
+    # evaluated more than q times, and no additive map more than n times,
+    # at its basis t^i, however many cells use it; the trace criterion
+    # reads its g and h on F_p only, p times each
     fld = parse_field(spec)
     seed = oracle.SAMPLE_SEED
     g_reads = fld.q
@@ -229,8 +231,8 @@ def test_each_additive_map_is_walked_once(monkeypatch, suite, spec):
     g_calls = _counting_eval(monkeypatch, FqPoly)
     for _ in _rows(suite, fld):
         pass
-    assert max(calls.values()) == fld.q
-    assert sum(calls.values()) <= maps * fld.q
+    assert max(calls.values()) == fld.n
+    assert sum(calls.values()) <= maps * fld.n
     assert max(g_calls.values()) == g_reads
     assert sum(g_calls.values()) <= polys * g_reads
 
@@ -489,13 +491,14 @@ def test_stacked_tables_stay_within_the_entry_bound(monkeypatch):
 
 
 def test_values_is_one_walk(monkeypatch):
-    # the one kept walk, for an additive map and for an FqPoly
+    # the one kept walk, for an additive map (its n basis images) and for
+    # an FqPoly (every element)
     A, g = parse_additive(F9, "x^3+3*x"), parse_poly(F9, "x^5+3*x^2+1")
-    for X, expanded in ((A, A.expand()), (g, g)):
+    for X, expanded, evals in ((A, A.expand(), F9.n), (g, g, F9.q)):
         calls = _counting_eval(monkeypatch, type(X))
         first = X.values()
-        assert sum(calls.values()) == F9.q
-        assert X.values() is first and sum(calls.values()) == F9.q
+        assert sum(calls.values()) == evals
+        assert X.values() is first and sum(calls.values()) == evals
         assert first == tuple(value_table(expanded))
 
 
@@ -884,13 +887,21 @@ def test_corpora_are_deterministic_and_sized():
     assert len(additive_poly_corpus(F7, 1009)) == 8 + 30
 
 
-def test_suite_commute_filter_matches_library_op():
-    # the corollary2 suite filters pairs with additive_commutes, which reads
-    # the scalar walks; pin it against composed value columns
-    T = F9.tables()
-    corpus = additive_poly_corpus(F9, 1009)
-    cols = {A: T.eval_col(A.expand().reduce_exponents().terms) for A in corpus}
-    for A in corpus[:20]:
-        for B in corpus[:20]:
-            fast = bool(np.array_equal(cols[A][cols[B]], cols[B][cols[A]]))
-            assert fast == additive_commutes(A, B)
+@pytest.mark.parametrize("spec", ["3^2", "2^4", "5^2", "3^3"])
+def test_suite_commute_filter_matches_library_op(spec):
+    # the corollary2 suite filters pairs with additive_commutes, which
+    # compares A(B(x)) with B(A(x)) on the basis t^i only; pin it against
+    # composed value columns on every element, over the suite's maps: the
+    # corpus, the F_p-coefficient maps and the trace map
+    fld = parse_field(spec)
+    T = fld.tables()
+    maps = (additive_poly_corpus(fld, 1009) + oracle.prime_field_additive_corpus(fld)
+            + [trace_poly(fld)])
+    cols = [T.eval_col(A.expand().reduce_exponents().terms) for A in maps]
+    both = set()
+    for A, acol in zip(maps, cols):
+        for B, bcol in zip(maps, cols):
+            full = bool(np.array_equal(acol[bcol], bcol[acol]))
+            assert full == additive_commutes(A, B)
+            both.add(full)
+    assert both == {True, False}
