@@ -74,10 +74,15 @@ def _need(args, *names):
         raise PPForgeError(f"missing required option(s): {', '.join('--' + m for m in missing)}")
 
 
-def _refuse_g_with_g0(args):
-    # --g fixes g0 as its cofactor g / h_d, so the two options are alternatives
-    if args.g is not None and args.g0 is not None:
+def _theorem1_cofactors(args, fld) -> list:
+    """The Theorem 1 cofactors g0: the --g0 texts parsed (x^0 by default),
+    or the one cofactor g / h_d of an explicit --g, which raises unless h_d
+    divides g.  --g fixes g0, so the two options are alternatives."""
+    if args.g is None:
+        return [parse_poly(fld, t) for t in args.g0 or ["1"]]
+    if args.g0 is not None:
         raise PPForgeError("pass either --g0 or an explicit --g, not both")
+    return [cofactor_of(fld, args.d, parse_poly(fld, args.g))]
 
 
 # ---------------------------------------------------------------------------
@@ -127,11 +132,7 @@ def _check_lemma(args, fld):
 
 def _check_theorem1(args, fld):
     _need(args, "d", "u", "k", "b")
-    _refuse_g_with_g0(args)
-    if args.g is not None:
-        g0 = cofactor_of(fld, args.d, parse_poly(fld, args.g))
-    else:
-        g0 = parse_poly(fld, args.g0 if args.g0 is not None else "1")
+    g0 = _theorem1_cofactors(args, fld)[-1]  # a repeated --g0: the last one
     params = Theorem1Params(args.d, args.u, args.k, args.b, g0)
     report = theorem1_check(params)
     try:
@@ -185,13 +186,10 @@ CHECK_CONSTRUCTIONS = tuple(_CHECKS)
 
 def _generate_theorem1(args, fld):
     _need(args, "d")
-    _refuse_g_with_g0(args)
     u_values = _parse_range(args.u if args.u is not None else "1")
     k_values = _parse_range(args.k if args.k is not None else "0")
-    g = parse_poly(fld, args.g) if args.g is not None else None
-    g0s = None if g is not None else [parse_poly(fld, t) for t in (args.g0 or ["1"])]
-    for params, report, poly in theorem1_generate(fld, args.d, u_values, k_values,
-                                                  g0s=g0s, g=g):
+    g0s = _theorem1_cofactors(args, fld)
+    for params, report, poly in theorem1_generate(fld, args.d, u_values, k_values, g0s):
         yield ({"d": params.d, "u": params.u, "k": params.k, "b": params.b,
                 "g0": params.g0.text()}, report, lambda poly=poly: poly)
 
@@ -353,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--b", type=int)
     p_check.add_argument("--h")
     p_check.add_argument("--g")
-    p_check.add_argument("--g0")
+    p_check.add_argument("--g0", action="append")
     p_check.add_argument("--A")
     p_check.add_argument("--B")
     p_check.add_argument("--a", type=int)

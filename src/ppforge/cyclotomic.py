@@ -186,32 +186,24 @@ def cofactor_of(field: Field, d: int, g: FqPoly) -> FqPoly:
     return g.divmod(h_d_poly(field, d))[0]
 
 
-def theorem1_generate(field: Field, d: int, u_values=(1,), k_values=(0,),
-                      g0s=None, g: FqPoly = None):
+def theorem1_generate(field: Field, d: int, u_values=(1,), k_values=(0,), g0s=None):
     """Emit (params, report, expanded polynomial) for every verdict-true
     tuple, report being the theorem1_check report that admitted it.
 
     Order is lexicographic in (u, k, b index, g0 position), so output is
     stable.  u_values and k_values are sequences, ranges included; their
     first and last entries are validated before anything is emitted.  An
-    explicit g may be given instead of cofactors; it is divided by h_d and
-    rejected on a nonzero remainder.  An empty stream is valid, and builds
-    no g.
+    explicit g is given as its cofactor, cofactor_of(field, d, g).  An
+    empty stream is valid, and builds no g.
 
     Each condition is tested in the loop over the axes it reads: (1) once
     per u, (2) once per (u, k), and (3)-(4) by theorem1_check for each b;
-    condition (4) is computed on the first (u, k) pass and looked up on g0
-    by the later ones.
+    while q <= ADD_TABLE_MAX_Q condition (4) is computed on the first
+    (u, k) pass and looked up on g0 by the later ones, and beyond it each
+    pass computes it again.
     """
     gs = {}  # g0 -> h_d * g0, built when g0 first yields a polynomial
-    if g is not None:
-        if g0s is not None:
-            raise FieldError("pass either g0s or an explicit g, not both")
-        g0s = (cofactor_of(field, d, g),)
-        gs[g0s[0]] = g
-    if g0s is None:
-        g0s = (FqPoly.one(field),)
-    g0s = tuple(g0s)
+    g0s = (FqPoly.one(field),) if g0s is None else tuple(g0s)
     _validate_d(field, d)
     if not (u_values and k_values and g0s):
         return

@@ -614,21 +614,20 @@ def _hermite_cases(fld, seed, T):
                params)
         if T is not None:
             fams = [hermite_family(row(HermiteParams, (fld, a, b, i, j))) for i, j in exps]
-            # each row's terms into zero-padded exponent and coefficient arrays
-            # (a zero coefficient adds nothing), and its piecewise fields
+            # each row's terms padded with (0, 0) to the cell's widest row:
+            # 0*x^0 is the zero column, so a padded row sums to its own
+            # polynomial.  es and cs are (term, row) exponent and coefficient
+            # arrays; pieces holds each row's piecewise fields
             # (square_coeff, square_exp, nonsquare_coeff, nonsquare_exp)
             terms = [fam.poly.terms for fam in fams]
-            counts = np.fromiter(map(len, terms), dtype=np.int64, count=rows)
-            flat = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(terms)),
-                               dtype=np.int64, count=2 * int(counts.sum()))
-            width = int(counts.max())
-            held = np.arange(width) < counts[:, None]
-            es, cs = np.zeros((2, rows, width), dtype=np.int64)
-            es[held], cs[held] = flat[0::2], flat[1::2]
+            width = max(map(len, terms))
+            flat = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(
+                t + ((0, 0),) * (width - len(t)) for t in terms)),
+                dtype=np.int64, count=2 * rows * width)
+            es, cs = flat.reshape(rows, width, 2).T
             pieces = np.fromiter(itertools.chain.from_iterable(fam[1:] for fam in fams),
                                  dtype=np.int64, count=4 * rows).reshape(rows, 4)
-            cols = T.mul_cols(cs[:, :, None], pows[es])
-            vals = functools.reduce(T.add_cols, (cols[:, t] for t in range(width)))
+            vals = functools.reduce(T.add_cols, T.mul_cols(cs[:, :, None], pows[es]))
             piecewise = np.where(sq_mask, T.mul_cols(pieces[:, 0, None], pows[pieces[:, 1]]),
                                  T.mul_cols(pieces[:, 2, None], pows[pieces[:, 3]]))
             piecewise[:, 0] = 0

@@ -230,7 +230,9 @@ def test_generate_matches_oracle_on_a_grid():
 
 def test_generate_explicit_g_divisible_k_beyond_d():
     # d=5, u=5, k=7 over F_11 with g=h_5: conditions and oracle agree on b=3
-    out = list(theorem1_generate(F11, 5, (5,), (7,), g=h_d_poly(F11, 5)))
+    g0 = cofactor_of(F11, 5, h_d_poly(F11, 5))
+    out = list(theorem1_generate(F11, 5, (5,), (7,), [g0]))
+    assert out[0][0].g() == h_d_poly(F11, 5)
     assert [p.b for p, _, _ in out] == [3]
     assert is_permutation(out[0][2])
 
@@ -238,12 +240,10 @@ def test_generate_explicit_g_divisible_k_beyond_d():
 def test_generate_explicit_g_rejects_nondivisible():
     # x^2+x+1 is not divisible by h_5, and the four conditions genuinely do
     # not characterize permutations for it (b=4 passes them while failing
-    # brute force), so the generator must refuse it
+    # brute force), so it has no cofactor to hand the generator
     g = parse_poly(F11, "x^2+x+1")
     with pytest.raises(FieldError):
         cofactor_of(F11, 5, g)
-    with pytest.raises(FieldError):
-        list(theorem1_generate(F11, 5, (5,), (7,), g=g))
     bad = Theorem1Params(5, 5, 7, 4, FqPoly.one(F11))  # divisible stand-in
     assert theorem1_check(bad) is not None  # the structural type cannot express the bad g
 

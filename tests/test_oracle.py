@@ -802,6 +802,14 @@ def _wrong_nonsquare_exp(hp):
     return fam._replace(nonsquare_exp=fam.square_exp)
 
 
+def _plus_one(hp):
+    """hermite_family whose polynomial gains the constant term 1: five
+    terms on the unmerged rows, one of them a true x^0 beside the padding
+    of shorter rows."""
+    fam = hermite_family(hp)
+    return fam._replace(poly=fam.poly + FqPoly.one(hp.field))
+
+
 def _hermite_rows_failing(fld, family) -> set:
     """(construction, a, b, i, j) of each row of the hermite grid on fld
     where family's polynomial does not permute ("hermite") or differs from
@@ -828,7 +836,8 @@ def _hermite_rows_failing(fld, family) -> set:
 @pytest.mark.parametrize("spec", ["7", "3^2"])
 @pytest.mark.parametrize("family,constructions", [
     (_without_b_x_j, {"hermite", "hermite_piecewise"}),
-    (_wrong_nonsquare_exp, {"hermite_piecewise"})], ids=["without_b_x_j", "nonsquare_exp"])
+    (_wrong_nonsquare_exp, {"hermite_piecewise"}),
+    (_plus_one, {"hermite_piecewise"})], ids=["without_b_x_j", "nonsquare_exp", "plus_one"])
 def test_harness_catches_a_broken_hermite_family(monkeypatch, spec, family, constructions):
     # the suite reads each cell's families into arrays: the rows it records
     # must be exactly the rows whose own family fails, as a scalar walk of
