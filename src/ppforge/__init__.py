@@ -11,10 +11,10 @@ from .additive import (AdditiveTriple, SubgroupData, TraceTheoremParams,
                        necessary_conditions_check, proposition_check,
                        subgroup_data, trace_theorem_check, trace_theorem_poly,
                        triple_poly)
-from .cyclotomic import (HermiteFamily, HermiteParams, Theorem1Params,
-                         cofactor_of, fhat_on_mu_d, hermite_family,
-                         hermite_sufficient, lemma_check, theorem1_check,
-                         theorem1_generate, theorem1_poly)
+from .cyclotomic import (HermiteParams, Theorem1Params, cofactor_of,
+                         fhat_on_mu_d, hermite_family, hermite_sufficient,
+                         lemma_check, theorem1_check, theorem1_generate,
+                         theorem1_poly)
 from .errors import (ExpansionTooLargeError, FieldError, OracleBoundError,
                      PPForgeError, PolyParseError, ScopeError,
                      UnknownSuiteError)

@@ -167,7 +167,7 @@ def _check_hermite(args, fld):
     _need(args, "a", "b", "i", "j")
     hp = HermiteParams(fld, args.a, args.b, args.i, args.j)
     return ({"a": args.a, "b": args.b, "i": args.i, "j": args.j},
-            hermite_sufficient(hp), lambda: hermite_family(hp).poly)
+            hermite_sufficient(hp), lambda: hermite_family(hp))
 
 
 # each check returns (parameters, report, expand): the polynomial is expanded
@@ -227,7 +227,7 @@ def _generate_hermite(args, fld):
                     report = hermite_sufficient(hp)
                     if report.verdict:
                         yield ({"a": a, "b": b, "i": i, "j": j}, report,
-                               lambda hp=hp: hermite_family(hp).poly)
+                               lambda hp=hp: hermite_family(hp))
 
 
 # each generator streams (parameters, report, expand) for the verdict-true

@@ -14,10 +14,9 @@ from .field import ADD_TABLE_MAX_Q, Field
 from .poly import CyclotomicForm, FqPoly, _collect, _poly, expand_cyclotomic, h_d_poly
 from .report import Condition, ConditionReport, shared_conditions
 
-LEMMA_COPRIME = "gcd(u,(q-1)/d)=1"
+LEMMA_COPRIME = "gcd(u,(q-1)/d)=1"   # also Theorem 1's condition (1)
 LEMMA_MU_PERM = "x^u*h(x)^((q-1)/d) permutes mu_d"
 
-T1_COPRIME = "gcd(u,(q-1)/d)=1"
 T1_EXP_UNIT = "gcd(d,u+k(q-1)/d)=1"
 T1_B_NONZERO = "b!=0"
 T1_DTH_POWER = "1+g(1)/b is a d-th power in F_q*"
@@ -29,7 +28,6 @@ HERMITE_COPRIME = "gcd(i*j,q-1)=1"
 # the witness-free conditions, indexed by truth value
 _LEMMA_COPRIME = shared_conditions(LEMMA_COPRIME)
 _LEMMA_MU_PERM = shared_conditions(LEMMA_MU_PERM)
-_T1_COPRIME = shared_conditions(T1_COPRIME)
 _T1_EXP_UNIT = shared_conditions(T1_EXP_UNIT)
 _T1_B_NONZERO = shared_conditions(T1_B_NONZERO)
 _T1_DTH_POWER = shared_conditions(T1_DTH_POWER)
@@ -162,7 +160,7 @@ def theorem1_check(params: Theorem1Params) -> ConditionReport:
     # where (4) holds, b != 0
     c4 = _T1_DTH_POWER[True] if held is True else tuple.__new__(
         Condition, (T1_DTH_POWER, False, held))
-    conds = (_T1_COPRIME[c1], _T1_EXP_UNIT[c2], _T1_B_NONZERO[b != 0], c4)
+    conds = (_LEMMA_COPRIME[c1], _T1_EXP_UNIT[c2], _T1_B_NONZERO[b != 0], c4)
     return tuple.__new__(ConditionReport, (conds, held is True and c1 and c2, None))
 
 
@@ -260,21 +258,6 @@ class HermiteParams(NamedTuple("HermiteParams", [("field", Field), ("a", int), (
         return tuple.__new__(cls, (field, a, b, i, j))
 
 
-class HermiteFamily(NamedTuple):
-    """Expanded polynomial plus its piecewise description.
-
-    On nonzero squares the map is square_coeff * x^square_exp; on
-    non-squares it is nonsquare_coeff * x^nonsquare_exp.  Whether it
-    permutes is judged apart from building it, by hermite_sufficient.
-    """
-
-    poly: FqPoly
-    square_coeff: int
-    square_exp: int
-    nonsquare_coeff: int
-    nonsquare_exp: int
-
-
 def hermite_coeff_ok(field: Field, a: int) -> bool:
     """The coefficient half of hermite_sufficient: 2a is a square."""
     return field.is_dth_power(field.add(a, a), 2)
@@ -296,19 +279,22 @@ def hermite_sufficient(hp: HermiteParams) -> ConditionReport:
     ))
 
 
-def hermite_family(hp: HermiteParams) -> HermiteFamily:
+def hermite_family(hp: HermiteParams) -> FqPoly:
     """f = a*x^(i+s) + a*x^i - b*x^(j+s) + b*x^j for s = (q-1)/2: each
     exponent reduced as in FqPoly.reduce_exponents (i, j >= 1, so none is
     0).  Once reduced, i+s never equals i (nor j+s j), i+s equals j
     exactly when i equals j+s, and i+s equals j+s exactly when i equals j.
     So when i differs from j and from j+s the four exponents are distinct,
     and the four terms (a and b are nonzero) are sorted into the
-    polynomial; only otherwise are they merged."""
+    polynomial; only otherwise are they merged.
+
+    f has two pieces: x^s is 1 on the nonzero squares, where f is 2a*x^i,
+    and -1 on the non-squares, where f is 2b*x^j; f(0) = 0.  Whether it
+    permutes is judged apart from building it, by hermite_sufficient."""
     field, a, b, i, j = hp
     q1 = field.q - 1
     s = q1 // 2
     ri, rj = (i - 1) % q1 + 1, (j - 1) % q1 + 1
     rj_s = (j + s - 1) % q1 + 1
     terms = (((i + s - 1) % q1 + 1, a), (ri, a), (rj_s, field.neg(b)), (rj, b))
-    f = _poly(field, sorted(terms)) if ri != rj and ri != rj_s else _collect(field, terms)
-    return tuple.__new__(HermiteFamily, (f, field.add(a, a), i, field.add(b, b), j))
+    return _poly(field, sorted(terms)) if ri != rj and ri != rj_s else _collect(field, terms)

@@ -602,6 +602,9 @@ def _hermite_cases(fld, seed, T):
         # x^e at every element, row e for e = 0..q-1: the grid's families
         # have reduced terms and exponents i, j below q
         pows = np.stack([T.pow_col(e) for e in range(q)])
+        # the x^i and x^j rows of the grid's exponent pairs, for the
+        # pieces 2a*x^i on the squares and 2b*x^j on the non-squares
+        x_i, x_j = pows[np.array(exps).T]
     row = tuple.__new__
     for a, b in itertools.product(good_coeffs, good_coeffs):
         # the cell's corners validate its rows, which are then made as tuples
@@ -613,23 +616,20 @@ def _hermite_cases(fld, seed, T):
         yield ("hermite_sufficient", verdicts, [hermite_sufficient(first).verdict] * rows,
                params)
         if T is not None:
-            fams = [hermite_family(row(HermiteParams, (fld, a, b, i, j))) for i, j in exps]
+            terms = [hermite_family(row(HermiteParams, (fld, a, b, i, j))).terms
+                     for i, j in exps]
             # each row's terms padded with (0, 0) to the cell's widest row:
             # 0*x^0 is the zero column, so a padded row sums to its own
             # polynomial.  es and cs are (term, row) exponent and coefficient
-            # arrays; pieces holds each row's piecewise fields
-            # (square_coeff, square_exp, nonsquare_coeff, nonsquare_exp)
-            terms = [fam.poly.terms for fam in fams]
+            # arrays
             width = max(map(len, terms))
             flat = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(
                 t + ((0, 0),) * (width - len(t)) for t in terms)),
                 dtype=np.int64, count=2 * rows * width)
             es, cs = flat.reshape(rows, width, 2).T
-            pieces = np.fromiter(itertools.chain.from_iterable(fam[1:] for fam in fams),
-                                 dtype=np.int64, count=4 * rows).reshape(rows, 4)
             vals = functools.reduce(T.add_cols, T.mul_cols(cs[:, :, None], pows[es]))
-            piecewise = np.where(sq_mask, T.mul_cols(pieces[:, 0, None], pows[pieces[:, 1]]),
-                                 T.mul_cols(pieces[:, 2, None], pows[pieces[:, 3]]))
+            piecewise = np.where(sq_mask, T.mul_cols(T.add_cols(a, a), x_i),
+                                 T.mul_cols(T.add_cols(b, b), x_j))
             piecewise[:, 0] = 0
         truths, = _stacked_truths(T, 1, rows, lambda k, r: vals[r])
         yield "hermite", verdicts, truths, params

@@ -7,13 +7,15 @@ for minus infinity).  Nothing is allocated by degree, so x^(10^12) is one
 term.  Only the constructions that multiply terms out, products (and so
 composition), long division and h_d, can grow past the expansion guard
 (field.EXPANSION_MAX_TERMS); they refuse to with ExpansionTooLargeError.
-The walk of F_q, values(), is weighed against the same guard; both classes
-make it once per object and keep it, and keep the map on F_p the same way
-(prime_values, sliced from the walk when it is made).  FqPoly walks with
-one eval per element; AdditivePoly evaluates only its n basis images
-A(t^i) and builds the rest by F_p-linearity.  FqPoly evaluates itself on
-the d-th roots of unity (mu_values) and keeps, once per d, the position in
-mu_d of each value raised to (q-1)/d (mu_positions), which the lemma reads.
+The walk of F_q, values(), is weighed against the same guard by what it
+costs; both classes make it once per object and keep it, and keep the map
+on F_p the same way (prime_values, sliced from the walk when it is made).
+FqPoly walks with one eval per element, weighed as q powers; AdditivePoly
+evaluates only its n basis images A(t^i) and builds the rest by
+F_p-linearity, weighed as n powers and q additions.  FqPoly evaluates
+itself on the d-th roots of unity (mu_values) and keeps, once per d, the
+position in mu_d of each value raised to (q-1)/d (mu_positions), which the
+lemma reads.
 A Theorem 1 cofactor g0 also keeps, in _cond4, the outcome of that
 theorem's condition (4) per (d, b), filled by cyclotomic.theorem1_check,
 and an additive map keeps, in _trace_perm, whether it permutes the kernel
@@ -38,7 +40,8 @@ from .field import Field, check_expansion
 
 class _Walked:
     """The map at every element, kept in _values, and on F_p, kept in _fp;
-    each class makes its walk of F_q in _walk."""
+    each class makes its walk of F_q in _walk, which weighs it against the
+    expansion guard first."""
 
     __slots__ = ("_values", "_fp")
 
@@ -46,8 +49,6 @@ class _Walked:
         """The map at every element, indexed by element: one walk of F_q,
         made on the first call and kept on this object."""
         if self._values is None:
-            f = self.field
-            check_expansion(f.work(0, f.q), f"a walk of F_q for q={f.q}")
             self._values = self._walk()
         return self._values
 
@@ -146,7 +147,10 @@ class FqPoly(_Walked):
         return f.mul(acc, f.pow(a, low)) if low else acc
 
     def _walk(self) -> tuple:
-        return tuple(map(self.eval, self.field.elements()))
+        """One eval per element, weighed as q powers."""
+        f = self.field
+        check_expansion(f.work(0, f.q), f"a walk of F_q for q={f.q}")
+        return tuple(map(self.eval, f.elements()))
 
     def mu_values(self, d: int) -> tuple:
         """The polynomial at the d-th roots of unity, in the order of
@@ -331,8 +335,10 @@ class AdditivePoly(_Walked):
     def _walk(self) -> tuple:
         """By F_p-linearity, from the n basis images A(t^i): the indices
         whose base-p digit i is c take c*A(t^i) plus the value at the index
-        below p^i.  n evals and q additions."""
+        below p^i.  n evals and q additions, weighed as n powers and q
+        additions."""
         f = self.field
+        check_expansion(f.work(0, f.n) + f.q, f"a walk of F_q for q={f.q}")
         add, vals = f.add, [0]
         for i in range(f.n):
             image, step, below = self.eval(f.p ** i), 0, vals

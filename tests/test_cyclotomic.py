@@ -369,23 +369,25 @@ def test_fhat_image_when_condition4_fails():
 
 
 def test_hermite_coincident_branches():
-    fam = hermite_family(HermiteParams(F7, 2, 2, 3, 3))
+    f = hermite_family(HermiteParams(F7, 2, 2, 3, 3))
     two_a = F7.add(2, 2)
-    assert fam.poly == FqPoly.monomial(F7, two_a, 3)
+    assert f == FqPoly.monomial(F7, two_a, 3)
 
 
 def test_hermite_example_f7():
     hp = HermiteParams(F7, 2, 1, 1, 5)
-    fam = hermite_family(hp)
+    f = hermite_family(hp)
     assert hermite_sufficient(hp).verdict   # 4 and 2 are squares, gcd(5,6)=1
-    assert is_permutation(fam.poly)
-    assert (fam.square_coeff, fam.square_exp) == (4, 1)
-    assert (fam.nonsquare_coeff, fam.nonsquare_exp) == (2, 5)
+    assert is_permutation(f)
+    # 4x on the nonzero squares 1, 2, 4 and 2x^5 on the non-squares 3, 5, 6
+    assert [f.eval(x) for x in F7.elements()] == [0, 4, 1, 3, 2, 6, 5]
+    assert [f.eval(x) for x in (1, 2, 4)] == [F7.mul(4, x) for x in (1, 2, 4)]
+    assert [f.eval(x) for x in (3, 5, 6)] == [F7.mul(2, F7.pow(x, 5)) for x in (3, 5, 6)]
 
 
 def test_hermite_zero_maps_to_zero():
     for hp in (HermiteParams(F7, 2, 1, 1, 5), HermiteParams(F9, 1, 2, 3, 1)):
-        assert hermite_family(hp).poly.eval(0) == 0
+        assert hermite_family(hp).eval(0) == 0
 
 
 @pytest.mark.parametrize("p,n", [(7, 1), (3, 2), (5, 2), (7, 2), (7, 3)])
@@ -396,12 +398,13 @@ def test_hermite_piecewise_identity(p, n):
     for _ in range(5):
         hp = HermiteParams(fld, rng.randrange(1, q), rng.randrange(1, q),
                            rng.randrange(1, q), rng.randrange(1, q))
-        fam = hermite_family(hp)
-        for a in fld.units():
-            expect = (fld.mul(fam.square_coeff, fld.pow(a, fam.square_exp))
-                      if fld.pow(a, s) == 1 else
-                      fld.mul(fam.nonsquare_coeff, fld.pow(a, fam.nonsquare_exp)))
-            assert fam.poly.eval(a) == expect
+        f = hermite_family(hp)
+        for x in fld.units():
+            # 2a*x^i on the nonzero squares, 2b*x^j on the non-squares
+            expect = (fld.mul(fld.add(hp.a, hp.a), fld.pow(x, hp.i))
+                      if fld.pow(x, s) == 1 else
+                      fld.mul(fld.add(hp.b, hp.b), fld.pow(x, hp.j)))
+            assert f.eval(x) == expect
 
 
 @pytest.mark.parametrize("p,n", [(7, 1), (3, 2), (13, 1), (5, 2)])
@@ -415,12 +418,10 @@ def test_hermite_terms_equal_the_merge_then_reduce_form(p, n):
     exps = [i for i in range(1, q) if hermite_exp_ok(fld, i)]
     for a, b in itertools.product(coeffs, coeffs):
         for i, j in itertools.product(exps, exps):
-            fam = hermite_family(HermiteParams(fld, a, b, i, j))
+            f = hermite_family(HermiteParams(fld, a, b, i, j))
             two_step = _collect(fld, ((i + s, a), (i, a), (j + s, fld.neg(b)),
                                       (j, b))).reduce_exponents()
-            assert fam.poly.terms == two_step.terms, (a, b, i, j)
-            assert (fam.square_coeff, fam.square_exp) == (fld.add(a, a), i)
-            assert (fam.nonsquare_coeff, fam.nonsquare_exp) == (fld.add(b, b), j)
+            assert f.terms == two_step.terms, (a, b, i, j)
 
 
 def test_hermite_rejects_even_q():
@@ -446,20 +447,23 @@ def test_hermite_params_rejections():
 def test_hermite_family_on_every_parameter(p, n):
     # the polynomial from its definition, a*x^i*(x^s+1) - b*x^j*(x^s-1) with
     # s = (q-1)/2 and reduced exponents, on every (a, b, i, j), i and j past
-    # q-1 included; the piecewise fields are (2a, i) and (2b, j)
+    # q-1 included; its pieces are 2a*x^i on the nonzero squares and 2b*x^j
+    # on the non-squares
     fld = make_field(p, n)
     q, s = fld.q, (fld.q - 1) // 2
     x_s = FqPoly.monomial(fld, 1, s)
     one = FqPoly.one(fld)
+    squares = [fld.pow(x, s) == 1 for x in fld.units()]
     for a, b in itertools.product(fld.units(), fld.units()):
         for i, j in itertools.product(range(1, q + 2), range(1, q + 2)):
-            fam = hermite_family(HermiteParams(fld, a, b, i, j))
+            f = hermite_family(HermiteParams(fld, a, b, i, j))
             expect = (FqPoly.monomial(fld, a, i) * (x_s + one)
                       - FqPoly.monomial(fld, b, j) * (x_s - one)).reduce_exponents()
-            assert fam.poly == expect, (a, b, i, j)
-            assert fam == (fam.poly, fld.add(a, a), i, fld.add(b, b), j)
-            assert (fam.square_coeff, fam.square_exp) == (fld.add(a, a), i)
-            assert (fam.nonsquare_coeff, fam.nonsquare_exp) == (fld.add(b, b), j)
+            assert f == expect, (a, b, i, j)
+            pieces = (FqPoly.monomial(fld, fld.add(a, a), i),
+                      FqPoly.monomial(fld, fld.add(b, b), j))
+            assert [f.eval(x) == pieces[not square].eval(x)
+                    for x, square in zip(fld.units(), squares)] == [True] * (q - 1)
 
 
 @pytest.mark.parametrize("q0_p,q0_n", [(3, 1), (2, 2), (5, 1), (7, 1), (3, 2)])

@@ -718,7 +718,7 @@ def _rebuilt(suite, fld, params) -> FqPoly:
         return expand_cyclotomic(CyclotomicForm(params["u"], params["d"], h))
     if suite == "hermite":
         return hermite_family(HermiteParams(fld, params["a"], params["b"], params["i"],
-                                            params["j"])).poly
+                                            params["j"]))
     return _expanded(suite, fld, params)
 
 
@@ -790,41 +790,38 @@ def test_hermite_sufficient_verdicts_equal_fresh_per_row_calls(monkeypatch, spec
 
 
 def _without_b_x_j(hp):
-    """hermite_family with its b*x^j term dropped from the polynomial."""
-    fam = hermite_family(hp)
-    return fam._replace(poly=fam.poly - FqPoly.monomial(hp.field, hp.b, hp.j))
+    """hermite_family with its b*x^j term dropped."""
+    return hermite_family(hp) - FqPoly.monomial(hp.field, hp.b, hp.j)
 
 
-def _wrong_nonsquare_exp(hp):
-    """hermite_family whose non-square piece reads x^i for x^j: wrong on
-    the rows with i != j only."""
-    fam = hermite_family(hp)
-    return fam._replace(nonsquare_exp=fam.square_exp)
+def _j_read_as_i(hp):
+    """hermite_family built with x^i for x^j: still a permutation on every
+    row of the grid, but wrong on the non-squares of the rows with i != j."""
+    return hermite_family(hp._replace(j=hp.i))
 
 
 def _plus_one(hp):
-    """hermite_family whose polynomial gains the constant term 1: five
-    terms on the unmerged rows, one of them a true x^0 beside the padding
-    of shorter rows."""
-    fam = hermite_family(hp)
-    return fam._replace(poly=fam.poly + FqPoly.one(hp.field))
+    """hermite_family with the constant term 1 added: five terms on the
+    unmerged rows, one of them a true x^0 beside the padding of shorter
+    rows."""
+    return hermite_family(hp) + FqPoly.one(hp.field)
 
 
 def _hermite_rows_failing(fld, family) -> set:
     """(construction, a, b, i, j) of each row of the hermite grid on fld
     where family's polynomial does not permute ("hermite") or differs from
-    its piecewise description ("hermite_piecewise"), judged row by row with
-    scalar arithmetic."""
+    the pieces 2a*x^i on the nonzero squares and 2b*x^j on the non-squares
+    ("hermite_piecewise"), judged row by row with scalar arithmetic."""
     s = (fld.q - 1) // 2
     coeffs = [a for a in fld.units() if hermite_coeff_ok(fld, a)]
     exps = [i for i in range(1, fld.q) if hermite_exp_ok(fld, i)]
     failing = set()
     for row in itertools.product(coeffs, coeffs, exps, exps):
-        fam = family(HermiteParams(fld, *row))
-        vals = [fam.poly.eval(x) for x in fld.elements()]
-        pieces = [0] + [fld.mul(fam.square_coeff, fld.pow(x, fam.square_exp))
-                        if fld.pow(x, s) == 1 else
-                        fld.mul(fam.nonsquare_coeff, fld.pow(x, fam.nonsquare_exp))
+        a, b, i, j = row
+        f = family(HermiteParams(fld, *row))
+        vals = [f.eval(x) for x in fld.elements()]
+        pieces = [0] + [fld.mul(fld.add(a, a), fld.pow(x, i)) if fld.pow(x, s) == 1 else
+                        fld.mul(fld.add(b, b), fld.pow(x, j))
                         for x in fld.units()]
         if len(set(vals)) != fld.q:
             failing.add(("hermite", *row))
@@ -836,7 +833,7 @@ def _hermite_rows_failing(fld, family) -> set:
 @pytest.mark.parametrize("spec", ["7", "3^2"])
 @pytest.mark.parametrize("family,constructions", [
     (_without_b_x_j, {"hermite", "hermite_piecewise"}),
-    (_wrong_nonsquare_exp, {"hermite_piecewise"}),
+    (_j_read_as_i, {"hermite_piecewise"}),
     (_plus_one, {"hermite_piecewise"})], ids=["without_b_x_j", "nonsquare_exp", "plus_one"])
 def test_harness_catches_a_broken_hermite_family(monkeypatch, spec, family, constructions):
     # the suite reads each cell's families into arrays: the rows it records

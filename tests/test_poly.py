@@ -231,6 +231,15 @@ def test_expansion_guard_refuses_before_allocating():
     assert quot == FqPoly.monomial(F7, 1, 10 ** 12 - 5) and rem.is_zero()
 
 
+def test_fqpoly_walk_is_weighed_as_q_powers():
+    # beyond the tables each power is n^2 * log2(q) digit products:
+    # 131072 * 18 * 17^2 on 2^17
+    with pytest.raises(ExpansionTooLargeError,
+                       match=r"^a walk of F_q for q=131072 is too large to expand: "
+                             r"681836544 exceeds the bound 1000000$"):
+        FqPoly.x(make_field(2, 17)).values()
+
+
 def test_parse_format_round_trip():
     cases = ["0", "1", "x", "x^2", "3*x^3+3*x", "x^5+x^3+3*x", "6*x^6+2"]
     for text in cases:
