@@ -259,9 +259,10 @@ def trace_theorem_poly(tp: TraceTheoremParams) -> FqPoly:
 def gamma_search(field: Field) -> int:
     """Least-index gamma with gamma^(p-1) = -1 in a degree-2 extension.
 
-    Such a gamma exists for every odd p since 2(p-1) divides p^2-1.  For
-    p = 2 the equation collapses to gamma = 1 = -1 having no effect, so the
-    search is refused as not applicable.
+    Such a gamma exists for every odd p since 2(p-1) divides p^2-1.  The
+    indices below p are F_p, where gamma^(p-1) = 1, so the search starts at
+    p.  For p = 2 the equation collapses to gamma = 1 = -1 having no effect,
+    so the search is refused as not applicable.
     """
     if field.n != 2:
         raise ScopeError("gamma_search needs a degree-2 extension")
@@ -269,7 +270,7 @@ def gamma_search(field: Field) -> int:
         raise ScopeError("not applicable in characteristic 2: -1 = 1 makes "
                          "gamma^(p-1) = -1 vacuous")
     target = field.neg(1)
-    for gamma in field.units():
+    for gamma in range(field.p, field.q):
         if field.pow(gamma, field.p - 1) == target:
             return gamma
     raise FieldError("no gamma found; unreachable for odd p")  # defensive

@@ -38,15 +38,16 @@ EXIT_MISMATCH = 3
 
 
 def _resolve_max_q(args) -> int:
-    if getattr(args, "max_q", None) is not None:
-        return args.max_q
-    env = os.environ.get("PPFORGE_MAX_Q")
-    if not env:
-        return DEFAULT_MAX_Q
-    try:
-        return int(env)
-    except ValueError:
-        raise PPForgeError(f"PPFORGE_MAX_Q={env!r} is not an integer") from None
+    max_q = getattr(args, "max_q", None)
+    if max_q is None:
+        env = os.environ.get("PPFORGE_MAX_Q")
+        try:
+            max_q = int(env) if env else DEFAULT_MAX_Q
+        except ValueError:
+            raise PPForgeError(f"PPFORGE_MAX_Q={env!r} is not an integer") from None
+    if max_q < 0:
+        raise PPForgeError(f"the brute-force bound must be >= 0, got {max_q}")
+    return max_q
 
 
 def _emit(args, record: dict):
@@ -294,7 +295,7 @@ def cmd_selftest(args) -> int:
     suites = args.suite or ["all"]
     if any(s == "all" for s in suites):
         suites = list(SUITE_NAMES)
-    fields = args.fields.split(",") if args.fields else None
+    fields = args.fields.split(",") if args.fields is not None else None
     max_q = _resolve_max_q(args)
     failed = False
     for suite in suites:

@@ -24,8 +24,9 @@ reads a column table:
     q <= VECTOR_MAX_Q          a + b = w^(log a + Z(log b - log a));
   odd p, n > 1, beyond         base-p digit arithmetic (_add_slow).
 Column sums (FieldTables.add_cols, eval_col) read tables built from base-p
-digits only: XOR for p = 2, a q x q add table for odd p up to
-ADD_TABLE_MAX_Q, and packed digit words (FieldTables.spread) above it.
+digits only: XOR for p = 2, and for odd p packed digit words
+(FieldTables.spread), whose pairwise sums add_cols reads from a cached
+q x q add table up to ADD_TABLE_MAX_Q.
 Negation is multiplication by -1, the element with index p-1.  Beyond
 VECTOR_MAX_Q, multiplication is digit-vector arithmetic (_mul_slow), the
 same product mod the modulus that the modulus search uses.
@@ -38,7 +39,7 @@ import numpy as np
 
 from .errors import ExpansionTooLargeError, FieldError, PolyParseError
 
-# odd p: the oracle's columns add through a q x q table (int32) up to this size.
+# odd p: add_cols reads a q x q table (int32) of packed-word sums up to this size.
 ADD_TABLE_MAX_Q = 512
 # exp/log and digit tables (O(q) memory) are allowed up to this size.
 VECTOR_MAX_Q = 1 << 16
@@ -525,18 +526,19 @@ class FieldTables:
     powers of p, pvec.  log[0] is the sentinel 2(q-1) and exp_ext is
     exp + exp + 2q-1 zeros, so exp_ext[log a + log b] = a*b for every a and
     b, zero included; exp is the cycle w^0 .. w^(q-2), a view of exp_ext.
-    Column sums read tables built from base-p digits: for odd p the full
-    q x q addition table up to ADD_TABLE_MAX_Q, and above it the packed
-    digit word `spread` that add_cols and eval_col sum in.  In
-    characteristic 2 addition is XOR and needs no table.  eval_col builds
-    its term columns on the subgroup the exponents generate, not on all q
-    elements, a block of terms per scalar_mul call, and sums each block in
-    the tier's encoding.  Scalar Field.add reads none of these: prime
-    fields add as residues, and for odd p and n > 1 the Zech list comes
-    from exp and log alone, so a fault in a column table cannot also hide
-    in the criteria's scalar sums.  The arrays total at most 6q + n int64
-    words beside the add table.  All arrays are exact integer data;
-    callers must not mutate them.
+    Column sums read tables built from base-p digits: for odd p the packed
+    digit word `spread` that add_cols and eval_col sum in, and up to
+    ADD_TABLE_MAX_Q the q x q addition table derived from it, which
+    add_cols reads as a cache.  In characteristic 2 addition is XOR and
+    needs no table.  eval_col builds its term columns on the subgroup the
+    exponents generate, not on all q elements, a block of terms per
+    scalar_mul call, and sums each block in packed words (XOR for p = 2).
+    Scalar Field.add reads none of these: prime fields add as residues, and
+    for odd p and n > 1 the Zech list comes from exp and log alone, so a
+    fault in a column table cannot also hide in the criteria's scalar
+    sums.  The arrays total at most 6q + n int64 words beside the add
+    table.  All arrays are exact integer data; callers must not mutate
+    them.
     """
 
     __slots__ = ("field", "q", "pvec", "exp", "exp_ext", "log",
@@ -558,24 +560,15 @@ class FieldTables:
         self.log = log
 
         self.addf = self.spread = None
-        if p > 2 and q <= ADD_TABLE_MAX_Q:
-            # add = sum_i p^i * ((a_i + b_i) mod p), one digit at a time: over
-            # p^(k+1) elements, add(a, b) = p^k * add_1(a_k, b_k) + add_k(a mod
-            # p^k, b mod p^k), a broadcast sum over axes (a_k, a mod p^k, ...)
-            r = np.arange(p, dtype=np.int32)
-            add1 = np.add.outer(r, r)
-            add1[add1 >= p] -= p
-            add = add1
-            for k in range(1, n):
-                m = p ** k
-                add = (m * add1[:, None, :, None] + add[None, :, None, :]).reshape(m * p, m * p)
-            self.addf = add.reshape(-1)
-        elif p > 2:
+        if p > 2:
             # spread[x] = sum_i digit_i(x) * 2^(b*i): a sum of such words adds
             # the digits of its terms slot by slot, without carries while each
-            # slot stays below 2^b
+            # slot stays below 2^b.  Up to ADD_TABLE_MAX_Q the q x q add table
+            # caches every pairwise sum, reduced by _unspread
             digits = (np.arange(q, dtype=np.int64)[:, None] // self.pvec) % p
             self.spread = digits @ (1 << (_spread_bits(n) * np.arange(n, dtype=np.int64)))
+            if q <= ADD_TABLE_MAX_Q:
+                self.addf = self._unspread(self.spread[:, None] + self.spread).astype(np.int32).reshape(-1)
         self._pow_cache: dict = {}
 
     # -- column helpers ------------------------------------------------------
@@ -647,17 +640,16 @@ class FieldTables:
 
         The terms go in blocks of at most EVAL_BLOCK_ENTRIES entries: one
         scalar_mul builds a block's (B, r) or (B, rows, r) columns, and the
-        block is summed along its term axis in the tier's own encoding: XOR
-        in characteristic 2, a halving tree through the add table where
-        there is one, and otherwise packed `spread` words.  The packed
-        accumulator runs across blocks and is reduced mod p digit-wise once
-        at the end, and before a block that could overflow a slot."""
+        block is summed along its term axis: XOR in characteristic 2, packed
+        `spread` words for odd p.  The packed accumulator runs across blocks
+        and is reduced mod p digit-wise once at the end, and before a block
+        that could overflow a slot."""
         if not terms:
             return np.zeros(r, dtype=np.int64)
-        q, q1 = self.q, self.q - 1
+        q1 = self.q - 1
         ramp = np.arange(r, dtype=np.int64)
         per = max(1, EVAL_BLOCK_ENTRIES // (np.size(terms[0][1]) * r))
-        addf, spread = self.addf, self.spread
+        spread = self.spread
         if spread is not None:
             # terms a slot can hold: each adds a digit of at most p-1, and a
             # block must fit beside a reduced accumulator
@@ -680,13 +672,6 @@ class FieldTables:
                     acc, held = spread[self._unspread(acc)], 1
                 acc = part if acc is None else np.add(acc, part, out=acc)
                 held += len(block)
-            elif addf is not None:
-                n = len(cols)
-                while n > 1:  # fold the upper half onto the lower, in place
-                    half = (n + 1) // 2
-                    cols[:n - half] = addf[cols[:n - half] * q + cols[half:n]]
-                    n = half
-                acc = cols[0] if acc is None else addf[acc * q + cols[0]]
             else:
                 part = cols[0] if len(cols) == 1 else np.bitwise_xor.reduce(cols, axis=0)
                 acc = part if acc is None else np.bitwise_xor(acc, part, out=acc)

@@ -67,7 +67,7 @@ def _perm_mask_rows(vals: np.ndarray, q: int) -> np.ndarray:
 
 
 # the most entries one stacked oracle table may hold: the size of the
-# 512 x 512 add table
+# largest add table add_cols caches, 512 x 512
 STACK_MAX_ENTRIES = 1 << 18
 
 

@@ -64,6 +64,22 @@ def test_field_info_large_extension_is_quick():
     assert rec["q"] == 1000003 ** 3 and rec["primitive_element"] == 1000009
 
 
+def test_generate_example_large_prime_square_is_quick():
+    # gamma_search skips F_p, where gamma^(p-1) = 1, not -1; the canonical
+    # modulus x^2 + c0 makes p itself the answer
+    proc = run_subprocess("generate", "example", "1000003^2", "--no-oracle")
+    assert proc.returncode == 0, proc.stderr
+    assert json_lines(proc.stdout)[0]["parameters"]["gamma"] == 1000003
+
+
+def test_selftest_example_family_large_prime_square_is_quick():
+    # one gamma_search per h of the corpus
+    proc = run_subprocess("selftest", "--suite", "example_family", "--fields", "100003^2")
+    assert proc.returncode == 0, proc.stderr
+    rec = json_lines(proc.stdout)[0]
+    assert rec["cases"] == rec["oracle_skipped"] == 10 and rec["disagreements"] == []
+
+
 def test_field_info_safe_prime_is_quick():
     # p-1 = 2 * 2305843009213688669: trial division alone would not finish
     proc = run_subprocess("field-info", "4611686018427377339")
@@ -207,6 +223,18 @@ def test_malformed_max_q_environment_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("PPFORGE_MAX_Q", "abc")
     code, _, err = run_cli(capsys, "verify", "7", "x")
     assert code == 2 and "PPFORGE_MAX_Q='abc'" in err
+
+
+@pytest.mark.parametrize("argv,env,message", [
+    (("--fields", ""), None, "bad field designation ''"),
+    (("--max-q", "-1"), None, "must be >= 0, got -1"),
+    ((), "-1", "must be >= 0, got -1"),
+], ids=["empty-fields", "negative-max-q", "negative-environment"])
+def test_selftest_malformed_input_exits_2(capsys, monkeypatch, argv, env, message):
+    if env is not None:
+        monkeypatch.setenv("PPFORGE_MAX_Q", env)
+    code, out, err = run_cli(capsys, "selftest", "--suite", "lemma", *argv)
+    assert code == 2 and out == "" and message in err
 
 
 def test_check_lemma(capsys):

@@ -343,7 +343,7 @@ def test_primitive_element_tier_fields(p, n, omega):
     assert not any(_has_full_order(fld, a) for a in range(1, omega))
 
 
-# --- eval_col: sparse terms, summed per tier (add table, XOR, packed digits) --
+# --- eval_col: sparse terms, summed per tier (XOR, packed digits) ---------
 
 EVAL_FIELDS = [(7, 3), (2, 10), (3, 7), (251, 2), (2, 16), (4099, 1)]
 
@@ -461,8 +461,9 @@ def test_eval_col_works_on_the_subgroup_not_on_q(monkeypatch):
     assert col.tolist() == _unfolded(fld.tables(), terms).tolist()
 
 
-# one field per summing tier: the add table (13, 7^3), XOR (2^10, 2^16),
-# packed digit words (3^7, 251^2) and a prime above 512 (4099)
+# one field per summing tier, XOR (2^10, 2^16) and packed digit words, the
+# latter with the add table beside them (13, 7^3), without it (3^7, 251^2)
+# and on a prime above 512 (4099)
 BLOCK_FIELDS = [(13, 1), (7, 3), (2, 10), (3, 7), (251, 2), (4099, 1), (2, 16)]
 
 
@@ -491,20 +492,23 @@ def test_eval_col_blocks_match_the_unfolded_sum(p, n):
 
 
 def test_eval_col_reduces_the_packed_sum_before_a_slot_overflows():
-    # 3^7 packs 7 digits of 9 bits: a slot holds 255 digits of 2.  At a = 1
-    # every term of c = q-1 (all digits 2) is q-1, so 300 of them carry
-    # unless the accumulator is reduced between blocks (r = 1093, blocks of
-    # 14 terms) and a block holds fewer than 255 terms (r = 2)
-    fld = make_field(3, 7)
-    T, q = fld.tables(), fld.q
-    assert ((1 << 9) - 1) // (fld.p - 1) == 255
+    # 3^7 packs 7 digits of 9 bits: a slot holds 255 digits of 2; 3^5 packs
+    # 5 of 12 bits, 2,047 digits.  At a = 1 every term of c = q-1 (all
+    # digits 2) is q-1, so count of them carry unless the accumulator is
+    # reduced between blocks (step 2: r = (q-1)/2 logs, small blocks) and a
+    # block holds fewer than room terms (steps (q-1)/2 and q-1: r = 2 and 1)
     rng = random.Random("blocks/room")
-    for step in (2, 1093):
-        for c in ([q - 1] * 300, [rng.randrange(1, q) for _ in range(300)]):
-            terms = [(1 + step * j, cj) for j, cj in enumerate(c)]
-            col = T.eval_col(terms)
-            assert col.tolist() == _unfolded(T, terms).tolist(), step
-            assert int(col[1]) == functools.reduce(fld._add_slow, c)
+    for n, bits, room, count, steps in [(7, 9, 255, 300, (2, 1093)),
+                                        (5, 12, 2047, 2100, (2, 121, 242))]:
+        fld = make_field(3, n)
+        T, q = fld.tables(), fld.q
+        assert ((1 << bits) - 1) // (fld.p - 1) == room < count
+        for step in steps:
+            for c in ([q - 1] * count, [rng.randrange(1, q) for _ in range(count)]):
+                terms = [(1 + step * j, cj) for j, cj in enumerate(c)]
+                col = T.eval_col(terms)
+                assert col.tolist() == _unfolded(T, terms).tolist(), (q, step)
+                assert int(col[1]) == functools.reduce(fld._add_slow, c)
 
 
 # --- scalar addition: Zech logarithms against the digit loop ---------------
@@ -588,11 +592,21 @@ def test_column_ops_match_digit_arithmetic(p, n):
             assert fld.neg(a) == a
 
 
+@pytest.mark.parametrize("p,n", [(13, 1), (3, 2), (5, 2), (3, 3), (3, 5), (7, 3)])
+def test_add_table_matches_the_digit_loop_on_every_pair(p, n):
+    # the int32 add table is derived from the packed digit words: entry
+    # a * q + b holds a + b
+    fld = make_field(p, n)
+    T, q = fld.tables(), fld.q
+    assert T.addf.dtype == np.int32 and T.addf.shape == (q * q,)
+    assert T.addf.tolist() == [fld._add_slow(a, b) for a in range(q) for b in range(q)]
+
+
 @pytest.mark.parametrize("p,n", COLUMN_FIELDS)
 def test_tables_stay_within_six_words_per_element(p, n):
-    # exp_ext (4q-3), log (q), spread (q, odd p above the add table) and pvec
-    # (n); the int32 add table is a view and is not counted, as in the
-    # benchmark's tables_bytes
+    # exp_ext (4q-3), log (q), spread (q, odd p) and pvec (n); the int32
+    # add table is a view and is not counted, as in the benchmark's
+    # tables_bytes
     fld = make_field(p, n)
     T = FieldTables(fld)
     owned = [getattr(T, slot) for slot in FieldTables.__slots__]

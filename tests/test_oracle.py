@@ -52,8 +52,9 @@ def test_value_table_matches_scalar_horner():
             assert list(value_table(f)) == [f.eval(a) for a in fld.elements()]
 
 
-# one field per column tier: the add table (13, 7^3), XOR (2^4, 2^10,
-# 2^16), packed digits (3^7, 251^2) and a prime above 512 (4099)
+# one field per column tier: XOR (2^4, 2^10, 2^16) and packed digits, the
+# latter with the add table beside them (13, 7^3), without it (3^7, 251^2)
+# and on a prime above 512 (4099)
 ROW_FIELDS = [(13, 1), (7, 3), (2, 4), (2, 10), (3, 7), (251, 2), (2, 16), (4099, 1)]
 
 
@@ -669,21 +670,34 @@ def test_harness_catches_a_dropped_condition(monkeypatch, suite, criterion, inde
 
 
 def test_planted_add_table_fault_surfaces_as_disagreements(monkeypatch):
-    # the oracle's columns add through addf, the criteria's scalars through
-    # Zech logarithms: one wrong addf entry must show as disagreements, not
-    # pass unseen or break the criterion side
+    # the oracle's columns add in packed spread words and through the add
+    # table derived from them, the criteria's scalars through Zech
+    # logarithms: one wrong entry in either must show as disagreements, not
+    # pass unseen or break the criterion side.  eval_col sums in spread
+    # alone, so the lemma's oracle sees the spread plant but not the addf one
     real_init = FieldTables.__init__
 
-    def planted(self, field):
-        real_init(self, field)
-        self.addf[1 * field.q + 1] = 5  # 1 + 1 = 2 in F_9, not t + 2
+    def addf_fault(self):
+        self.addf[1 * self.q + 1] = 5  # 1 + 1 = 2 in F_9, not t + 2
 
-    monkeypatch.setattr(FieldTables, "__init__", planted)
-    fld = Field(3, 2)  # a fresh instance, not make_field's
-    assert fld.tables().add_cols(1, 1) == 5
-    for suite in ("proposition", "lemma"):
-        assert run_equivalence_suite(suite, fields=[fld]).disagreements, suite
-    assert fld.add(1, 1) == 2
+    def spread_fault(self):
+        self.spread[1] = self.spread[2]  # after addf was derived from it
+
+    for fault, one_plus_one, shown, unseen in [
+            (addf_fault, 5, ("proposition",), ("lemma",)),
+            (spread_fault, 2, ("proposition", "lemma"), ())]:
+        def planted(self, field, fault=fault):
+            real_init(self, field)
+            fault(self)
+
+        monkeypatch.setattr(FieldTables, "__init__", planted)
+        fld = Field(3, 2)  # a fresh instance, not make_field's
+        assert fld.tables().add_cols(1, 1) == one_plus_one
+        for suite in shown:
+            assert run_equivalence_suite(suite, fields=[fld]).disagreements, suite
+        for suite in unseen:
+            assert run_equivalence_suite(suite, fields=[fld]).passed(), suite
+        assert fld.add(1, 1) == 2
 
 
 def test_theorem1_b_nonzero_is_covered_by_condition_4(monkeypatch):
